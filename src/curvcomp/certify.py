@@ -22,13 +22,13 @@ TAU_DEFECT = 1e-12  # absolute verdict tolerance on defects
 
 
 def default_threads() -> int:
+    """Thread count from CURV_THREADS (1 when unset); ValueError unless it is a positive integer."""
     env = os.environ.get("CURV_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"CURV_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class CurvatureQuery:
     def __post_init__(self):
         if self.direction not in ("upper", "lower"):
             raise ValueError(f"direction must be 'upper' or 'lower', got {self.direction!r}")
-        if not (self.beta >= 0 and self.epsilon >= 0):
+        if not (0 <= self.beta < math.inf and 0 <= self.epsilon < math.inf):
             raise ValueError("beta and epsilon must be finite and nonnegative")
 
 

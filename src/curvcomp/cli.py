@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 condition holds / success, 1 condition fails, 2 invalid metric,
-3 usage or I/O error.
+3 usage or I/O error, 4 internal error.
 """
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import argparse
 import math
 import sys
 import time
+import traceback
 
 from .certify import CurvatureQuery, certify, default_threads, defect_profile
 from .counterexamples import check_counterexample
@@ -27,10 +28,18 @@ EXIT_OK = 0
 EXIT_FAILS = 1
 EXIT_INVALID_METRIC = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 def _parse_float(text: str) -> float:
     return float(text)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,11 +47,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="curvcomp",
         description="Circumradius-comparison curvature conditions on finite metric spaces.",
     )
-    parser.add_argument("--threads", type=int, default=None, help="worker thread cap (default: CURV_THREADS or 1)")
+    parser.add_argument("--threads", type=_positive_int, default=None, help="worker thread cap (default: CURV_THREADS or 1)")
     # accepted before or after the subcommand; SUPPRESS keeps a missing
     # trailing flag from clobbering a leading one
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--threads", type=_positive_int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
 
     def add_input(p):
@@ -117,8 +126,8 @@ def main(argv=None) -> int:
         # onto the usage exit code of this tool's contract
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     started = time.perf_counter()
-    threads = args.threads if args.threads is not None else default_threads()
     try:
+        threads = args.threads if args.threads is not None else default_threads()
         return _dispatch(args, threads, started)
     except MetricValidationError as exc:
         for violation in exc.violations:
@@ -127,6 +136,11 @@ def main(argv=None) -> int:
     except (OSError, ValueError, DisconnectedGraphError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a defect, not a verdict: keep it apart from "condition fails"
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _dispatch(args, threads: int, started: float) -> int:

@@ -15,6 +15,8 @@ from .metricspace import SideLengths, metric_tolerance
 
 _OBTUSE_REL = 1e-12  # b^2 + c^2 - a^2 below this (times a^2) routes to the half-side branch
 _THIN_REL = 1e-14  # Heron area below this (times a^2) counts as degenerate
+# (sn, cs, arc) of the model plane by the sign of kappa, at unit curvature radius
+_TRIG = {1.0: (np.sin, np.cos, np.arctan), -1.0: (np.sinh, np.cosh, np.arctanh)}
 
 
 class ChartMismatchError(ValueError):
@@ -37,7 +39,11 @@ class Kappa:
 
 
 def kappa_value(kappa) -> float:
-    return kappa.value if isinstance(kappa, Kappa) else float(kappa)
+    """The float value of a curvature; raises ValueError unless it is finite."""
+    k = kappa.value if isinstance(kappa, Kappa) else float(kappa)
+    if not math.isfinite(k):
+        raise ValueError(f"kappa must be finite, got {k}")
+    return k
 
 
 def model_diameter(kappa) -> float:
@@ -121,50 +127,22 @@ def comparison_triangle(sides, kappa) -> ComparisonTriangle:
         )
         return ComparisonTriangle(k, verts)
 
-    if k > 0:
-        radius = 1.0 / math.sqrt(k)
-        alpha, beta, gamma_side = a / radius, b / radius, c / radius
-        denom = math.sin(alpha) * math.sin(beta)
-        if denom > 0:
-            cosg = (math.cos(gamma_side) - math.cos(alpha) * math.cos(beta)) / denom
-        else:
-            cosg = 1.0
-        cosg = max(-1.0, min(1.0, cosg))
-        sing = math.sqrt(max(1.0 - cosg * cosg, 0.0))
-        verts = (
-            ModelPoint("sphere", (0.0, 0.0, radius)),
-            ModelPoint("sphere", (radius * math.sin(alpha), 0.0, radius * math.cos(alpha))),
-            ModelPoint(
-                "sphere",
-                (
-                    radius * math.sin(beta) * cosg,
-                    radius * math.sin(beta) * sing,
-                    radius * math.cos(beta),
-                ),
-            ),
-        )
-        return ComparisonTriangle(k, verts)
-
-    radius = 1.0 / math.sqrt(-k)
+    sign = math.copysign(1.0, k)
+    sn, cs, _ = _TRIG[sign]
+    radius = 1.0 / math.sqrt(abs(k))
     alpha, beta, gamma_side = a / radius, b / radius, c / radius
-    denom = math.sinh(alpha) * math.sinh(beta)
+    denom = sn(alpha) * sn(beta)
     if denom > 0:
-        cosg = (math.cosh(alpha) * math.cosh(beta) - math.cosh(gamma_side)) / denom
+        cosg = sign * (cs(gamma_side) - cs(alpha) * cs(beta)) / denom
     else:
         cosg = 1.0
     cosg = max(-1.0, min(1.0, cosg))
     sing = math.sqrt(max(1.0 - cosg * cosg, 0.0))
+    chart = chart_for(k)
     verts = (
-        ModelPoint("hyperboloid", (0.0, 0.0, radius)),
-        ModelPoint("hyperboloid", (radius * math.sinh(alpha), 0.0, radius * math.cosh(alpha))),
-        ModelPoint(
-            "hyperboloid",
-            (
-                radius * math.sinh(beta) * cosg,
-                radius * math.sinh(beta) * sing,
-                radius * math.cosh(beta),
-            ),
-        ),
+        ModelPoint(chart, (0.0, 0.0, radius)),
+        ModelPoint(chart, (radius * sn(alpha), 0.0, radius * cs(alpha))),
+        ModelPoint(chart, (radius * sn(beta) * cosg, radius * sn(beta) * sing, radius * cs(beta))),
     )
     return ComparisonTriangle(k, verts)
 
@@ -192,108 +170,31 @@ def euclidean_circumradius_batch(a, b, c):
     return np.where(use_half, 0.5 * a, a * b * c / denom)
 
 
-def _minmax_over_sphere_candidates(v0, v1, v2, want_center: bool):
-    """Min over candidate centers of max angular distance to the unit vectors."""
-    verts = (v0, v1, v2)
-    m = v0.shape[0]
-    best = np.full(m, np.inf)
-    centers = np.zeros((m, 3)) if want_center else None
+def _curved_circumradius_batch(a, b, c, k: float):
+    """Model circumradii for kappa != 0, and the mask of the half-side branch.
 
-    def consider(cand, valid):
-        nonlocal best, centers
-        ang = np.zeros(m)
-        for v in verts:
-            dot = np.clip(np.einsum("ij,ij->i", cand, v), -1.0, 1.0)
-            ang = np.maximum(ang, np.arccos(dot))
-        ang = np.where(valid, ang, np.inf)
-        better = ang < best
-        best = np.where(better, ang, best)
-        if want_center:
-            centers[better] = cand[better]
-
-    w1 = v1 - v0
-    w2 = v2 - v0
-    u = np.cross(w1, w2)
-    norm = np.linalg.norm(u, axis=1)
-    safe = np.maximum(norm, 1e-300)
-    unit = u / safe[:, None]
-    consider(unit, norm > 1e-15)
-    consider(-unit, norm > 1e-15)
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        s = verts[i] + verts[j]
-        norm = np.linalg.norm(s, axis=1)
-        safe = np.maximum(norm, 1e-300)
-        consider(s / safe[:, None], norm > 1e-15)
-    return best, centers
-
-
-def _minmax_over_hyperboloid_candidates(v0, v1, v2, want_center: bool):
-    verts = (v0, v1, v2)
-    m = v0.shape[0]
-    best = np.full(m, np.inf)
-    centers = np.zeros((m, 3)) if want_center else None
-
-    def mdot(x, y):
-        return x[:, 0] * y[:, 0] + x[:, 1] * y[:, 1] - x[:, 2] * y[:, 2]
-
-    def consider(cand, valid):
-        nonlocal best, centers
-        dist = np.zeros(m)
-        for v in verts:
-            dist = np.maximum(dist, np.arccosh(np.clip(-mdot(cand, v), 1.0, None)))
-        dist = np.where(valid, dist, np.inf)
-        better = dist < best
-        best = np.where(better, dist, best)
-        if want_center:
-            centers[better] = cand[better]
-
-    w1 = v1 - v0
-    w2 = v2 - v0
-    u = np.cross(w1, w2)
-    u[:, 2] = -u[:, 2]  # apply the Minkowski sign flip to land in the orthogonal complement
-    q = mdot(u, u)
-    timelike = q < -1e-30
-    scale = np.sqrt(np.maximum(-q, 1e-300))
-    cand = u / scale[:, None]
-    cand = np.where((cand[:, 2] < 0)[:, None], -cand, cand)
-    consider(cand, timelike)
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        s = verts[i] + verts[j]
-        q = mdot(s, s)
-        scale = np.sqrt(np.maximum(-q, 1e-300))
-        consider(s / scale[:, None], q < -1e-30)
-    return best, centers
-
-
-def _place_sphere_unit(a, b, c):
-    """Unit-sphere vertices for angular sides (a, b, c), a >= b >= c."""
-    denom = np.sin(a) * np.sin(b)
-    cosg = np.where(
-        denom > 0, (np.cos(c) - np.cos(a) * np.cos(b)) / np.maximum(denom, 1e-300), 1.0
-    )
-    cosg = np.clip(cosg, -1.0, 1.0)
-    sing = np.sqrt(np.maximum(1.0 - cosg * cosg, 0.0))
-    zero = np.zeros_like(a)
-    v0 = np.stack([zero, zero, np.ones_like(a)], axis=1)
-    v1 = np.stack([np.sin(a), zero, np.cos(a)], axis=1)
-    v2 = np.stack([np.sin(b) * cosg, np.sin(b) * sing, np.cos(b)], axis=1)
-    return v0, v1, v2
-
-
-def _place_hyperboloid_unit(a, b, c):
-    denom = np.sinh(a) * np.sinh(b)
-    cosg = np.where(
-        denom > 0,
-        (np.cosh(a) * np.cosh(b) - np.cosh(c)) / np.maximum(denom, 1e-300),
-        1.0,
-    )
-    cosg = np.clip(cosg, -1.0, 1.0)
-    sing = np.sqrt(np.maximum(1.0 - cosg * cosg, 0.0))
-    zero = np.zeros_like(a)
-    v0 = np.stack([zero, zero, np.ones_like(a)], axis=1)
-    v1 = np.stack([np.sinh(a), zero, np.cosh(a)], axis=1)
-    v2 = np.stack([np.sinh(b) * cosg, np.sinh(b) * sing, np.cosh(b)], axis=1)
-    return v0, v1, v2
+    Works on sides scaled by sqrt|kappa| with (sn, cs) = (sin, cos) on the
+    sphere and (sinh, cosh) on the hyperboloid. The longest side's midpoint
+    covers the triangle iff cs(b) + cs(c) >= 1 + cs(a) (sphere; <= on the
+    hyperboloid), i.e. sn(b/2)^2 + sn(c/2)^2 <= sn(a/2)^2, the curved form of
+    b^2 + c^2 <= a^2. Otherwise the circumcircle is the enclosing ball:
+    tan R (tanh R) = 2 sn(a/2) sn(b/2) sn(c/2) / sqrt(sn s sn(s-a) sn(s-b) sn(s-c)).
+    """
+    sn, _, arc = _TRIG[math.copysign(1.0, k)]
+    scale = math.sqrt(abs(k))
+    x, y, z = a * scale, b * scale, c * scale
+    ha, hb, hc = sn(0.5 * x), sn(0.5 * y), sn(0.5 * z)
+    ha2 = ha * ha
+    s = 0.5 * (x + (y + z))
+    sa = 0.5 * np.maximum(z - (x - y), 0.0)
+    sb = 0.5 * np.maximum(z + (x - y), 0.0)
+    sc = 0.5 * np.maximum(x + (y - z), 0.0)
+    root = np.sqrt(sn(s) * sn(sa) * sn(sb) * sn(sc))
+    half_side = (hb * hb + hc * hc - ha2) <= _OBTUSE_REL * ha2
+    thin = root < _THIN_REL * ha2
+    use_half = half_side | thin
+    ratio = np.where(use_half, 0.0, 2.0 * ha * hb * hc) / np.where(use_half, 1.0, root)
+    return np.where(use_half, 0.5 * a, arc(ratio) / scale), use_half
 
 
 def model_circumradius_batch(a, b, c, kappa):
@@ -304,14 +205,7 @@ def model_circumradius_batch(a, b, c, kappa):
     c = np.asarray(c, dtype=float)
     if k == 0:
         return euclidean_circumradius_batch(a, b, c)
-    radius = 1.0 / math.sqrt(abs(k))
-    if k > 0:
-        v0, v1, v2 = _place_sphere_unit(a / radius, b / radius, c / radius)
-        best, _ = _minmax_over_sphere_candidates(v0, v1, v2, want_center=False)
-    else:
-        v0, v1, v2 = _place_hyperboloid_unit(a / radius, b / radius, c / radius)
-        best, _ = _minmax_over_hyperboloid_candidates(v0, v1, v2, want_center=False)
-    return radius * best
+    return _curved_circumradius_batch(a, b, c, k)[0]
 
 
 def euclidean_circumradius(sides) -> CircumResult:
@@ -337,9 +231,11 @@ def euclidean_circumradius(sides) -> CircumResult:
 def model_circumradius(sides, kappa) -> CircumResult:
     """Minimum enclosing model-ball radius of the three comparison vertices.
 
-    Candidates: the equidistant point(s) solved in the embedding (both
-    antipodal solutions on the sphere) and the three geodesic side midpoints;
-    the radius is the smallest max-distance over valid candidates.
+    The radius is model_circumradius_batch's; the center witness is given in
+    the canonical placement of comparison_triangle(sides, kappa): the midpoint
+    of the longest side on the half-side branch, else the circumcenter, the
+    chart point orthogonal (Minkowski-orthogonal on the hyperboloid) to the
+    plane through the three vertices.
     """
     if not isinstance(sides, SideLengths):
         sides = SideLengths(*sides)
@@ -347,17 +243,16 @@ def model_circumradius(sides, kappa) -> CircumResult:
     _check_model_size(sides, k)
     if k == 0:
         return euclidean_circumradius(sides)
-    radius = 1.0 / math.sqrt(abs(k))
-    a = np.array([sides.a / radius])
-    b = np.array([sides.b / radius])
-    c = np.array([sides.c / radius])
-    if k > 0:
-        v0, v1, v2 = _place_sphere_unit(a, b, c)
-        best, centers = _minmax_over_sphere_candidates(v0, v1, v2, want_center=True)
-        chart = "sphere"
+    r, half = _curved_circumradius_batch(*(np.array([s]) for s in sides.as_tuple()), k)
+    tri = comparison_triangle(sides, k)
+    v0, v1, v2 = (np.array(v.coords) for v in tri.vertices)
+    if half[0]:
+        u = v0 + v1
     else:
-        v0, v1, v2 = _place_hyperboloid_unit(a, b, c)
-        best, centers = _minmax_over_hyperboloid_candidates(v0, v1, v2, want_center=True)
-        chart = "hyperboloid"
-    center = ModelPoint(chart, tuple(radius * centers[0]))
-    return CircumResult(radius=float(radius * best[0]), center=center, attained=True, evaluations=5)
+        u = np.cross(v1 - v0, v2 - v0)
+        if k < 0:
+            u[2] = -u[2]  # the Minkowski flip
+    # scale onto the chart, on the sheet (hemisphere) with a positive last coordinate
+    norm = math.sqrt(abs(u[0] * u[0] + u[1] * u[1] + math.copysign(1.0, k) * u[2] * u[2]))
+    center = ModelPoint(chart_for(k), tuple(math.copysign(1.0 / (math.sqrt(abs(k)) * norm), u[2]) * u))
+    return CircumResult(radius=float(r[0]), center=center, attained=True, evaluations=1)

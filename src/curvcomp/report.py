@@ -1,11 +1,13 @@
 """Machine-readable reports: JSON with 17-significant-digit numerics.
 
 Reports are byte-identical across runs for fixed inputs, except the
-timing_ms field.
+timing_ms field. Non-finite floats, which JSON lacks, are written as the
+strings "inf", "-inf" and "nan".
 """
 from __future__ import annotations
 
 import json
+import math
 
 from .certify import TriangleDefect, Verdict
 from .metricspace import FiniteMetricSpace
@@ -39,7 +41,7 @@ def _emit(obj, out: list) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        out.append(format(obj, ".17g"))
+        out.append(format(obj, ".17g") if math.isfinite(obj) else json.dumps(str(obj)))
     elif isinstance(obj, dict):
         out.append("{")
         for idx, key in enumerate(sorted(obj)):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from curvcomp.cli import EXIT_FAILS, EXIT_INVALID_METRIC, EXIT_OK, EXIT_USAGE, main
+from curvcomp.cli import EXIT_FAILS, EXIT_INTERNAL, EXIT_INVALID_METRIC, EXIT_OK, EXIT_USAGE, main
 from curvcomp.metricspace import format_distance_matrix
 from curvcomp.report import REPORT_FIELDS, dumps_report
 from oracles import random_metric_matrix
@@ -46,9 +46,37 @@ def test_missing_file_exits_three(capsys):
     assert main(["validate", "/nonexistent/nowhere.csv"]) == EXIT_USAGE
 
 
-def test_bad_usage_exits_three(capsys):
+def test_bad_usage_exits_three(path4_file, capsys):
     assert main(["certify"]) == EXIT_USAGE  # missing path
     assert main(["frobnicate", "x"]) == EXIT_USAGE
+    capsys.readouterr()
+    for threads in ("0", "-3"):
+        assert main(["certify", path4_file, "--threads", threads]) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+        assert main(["--threads", threads, "certify", path4_file]) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--kappa", "nan"], ["--kappa", "inf"], ["--beta", "inf"], ["--epsilon", "inf"]],
+    ids=["kappa-nan", "kappa-inf", "beta-inf", "epsilon-inf"],
+)
+def test_non_finite_query_exits_three(flags, path4_file, capsys):
+    # path4 fails at kappa = 0, so an exit 0 here would be a false certificate
+    assert main(["certify", path4_file, *flags]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "holds" not in captured.out
+
+
+def test_internal_error_exits_four(monkeypatch, capsys):
+    def broken(p):
+        raise RuntimeError("certificate gap too large")
+
+    monkeypatch.setattr("curvcomp.cli.check_counterexample", broken)
+    assert main(["counterexample", "--p", "4"]) == EXIT_INTERNAL
+    assert "internal error: RuntimeError: certificate gap too large" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):
@@ -146,6 +174,18 @@ def test_report_floats_serialized_at_full_precision():
     assert parsed["y"][0] == 2.0 ** -52
 
 
+def test_report_non_finite_floats_are_strict_json(tmp_path):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    out = tmp_path / "c.json"
+    assert main(["counterexample", "--p", "inf", "--json", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text(), parse_constant=reject)
+    assert report["query"]["p"] == "inf"
+    text = dumps_report({"x": [math.inf, -math.inf, math.nan, 0.1]})
+    assert json.loads(text, parse_constant=reject) == {"x": ["inf", "-inf", "nan", 0.1]}
+
+
 def test_report_keys_sorted():
     text = dumps_report({"zeta": 1, "alpha": 2})
     assert text.index("alpha") < text.index("zeta")
@@ -161,6 +201,10 @@ def test_console_script_entry_point(path4_file):
     assert "fails" in proc.stdout
 
 
-def test_threads_env_default(monkeypatch, path4_file):
+def test_threads_env_default(monkeypatch, path4_file, capsys):
     monkeypatch.setenv("CURV_THREADS", "2")
     assert main(["certify", path4_file, "--epsilon", "0.5"]) == EXIT_OK
+    for bad in ("two", "0", "-1"):
+        monkeypatch.setenv("CURV_THREADS", bad)
+        assert main(["certify", path4_file, "--epsilon", "0.5"]) == EXIT_USAGE
+        assert "error: CURV_THREADS" in capsys.readouterr().err

@@ -108,12 +108,27 @@ def test_right_triangle_takes_half_hypotenuse_exactly():
     s = math.sqrt(2.0)
     assert euclidean_circumradius(SideLengths(s, s, 2.0)).radius == 1.0
     assert euclidean_circumradius(SideLengths(3.0, 4.0, 5.0)).radius == 2.5
+    # curved analogue: sn(b/2)^2 + sn(c/2)^2 = sn(a/2)^2 puts all three
+    # vertices on the circle around the midpoint of the longest side
+    for kappa in (k for k in KAPPAS if k):
+        root = math.sqrt(abs(kappa))
+        sn, arcsn = (math.sin, math.asin) if kappa > 0 else (math.sinh, math.asinh)
+        b, c = 0.9, 0.7
+        a = 2.0 / root * arcsn(math.hypot(sn(b * root / 2), sn(c * root / 2)))
+        res = model_circumradius(SideLengths(a, b, c), kappa)
+        assert res.radius == 0.5 * a
+        for v in comparison_triangle(SideLengths(a, b, c), kappa).vertices:
+            assert abs(model_distance(res.center, v, kappa) - 0.5 * a) <= 1e-12
 
 
 def test_degenerate_triangles_take_half_longest_side():
     assert euclidean_circumradius(SideLengths(2.0, 1.0, 1.0)).radius == 1.0
     assert euclidean_circumradius(SideLengths(2.0, 2.0, 0.0)).radius == 1.0
     assert euclidean_circumradius(SideLengths(0.0, 0.0, 0.0)).radius == 0.0
+    # exactly collinear sides a = b + c, inside the kappa > 0 perimeter cap
+    for kappa in (k for k in KAPPAS if k):
+        for a, b, c in ((2.0, 1.0, 1.0), (2.0, 1.25, 0.75), (1.5, 1.5, 0.0), (0.0, 0.0, 0.0)):
+            assert model_circumradius(SideLengths(a, b, c), kappa).radius == 0.5 * a
 
 
 def test_euclidean_center_witness_attains_radius():

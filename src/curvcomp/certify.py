@@ -2,15 +2,20 @@
 
 The scan is the O(n^3) heart of the pipeline: every canonical triple is
 compared against its model circumradius. Batches are vectorized over the
-third vertex and partitioned into index chunks for schedule-independent
-parallel reduction.
+third vertex and gathered into rows, a row being all triples with smallest
+index i. Rows are folded in index order into one running reduction, so no
+per-triple value outlives its row and the output does not depend on the
+thread count.
 """
 from __future__ import annotations
 
 import math
 import os
+from collections import Counter, deque
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -29,6 +34,14 @@ def default_threads() -> int:
     if not env.strip().isdecimal() or int(env) < 1:
         raise ValueError(f"CURV_THREADS must be a positive integer, got {env!r}")
     return int(env)
+
+
+def resolve_threads(threads: int | None) -> int:
+    """`threads`, or default_threads() when it is None; ValueError below 1."""
+    threads = default_threads() if threads is None else threads
+    if threads < 1:
+        raise ValueError(f"thread count must be a positive integer, got {threads}")
+    return threads
 
 
 @dataclass(frozen=True)
@@ -160,129 +173,98 @@ class _ScanAggregate:
     worst_upper: tuple | None = None  # (defect, i, j, k, r_space, r_model)
     worst_lower: tuple | None = None
     skipped: int = 0
-    triples: list = field(default_factory=list)  # collected (i, j, k) int32 arrays
-    defects: list = field(default_factory=list)
-    min_sides: list = field(default_factory=list)
+    fold: Callable | None = None  # fold(i, js, ks, defect, min_side), once per row
 
-    def absorb_block(self, i, j, ks, defect, rs, rm, min_side, collect):
+    def absorb_row(self, i, skipped, js, ks, defect, rs, rm, min_side):
+        # index-ordered rows, first extremes, strict improvement: lexicographically first witness
+        self.skipped += skipped
         if defect.size == 0:
             return
         hi = int(np.argmax(defect))
-        if defect[hi] > self.eps_upper and defect[hi] > 0:
+        if defect[hi] > self.eps_upper:
             self.eps_upper = float(defect[hi])
-            self.worst_upper = (float(defect[hi]), i, j, int(ks[hi]), float(rs[hi]), float(rm[hi]))
+            self.worst_upper = (float(defect[hi]), i, int(js[hi]), int(ks[hi]), float(rs[hi]), float(rm[hi]))
         lo = int(np.argmin(defect))
-        if -defect[lo] > self.eps_lower and defect[lo] < 0:
+        if -defect[lo] > self.eps_lower:
             self.eps_lower = float(-defect[lo])
-            self.worst_lower = (float(-defect[lo]), i, j, int(ks[lo]), float(rs[lo]), float(rm[lo]))
-        if collect:
-            block = np.empty((defect.size, 3), dtype=np.int32)
-            block[:, 0] = i
-            block[:, 1] = j
-            block[:, 2] = ks
-            self.triples.append(block)
-            self.defects.append(defect)
-            self.min_sides.append(min_side)
-
-    def merge(self, other: "_ScanAggregate"):
-        # chunks are merged in index order with strict improvement, so the
-        # retained witness is the lexicographically first maximizer
-        if other.eps_upper > self.eps_upper:
-            self.eps_upper = other.eps_upper
-            self.worst_upper = other.worst_upper
-        if other.eps_lower > self.eps_lower:
-            self.eps_lower = other.eps_lower
-            self.worst_lower = other.worst_lower
-        self.skipped += other.skipped
-        self.triples += other.triples
-        self.defects += other.defects
-        self.min_sides += other.min_sides
+            self.worst_lower = (float(-defect[lo]), i, int(js[lo]), int(ks[lo]), float(rs[lo]), float(rm[lo]))
+        if self.fold is not None:
+            self.fold(i, js, ks, defect, min_side)
 
 
-def _scan_chunk(space, rows, kappa, beta, degenerate, cap, i_range, collect) -> _ScanAggregate:
+def _scan_row(space, rows, kappa, beta, degenerate, cap, i):
+    """Skipped count and row i, the triples with smallest index i, as arrays (js, ks,
+    defect, r_space, r_model, min_side): degenerate (i, i, j) first, then j, k ascending."""
     d = space.dist
     n = space.n
-    agg = _ScanAggregate()
-    for i in i_range:
-        if degenerate:
-            js = np.arange(i + 1, n)
-            dij = d[i, js]
-            mask = dij >= beta
-            if kappa > 0 or cap < math.inf:
-                small = (2.0 * dij) < cap
-                agg.skipped += int(np.count_nonzero(mask & ~small))
-                mask &= small
-            js = js[mask]
-            if js.size:
-                rs = np.min(np.maximum(rows[:, [i]], rows[:, js]), axis=0)
-                rm = d[i, js] / 2.0
-                agg.absorb_block(i, i, js, rs - rm, rs, rm, d[i, js], collect)
-        for j in range(i + 1, n - 1):
-            ks = np.arange(j + 1, n)
-            dij = d[i, j]
-            dik = d[i, ks]
-            djk = d[j, ks]
-            if beta > 0:
-                if dij < beta:
-                    continue
-                mask = (dik >= beta) & (djk >= beta)
-                ks, dik, djk = ks[mask], dik[mask], djk[mask]
+    skipped = 0
+    blocks = [(np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 4]
+    if degenerate:
+        js = np.arange(i + 1, n)[d[i, i + 1:] >= beta]
+        small = 2.0 * d[i, js] < cap
+        skipped += int(np.count_nonzero(~small))
+        js = js[small]
+        rs = np.min(np.maximum(rows[:, [i]], rows[:, js]), axis=0)
+        rm = d[i, js] / 2.0
+        blocks.append((np.full(js.size, i), js, rs - rm, rs, rm, d[i, js]))
+    for j in range(i + 1, n - 1):
+        ks = np.arange(j + 1, n)
+        dij = d[i, j]
+        dik = d[i, ks]
+        djk = d[j, ks]
+        if beta > 0:
+            if dij < beta:
+                continue
+            mask = (dik >= beta) & (djk >= beta)
+            ks, dik, djk = ks[mask], dik[mask], djk[mask]
+        if ks.size == 0:
+            continue
+        sides = np.sort(np.stack([np.full(ks.size, dij), dik, djk]), axis=0)
+        if cap < math.inf:
+            small = sides.sum(axis=0) < cap
+            skipped += int(np.count_nonzero(~small))
+            ks = ks[small]
+            sides = sides[:, small]
             if ks.size == 0:
                 continue
-            sides = np.sort(np.stack([np.full(ks.size, dij), dik, djk]), axis=0)
-            if kappa > 0 or cap < math.inf:
-                small = sides.sum(axis=0) < cap
-                agg.skipped += int(np.count_nonzero(~small))
-                ks, dik, djk = ks[small], dik[small], djk[small]
-                sides = sides[:, small]
-                if ks.size == 0:
-                    continue
-            rm = model_circumradius_batch(sides[2], sides[1], sides[0], kappa)
-            pair_max = np.maximum(rows[:, i], rows[:, j])
-            rs = np.min(np.maximum(pair_max[:, None], rows[:, ks]), axis=0)
-            agg.absorb_block(i, j, ks, rs - rm, rs, rm, sides[0], collect)
-    return agg
+        rm = model_circumradius_batch(sides[2], sides[1], sides[0], kappa)
+        pair_max = np.maximum(rows[:, i], rows[:, j])
+        rs = np.min(np.maximum(pair_max[:, None], rows[:, ks]), axis=0)
+        blocks.append((np.full(ks.size, j), ks, rs - rm, rs, rm, sides[0]))
+    return skipped, tuple(np.concatenate(column) for column in zip(*blocks))
 
 
-def _run_scan(
-    space: FiniteMetricSpace,
-    kappa: float,
-    policy: CandidatePolicy,
-    beta: float,
-    degenerate: bool,
-    max_perimeter: float | None,
-    threads: int | None,
-    collect: bool,
-) -> _ScanAggregate:
+def _in_index_order(scan, n: int, threads: int):
+    """scan(0), ..., scan(n - 1) in order, with at most 2 * threads rows in flight."""
+    if threads == 1:
+        yield from map(scan, range(n))
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque()
+        for i in range(n):
+            pending.append(pool.submit(scan, i))
+            if len(pending) == 2 * threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def _run_scan(space, kappa, policy, beta, degenerate, max_perimeter, threads, fold=None) -> _ScanAggregate:
     k = kappa_value(kappa)
     rows = candidate_rows(space, policy)
     cap = _perimeter_cap(k, max_perimeter)
-    threads = threads or default_threads()
-    n = space.n
-    chunk_count = 1 if threads <= 1 else min(max(threads * 4, 1), max(n, 1))
-    bounds = np.linspace(0, n, chunk_count + 1).astype(int)
-    ranges = [range(bounds[t], bounds[t + 1]) for t in range(chunk_count)]
-
-    if threads <= 1:
-        parts = [_scan_chunk(space, rows, k, beta, degenerate, cap, r, collect) for r in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_scan_chunk, space, rows, k, beta, degenerate, cap, r, collect)
-                for r in ranges
-            ]
-            parts = [f.result() for f in futures]
-    total = _ScanAggregate()
-    for part in parts:
-        total.merge(part)
-    return total
+    scan = partial(_scan_row, space, rows, k, beta, degenerate, cap)
+    agg = _ScanAggregate(fold=fold)
+    for i, (skipped, row) in enumerate(_in_index_order(scan, space.n, resolve_threads(threads))):
+        agg.absorb_row(i, skipped, *row)
+    return agg
 
 
 def _witness(space: FiniteMetricSpace, record: tuple | None) -> TriangleDefect | None:
     if record is None:
         return None
-    _, i, j, kk, rs, rm = record
-    return TriangleDefect(Triple(i, j, kk), SideLengths.of_triple(space, Triple(i, j, kk)), rs, rm)
+    t = Triple(*record[1:4])
+    return TriangleDefect(t, SideLengths.of_triple(space, t), record[4], record[5])
 
 
 def certify(space: FiniteMetricSpace, query: CurvatureQuery, threads: int | None = None) -> Verdict:
@@ -292,16 +274,8 @@ def certify(space: FiniteMetricSpace, query: CurvatureQuery, threads: int | None
     every triple; lower direction with the roles reversed. epsilon_needed is
     the exact worst deficiency, 0 when the strict condition already holds.
     """
-    agg = _run_scan(
-        space,
-        query.kappa,
-        query.candidates,
-        query.beta,
-        query.degenerate_pairs,
-        query.max_perimeter,
-        threads,
-        collect=False,
-    )
+    agg = _run_scan(space, query.kappa, query.candidates, query.beta, query.degenerate_pairs,
+                    query.max_perimeter, threads)
     if query.direction == "upper":
         needed, record = agg.eps_upper, agg.worst_upper
     else:
@@ -309,6 +283,42 @@ def certify(space: FiniteMetricSpace, query: CurvatureQuery, threads: int | None
     holds = needed <= query.epsilon + TAU_DEFECT
     witness = None if holds else _witness(space, record)
     return Verdict(holds=holds, witness=witness, epsilon_needed=needed, skipped=agg.skipped)
+
+
+class _BinCounter:
+    """Defect counts in `bins` bins of width 2**e, anchored at 0.
+
+    e is the smallest exponent, and at least the diameter's binary exponent
+    minus 40, at which [min defect, max defect] fits in `bins` bins. Bin
+    m = floor(defect / 2**e) is a Counter key and m >> 1 merges bins exactly
+    when e grows, so the result does not depend on the scan order.
+    """
+
+    def __init__(self, bins: int, diameter: float):
+        self.bins, self.e = bins, math.frexp(diameter)[1] - 40
+        self.lo, self.hi, self.counts = math.inf, -math.inf, Counter()
+
+    def _bin(self, x: float) -> int:
+        return math.floor(math.ldexp(x, -self.e))
+
+    def add(self, defect: np.ndarray) -> None:
+        self.lo, self.hi = min(self.lo, float(defect.min())), max(self.hi, float(defect.max()))
+        while self._bin(self.hi) - self._bin(self.lo) >= self.bins:
+            self.e += 1
+            merged = Counter()
+            for m, count in self.counts.items():
+                merged[m >> 1] += count
+            self.counts = merged
+        first = self._bin(self.lo)
+        tally = np.bincount((np.floor(np.ldexp(defect, -self.e)) - first).astype(np.int64))
+        self.counts.update({first + int(m): int(tally[m]) for m in np.flatnonzero(tally)})
+
+    def histogram(self) -> Histogram:
+        if self.lo > self.hi:
+            return Histogram(tuple(np.linspace(-0.5, 0.5, self.bins + 1)), (0,) * self.bins)
+        first = self._bin(self.lo)
+        edges = tuple(math.ldexp(first + t, self.e) for t in range(self.bins + 1))
+        return Histogram(edges, tuple(self.counts[first + t] for t in range(self.bins)))
 
 
 def defect_profile(
@@ -323,38 +333,32 @@ def defect_profile(
 ) -> DefectReport:
     """Full defect scan with the scale curve epsilon*(beta) and a histogram.
 
-    Triples are enumerated once; each beta entry filters the stored per-triple
-    defects by minimum side length.
+    One scan folds each row into the bins of _BinCounter and, per beta, into a
+    running max of the defects of triples with shortest side >= beta (0 if none).
     """
-    agg = _run_scan(
-        space, kappa, candidates, 0.0, degenerate_pairs, max_perimeter, threads, collect=True
-    )
-    if agg.defects:
-        defects = np.concatenate(agg.defects)
-        min_sides = np.concatenate(agg.min_sides)
-    else:
-        defects = np.zeros(0)
-        min_sides = np.zeros(0)
+    betas = np.asarray(beta_grid, dtype=float).reshape(-1)
+    if not np.all((betas >= 0) & (betas < math.inf)):
+        raise ValueError("beta grid values must be finite and nonnegative")
+    if bins < 1:
+        raise ValueError("bins must be a positive integer")
+    curve = np.zeros(betas.size)
+    counter = _BinCounter(bins, space.diameter)
 
-    if defects.size:
-        lo, hi = float(defects.min()), float(defects.max())
-        if lo == hi:
-            lo, hi = lo - 0.5, hi + 0.5
-        counts, edges = np.histogram(defects, bins=bins, range=(lo, hi))
-    else:
-        counts, edges = np.zeros(bins, dtype=int), np.linspace(-0.5, 0.5, bins + 1)
-    curve = []
-    for beta in beta_grid:
-        sel = defects[min_sides >= beta]
-        curve.append((float(beta), float(np.maximum(sel, 0.0).max()) if sel.size else 0.0))
+    def fold(i, js, ks, defect, min_side):
+        counter.add(defect)
+        if betas.size:
+            row_max = np.where(min_side >= betas[:, None], defect, 0.0).max(axis=1)
+            np.maximum(curve, row_max, out=curve)
+
+    agg = _run_scan(space, kappa, candidates, 0.0, degenerate_pairs, max_perimeter, threads, fold)
     return DefectReport(
         epsilon_star_upper=agg.eps_upper,
         epsilon_star_lower=agg.eps_lower,
         worst_upper=_witness(space, agg.worst_upper),
         worst_lower=_witness(space, agg.worst_lower),
-        histogram=Histogram(tuple(edges), tuple(int(x) for x in counts)),
+        histogram=counter.histogram(),
         skipped=agg.skipped,
-        beta_curve=tuple(curve),
+        beta_curve=tuple((float(b), float(eps)) for b, eps in zip(betas, curve)),
     )
 
 
@@ -389,21 +393,17 @@ def local_defect_map(
     Candidate centers are the whole space, so the map is monotone
     nondecreasing in R by triple-set inclusion.
     """
-    if ball_radius <= 0:
-        raise ValueError("ball radius must be positive")
-    agg = _run_scan(
-        space, kappa, CandidatePolicy(), 0.0, False, None, threads, collect=True
-    )
-    out = np.zeros(space.n)
-    if not agg.defects:
-        return out
-    triples = np.concatenate(agg.triples)
-    defects = np.concatenate(agg.defects)
-    pos = np.maximum(defects, 0.0)
+    if not 0 < ball_radius < math.inf:
+        raise ValueError("ball radius must be positive and finite")
     within = space.dist <= ball_radius
-    for x in range(space.n):
-        member = within[x]
-        mask = member[triples[:, 0]] & member[triples[:, 1]] & member[triples[:, 2]]
-        if np.any(mask):
-            out[x] = pos[mask].max()
+    out = np.zeros(space.n)
+
+    def fold(i, js, ks, defect, min_side):
+        # every ball holding a triple of row i holds i
+        for x in np.flatnonzero(within[i]):
+            inside = within[x, js] & within[x, ks]
+            if inside.any():
+                out[x] = max(out[x], defect[inside].max())
+
+    _run_scan(space, kappa, CandidatePolicy(), 0.0, False, None, threads, fold)
     return out

@@ -209,7 +209,7 @@ def _dispatch(args, threads: int, started: float) -> int:
     if args.command == "hyperbolicity":
         space = _load(args)
         result = delta_four_point(space, threads=threads)
-        bound = relaxed_npc_bound_check(space, args.allowance, threads=threads)
+        bound = relaxed_npc_bound_check(space, args.allowance, threads=threads, delta=result)
         report = base_report(space, {"allowance": args.allowance})
         report["delta"] = result.delta
         report["epsilon_star_upper"] = bound.epsilon_star_upper

@@ -6,12 +6,13 @@ without asserting tightness of the relationship.
 """
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import CurvatureQuery, certify, default_threads
+from .certify import CurvatureQuery, certify, resolve_threads
 from .metricspace import FiniteMetricSpace
 
 
@@ -56,11 +57,11 @@ def delta_four_point(space: FiniteMetricSpace, threads: int | None = None) -> De
     then (x, y, z) lexicographic), so output is deterministic for any thread
     count.
     """
+    threads = resolve_threads(threads)
     n = space.n
     if n <= 2:
         return DeltaResult(0.0, None)
     d = space.dist
-    threads = threads or default_threads()
     if threads <= 1:
         per_w = [_per_base_max(d, w)[0] for w in range(n)]
     else:
@@ -79,21 +80,23 @@ def delta_four_point(space: FiniteMetricSpace, threads: int | None = None) -> De
 
 
 def relaxed_npc_bound_check(
-    space: FiniteMetricSpace, h: float, threads: int | None = None
+    space: FiniteMetricSpace, h: float, threads: int | None = None, *, delta: DeltaResult | None = None
 ) -> RelaxedBoundReport:
     """Compare the worst upper defect against 2*delta + h.
 
     h is a caller-supplied discretization allowance (e.g. the maximum edge
     length of a graph metric); the result is a diagnostic, not an assertion.
+    `delta` is the space's delta_four_point result if the caller already has it.
     """
-    if h < 0:
-        raise ValueError("discretization allowance must be nonnegative")
+    if not 0 <= h < math.inf:
+        raise ValueError("discretization allowance must be finite and nonnegative")
     verdict = certify(space, CurvatureQuery(kappa=0.0, direction="upper"), threads=threads)
-    delta = delta_four_point(space, threads=threads).delta
+    if delta is None:
+        delta = delta_four_point(space, threads=threads)
     eps = verdict.epsilon_needed
     return RelaxedBoundReport(
         epsilon_star_upper=eps,
-        delta=delta,
+        delta=delta.delta,
         discretization=h,
-        slack=2.0 * delta + h - eps,
+        slack=2.0 * delta.delta + h - eps,
     )

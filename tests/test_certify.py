@@ -1,5 +1,6 @@
 """Triangle enumeration, defect scans, verdicts, and the derived profiles."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,9 @@ def test_certify_thread_count_does_not_change_output():
     for r in results[1:]:
         assert r.epsilon_needed == results[0].epsilon_needed
         assert (r.witness and r.witness.triple) == (results[0].witness and results[0].witness.triple)
+    for bad in (0, -2):
+        with pytest.raises(ValueError):
+            certify(space, CurvatureQuery(kappa=0.0, direction="upper"), threads=bad)
 
 
 def test_certify_counts_skipped_large_triangles():
@@ -184,6 +188,42 @@ def test_defect_profile_beta_curve_matches_filtered_certify():
     for beta, eps in profile.beta_curve:
         v = certify(space, CurvatureQuery(kappa=0.0, direction="upper", beta=beta))
         assert eps == pytest.approx(v.epsilon_needed, abs=1e-15)
+    for grid in ([math.nan, 1.0], [math.inf], [-0.5]):
+        with pytest.raises(ValueError):
+            defect_profile(space, kappa=0.0, beta_grid=grid)
+
+
+def test_defect_profile_histogram_bins_are_powers_of_two():
+    rng = np.random.default_rng(11)
+    for n, kappa, degenerate in ((6, 0.0, False), (14, 0.0, True), (20, -1.0, False), (17, 1.0, True)):
+        space = validate_metric(random_metric_matrix(rng, n))
+        grid = [0.0, 1.1, 1.4, 1.8]
+        profiles = [
+            defect_profile(space, kappa=kappa, beta_grid=grid, degenerate_pairs=degenerate, threads=t)
+            for t in (1, 3)
+        ]
+        assert profiles[0].histogram == profiles[1].histogram
+        assert profiles[0].beta_curve == profiles[1].beta_curve
+        hist = profiles[0].histogram
+        defects = [
+            td.defect
+            for t in enumerate_triples(space, "with-degenerate-pairs" if degenerate else "distinct")
+            if (td := triangle_defect(space, t, kappa=kappa)) is not None
+        ]
+        assert sum(hist.counts) == len(defects) == math.comb(n, 3) + degenerate * math.comb(n, 2) - profiles[0].skipped
+        # bins of one power-of-two width, anchored at 0, holding [min, max]
+        edges = hist.bin_edges
+        width = edges[1] - edges[0]
+        exponent = math.frexp(width)[1] - 1
+        assert width == 2.0**exponent
+        assert all(right - left == width for left, right in zip(edges, edges[1:]))
+        assert edges[0] % width == 0.0
+        lo, hi = min(defects), max(defects)
+        assert edges[0] <= lo and hi < edges[-1]
+        # the narrowest such width: half of it would need more than 40 bins
+        assert math.floor(hi / (width / 2)) - math.floor(lo / (width / 2)) >= 40
+        for left, right, count in zip(edges, edges[1:], hist.counts):
+            assert count == sum(left <= x < right for x in defects)
 
 
 def test_midpoint_defect_path():
@@ -218,8 +258,45 @@ def test_local_defect_map_monotone_in_radius():
     full = local_defect_map(space, space.diameter + 0.1)
     v = certify(space, CurvatureQuery(kappa=0.0, direction="upper"))
     assert np.allclose(full, v.epsilon_needed, atol=1e-15)
-    with pytest.raises(ValueError):
-        local_defect_map(space, 0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            local_defect_map(space, bad)
+
+
+def test_local_defect_map_matches_brute_force():
+    rng = np.random.default_rng(12)
+    for n in (3, 7, 11):
+        space = validate_metric(random_metric_matrix(rng, n))
+        for kappa in (0.0, 1.0, -1.0):
+            defects = [
+                (t.as_tuple(), td.defect)
+                for t in enumerate_triples(space)
+                if (td := triangle_defect(space, t, kappa=kappa)) is not None
+            ]
+            for radius in (1.1, 1.5, 1.9, space.diameter):
+                want = np.zeros(n)
+                for x in range(n):
+                    inside = [dft for tri, dft in defects if all(space.dist[x, v] <= radius for v in tri)]
+                    want[x] = max([0.0, *inside])
+                for threads in (1, 3):
+                    got = local_defect_map(space, radius, kappa=kappa, threads=threads)
+                    assert got.tolist() == want.tolist()
+
+
+def test_profile_and_local_map_memory_stays_quadratic():
+    # a store-every-triple scan holds ~8 MB here; a row fold holds a few rows
+    space = validate_metric(random_metric_matrix(np.random.default_rng(14), 80))
+    for run in (
+        lambda: defect_profile(space, kappa=0.0, beta_grid=[0.0, 1.2, 1.5], degenerate_pairs=True),
+        lambda: local_defect_map(space, 1.6),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from curvcomp.cli import EXIT_FAILS, EXIT_INTERNAL, EXIT_INVALID_METRIC, EXIT_OK, EXIT_USAGE, main
+from curvcomp.hyperbolicity import delta_four_point
 from curvcomp.metricspace import format_distance_matrix
 from curvcomp.report import REPORT_FIELDS, dumps_report
 from oracles import random_metric_matrix
@@ -58,16 +59,36 @@ def test_bad_usage_exits_three(path4_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags",
-    [["--kappa", "nan"], ["--kappa", "inf"], ["--beta", "inf"], ["--epsilon", "inf"]],
-    ids=["kappa-nan", "kappa-inf", "beta-inf", "epsilon-inf"],
+    "argv",
+    [
+        ["certify", "--kappa", "nan"],
+        ["certify", "--kappa", "inf"],
+        ["certify", "--beta", "inf"],
+        ["certify", "--epsilon", "inf"],
+        ["defect", "--beta-grid", "nan,1"],
+        ["defect", "--beta-grid", "0,inf"],
+        ["defect", "--beta-grid=-1,1"],
+        ["hyperbolicity", "--allowance", "nan"],
+        ["hyperbolicity", "--allowance", "inf"],
+    ],
+    ids=[
+        "kappa-nan",
+        "kappa-inf",
+        "beta-inf",
+        "epsilon-inf",
+        "beta-grid-nan",
+        "beta-grid-inf",
+        "beta-grid-negative",
+        "allowance-nan",
+        "allowance-inf",
+    ],
 )
-def test_non_finite_query_exits_three(flags, path4_file, capsys):
+def test_non_finite_query_exits_three(argv, path4_file, capsys):
     # path4 fails at kappa = 0, so an exit 0 here would be a false certificate
-    assert main(["certify", path4_file, *flags]) == EXIT_USAGE
+    assert main([argv[0], path4_file, *argv[1:]]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert "error:" in captured.err
-    assert "holds" not in captured.out
+    assert captured.out == ""
 
 
 def test_internal_error_exits_four(monkeypatch, capsys):
@@ -142,6 +163,19 @@ def test_hyperbolicity_reports_delta_and_slack(path4_file, tmp_path, capsys):
     assert report["delta"] == 0.0
     assert report["epsilon_star_upper"] == 0.5
     assert report["verdict"]["slack"] >= 0.0
+
+
+def test_hyperbolicity_computes_delta_once(monkeypatch, path4_file, capsys):
+    calls = []
+
+    def counted(space, threads=None):
+        calls.append(space.n)
+        return delta_four_point(space, threads=threads)
+
+    for target in ("curvcomp.cli.delta_four_point", "curvcomp.hyperbolicity.delta_four_point"):
+        monkeypatch.setattr(target, counted)
+    assert main(["hyperbolicity", path4_file, "--allowance", "1.0"]) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_sample_roundtrips_through_validate(tmp_path, capsys):

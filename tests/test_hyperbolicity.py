@@ -1,4 +1,6 @@
 """Four-point hyperbolicity and the relaxed-defect comparison."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,9 @@ def test_delta_thread_invariance():
     for t in (2, 4, 8):
         got = delta_four_point(space, threads=t)
         assert got.delta == base.delta and got.witness == base.witness
+    for bad in (0, -2):
+        with pytest.raises(ValueError):
+            delta_four_point(space, threads=bad)
 
 
 def test_delta_scales_linearly():
@@ -96,8 +101,17 @@ def test_relaxed_bound_on_trees_has_nonnegative_slack():
 
 
 def test_relaxed_bound_rejects_negative_allowance():
-    with pytest.raises(ValueError):
-        relaxed_npc_bound_check(PATH4, h=-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            relaxed_npc_bound_check(PATH4, h=bad)
+
+
+def test_relaxed_bound_reuses_a_given_delta():
+    space = validate_metric(random_metric_matrix(np.random.default_rng(8), 9))
+    result = delta_four_point(space)
+    given_delta = relaxed_npc_bound_check(space, h=0.5, delta=result)
+    assert given_delta == relaxed_npc_bound_check(space, h=0.5)
+    assert given_delta.delta == result.delta
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -1,0 +1,32 @@
+"""The experiment scripts run end to end on tiny inputs."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lp_margin_sweep.py", "--steps", "3"],
+        ["defect_scan.py", "random_graph:n=12,seed=3", "--betas", "0,1"],
+        ["tree_discretization.py", "--n", "6", "--depth", "1", "--seeds", "1"],
+    ],
+    ids=["lp_margin_sweep", "defect_scan", "tree_discretization"],
+)
+def test_script_exits_zero(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

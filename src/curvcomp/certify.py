@@ -4,18 +4,19 @@ The scan is the O(n^3) heart of the pipeline: every canonical triple is
 compared against its model circumradius. Batches are vectorized over the
 third vertex and gathered into rows, a row being all triples with smallest
 index i. Rows are folded in index order into one running reduction, so no
-per-triple value outlives its row and the output does not depend on the
-thread count.
+per-triple value outlives its row.
+
+The scan runs on the calling thread: its per-row numpy calls are too small
+for a pool to pay. Two threads lost at n <= 300 (2-core x86, random metric:
+n=150, kappa=0, 1.10-1.43 s against 0.95-1.04 s on one) and won only at
+n=400 (17.9-18.9 s against 21.0-22.3 s), so `threads` here is only checked.
 """
 from __future__ import annotations
 
 import math
-import os
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -26,22 +27,10 @@ from .modelplane import kappa_value, model_circumradius, model_circumradius_batc
 TAU_DEFECT = 1e-12  # absolute verdict tolerance on defects
 
 
-def default_threads() -> int:
-    """Thread count from CURV_THREADS (1 when unset); ValueError unless it is a positive integer."""
-    env = os.environ.get("CURV_THREADS")
-    if not env:
-        return 1
-    if not env.strip().isdecimal() or int(env) < 1:
-        raise ValueError(f"CURV_THREADS must be a positive integer, got {env!r}")
-    return int(env)
-
-
-def resolve_threads(threads: int | None) -> int:
-    """`threads`, or default_threads() when it is None; ValueError below 1."""
-    threads = default_threads() if threads is None else threads
-    if threads < 1:
+def check_threads(threads: int | None) -> None:
+    """ValueError unless `threads` is None or a positive integer."""
+    if threads is not None and threads < 1:
         raise ValueError(f"thread count must be a positive integer, got {threads}")
-    return threads
 
 
 @dataclass(frozen=True)
@@ -136,6 +125,8 @@ def enumerate_triples(space: FiniteMetricSpace, triple_policy: str = "distinct",
 
 
 def _perimeter_cap(kappa: float, max_perimeter: float | None) -> float:
+    if max_perimeter is not None and not 0 < max_perimeter < math.inf:
+        raise ValueError(f"max_perimeter must be positive and finite, got {max_perimeter}")
     cap = math.inf
     if kappa > 0:
         bound = 2.0 * math.pi / math.sqrt(kappa)
@@ -234,28 +225,13 @@ def _scan_row(space, rows, kappa, beta, degenerate, cap, i):
     return skipped, tuple(np.concatenate(column) for column in zip(*blocks))
 
 
-def _in_index_order(scan, n: int, threads: int):
-    """scan(0), ..., scan(n - 1) in order, with at most 2 * threads rows in flight."""
-    if threads == 1:
-        yield from map(scan, range(n))
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = deque()
-        for i in range(n):
-            pending.append(pool.submit(scan, i))
-            if len(pending) == 2 * threads:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-
-def _run_scan(space, kappa, policy, beta, degenerate, max_perimeter, threads, fold=None) -> _ScanAggregate:
+def _run_scan(space, kappa, policy, beta, degenerate, max_perimeter, fold=None) -> _ScanAggregate:
     k = kappa_value(kappa)
-    rows = candidate_rows(space, policy)
     cap = _perimeter_cap(k, max_perimeter)
-    scan = partial(_scan_row, space, rows, k, beta, degenerate, cap)
+    rows = candidate_rows(space, policy)
     agg = _ScanAggregate(fold=fold)
-    for i, (skipped, row) in enumerate(_in_index_order(scan, space.n, resolve_threads(threads))):
+    for i in range(space.n):
+        skipped, row = _scan_row(space, rows, k, beta, degenerate, cap, i)
         agg.absorb_row(i, skipped, *row)
     return agg
 
@@ -274,8 +250,9 @@ def certify(space: FiniteMetricSpace, query: CurvatureQuery, threads: int | None
     every triple; lower direction with the roles reversed. epsilon_needed is
     the exact worst deficiency, 0 when the strict condition already holds.
     """
+    check_threads(threads)
     agg = _run_scan(space, query.kappa, query.candidates, query.beta, query.degenerate_pairs,
-                    query.max_perimeter, threads)
+                    query.max_perimeter)
     if query.direction == "upper":
         needed, record = agg.eps_upper, agg.worst_upper
     else:
@@ -350,7 +327,8 @@ def defect_profile(
             row_max = np.where(min_side >= betas[:, None], defect, 0.0).max(axis=1)
             np.maximum(curve, row_max, out=curve)
 
-    agg = _run_scan(space, kappa, candidates, 0.0, degenerate_pairs, max_perimeter, threads, fold)
+    check_threads(threads)
+    agg = _run_scan(space, kappa, candidates, 0.0, degenerate_pairs, max_perimeter, fold)
     return DefectReport(
         epsilon_star_upper=agg.eps_upper,
         epsilon_star_lower=agg.eps_lower,
@@ -395,6 +373,7 @@ def local_defect_map(
     """
     if not 0 < ball_radius < math.inf:
         raise ValueError("ball radius must be positive and finite")
+    check_threads(threads)
     within = space.dist <= ball_radius
     out = np.zeros(space.n)
 
@@ -405,5 +384,5 @@ def local_defect_map(
             if inside.any():
                 out[x] = max(out[x], defect[inside].max())
 
-    _run_scan(space, kappa, CandidatePolicy(), 0.0, False, None, threads, fold)
+    _run_scan(space, kappa, CandidatePolicy(), 0.0, False, None, fold)
     return out

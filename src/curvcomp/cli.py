@@ -11,10 +11,10 @@ import sys
 import time
 import traceback
 
-from .certify import CurvatureQuery, certify, default_threads, defect_profile
+from .certify import CurvatureQuery, certify, defect_profile
 from .counterexamples import check_counterexample
 from .generators import parse_generator_spec, sample_space
-from .hyperbolicity import delta_four_point, relaxed_npc_bound_check
+from .hyperbolicity import check_allowance, delta_four_point, relaxed_npc_bound_check, resolve_threads
 from .metricspace import (
     DisconnectedGraphError,
     InvalidParameterError,
@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="curvcomp",
         description="Circumradius-comparison curvature conditions on finite metric spaces.",
     )
-    parser.add_argument("--threads", type=_positive_int, default=None, help="worker thread cap (default: CURV_THREADS or 1)")
+    parser.add_argument("--threads", type=_positive_int, default=None, help="worker threads of the four-point delta (default: CURV_THREADS or 1); the triple scan uses one")
     # accepted before or after the subcommand; SUPPRESS keeps a missing
     # trailing flag from clobbering a leading one
     common = argparse.ArgumentParser(add_help=False)
@@ -127,7 +127,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     started = time.perf_counter()
     try:
-        threads = args.threads if args.threads is not None else default_threads()
+        threads = resolve_threads(args.threads)
         return _dispatch(args, threads, started)
     except MetricValidationError as exc:
         for violation in exc.violations:
@@ -208,6 +208,7 @@ def _dispatch(args, threads: int, started: float) -> int:
 
     if args.command == "hyperbolicity":
         space = _load(args)
+        check_allowance(args.allowance)
         result = delta_four_point(space, threads=threads)
         bound = relaxed_npc_bound_check(space, args.allowance, threads=threads, delta=result)
         report = base_report(space, {"allowance": args.allowance})

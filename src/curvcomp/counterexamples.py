@@ -38,12 +38,14 @@ def counterexample_triangle(p: float) -> tuple[tuple[float, float], ...]:
     p >= 2 (or inf): B = (-1, 0), C = (1, 0), A' = (0, y) on the axis with
     l_p distance sqrt(2) to both. 1 < p < 2: B = (-r, r), C = (r, -r) on the
     l_p unit sphere with r = 2^(-1/p), and A' = (r', r') solved so that the
-    equal sides reach sqrt(2).
+    equal sides reach sqrt(2). InvalidPError for p <= 1 and for p >= 1024.
     """
     if math.isinf(p):
         return ((0.0, math.sqrt(2.0)), (-1.0, 0.0), (1.0, 0.0))
     if not p > 1.0:
         raise InvalidPError(f"p must exceed 1 (or be inf), got {p}")
+    if p >= 1024.0:  # the side 2 = (2^p)^(1/p) needs 2^p, which overflows float64
+        raise InvalidPError(f"p={p} is too large: 2^p overflows float64")
     if p >= 2.0:
         y = (2.0 ** (p / 2.0) - 1.0) ** (1.0 / p)
         return ((0.0, y), (-1.0, 0.0), (1.0, 0.0))

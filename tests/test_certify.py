@@ -1,5 +1,7 @@
 """Triangle enumeration, defect scans, verdicts, and the derived profiles."""
+import importlib
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,6 +25,9 @@ from curvcomp import (
 )
 from curvcomp.certify import TAU_DEFECT
 from oracles import brute_certify, random_metric_matrix
+
+# the package re-exports the function `certify`, which shadows the module
+certify_module = importlib.import_module("curvcomp.certify")
 
 PATH4 = from_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
 
@@ -58,6 +63,17 @@ def test_triangle_defect_path_midpoint_gap():
 def test_triangle_defect_respects_perimeter_cap():
     assert triangle_defect(PATH4, Triple(0, 1, 3), max_perimeter=5.0) is None
     assert triangle_defect(PATH4, Triple(0, 1, 2), max_perimeter=5.0) is not None
+
+
+def test_max_perimeter_must_be_positive_and_finite():
+    space = validate_metric(random_metric_matrix(np.random.default_rng(3), 6))
+    for bad in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match="max_perimeter"):
+            triangle_defect(PATH4, Triple(0, 1, 2), max_perimeter=bad)
+        with pytest.raises(ValueError, match="max_perimeter"):
+            certify(space, CurvatureQuery(max_perimeter=bad))
+        with pytest.raises(ValueError, match="max_perimeter"):
+            defect_profile(space, max_perimeter=bad)
 
 
 def test_triangle_defect_skips_large_spherical_triangle():
@@ -155,6 +171,20 @@ def test_certify_thread_count_does_not_change_output():
     for bad in (0, -2):
         with pytest.raises(ValueError):
             certify(space, CurvatureQuery(kappa=0.0, direction="upper"), threads=bad)
+
+
+def test_certify_scans_every_row_on_the_calling_thread(monkeypatch):
+    space = validate_metric(random_metric_matrix(np.random.default_rng(5), 12))
+    scan_row = certify_module._scan_row
+    rows = []
+
+    def recorded(*args):
+        rows.append((args[-1], threading.get_ident()))
+        return scan_row(*args)
+
+    monkeypatch.setattr(certify_module, "_scan_row", recorded)
+    certify(space, CurvatureQuery(kappa=-1.0, direction="upper"), threads=4)
+    assert rows == [(i, threading.get_ident()) for i in range(space.n)]
 
 
 def test_certify_counts_skipped_large_triangles():

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from curvcomp.certify import certify
 from curvcomp.cli import EXIT_FAILS, EXIT_INTERNAL, EXIT_INVALID_METRIC, EXIT_OK, EXIT_USAGE, main
 from curvcomp.hyperbolicity import delta_four_point
 from curvcomp.metricspace import format_distance_matrix
@@ -70,6 +71,11 @@ def test_bad_usage_exits_three(path4_file, capsys):
         ["defect", "--beta-grid=-1,1"],
         ["hyperbolicity", "--allowance", "nan"],
         ["hyperbolicity", "--allowance", "inf"],
+        ["hyperbolicity", "--allowance=-1"],
+        ["certify", "--max-perimeter", "nan"],
+        ["certify", "--max-perimeter", "inf"],
+        ["certify", "--max-perimeter=-1"],
+        ["certify", "--max-perimeter", "0"],
     ],
     ids=[
         "kappa-nan",
@@ -81,14 +87,37 @@ def test_bad_usage_exits_three(path4_file, capsys):
         "beta-grid-negative",
         "allowance-nan",
         "allowance-inf",
+        "allowance-negative",
+        "max-perimeter-nan",
+        "max-perimeter-inf",
+        "max-perimeter-negative",
+        "max-perimeter-zero",
     ],
 )
-def test_non_finite_query_exits_three(argv, path4_file, capsys):
+def test_non_finite_query_exits_three(argv, path4_file, capsys, monkeypatch):
+    scans = []
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            scans.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for target, fn in (
+        ("curvcomp.cli.delta_four_point", delta_four_point),
+        ("curvcomp.hyperbolicity.delta_four_point", delta_four_point),
+        ("curvcomp.hyperbolicity.certify", certify),
+    ):
+        monkeypatch.setattr(target, recorded(target, fn))
     # path4 fails at kappa = 0, so an exit 0 here would be a false certificate
     assert main([argv[0], path4_file, *argv[1:]]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert "error:" in captured.err
     assert captured.out == ""
+    if argv[0] == "hyperbolicity":
+        # a bad allowance is rejected before either O(n^4) scan starts
+        assert scans == []
 
 
 def test_internal_error_exits_four(monkeypatch, capsys):
@@ -199,6 +228,14 @@ def test_counterexample_reproduction_codes(p, code, capsys, tmp_path):
         assert report["verdict"]["margin"] >= 1e-3
     else:
         assert abs(report["verdict"]["margin"]) <= 1e-9
+
+
+@pytest.mark.parametrize("p", ("2000", "2100", "1e308"))
+def test_counterexample_overflowing_p_exits_three(p, capsys):
+    assert main(["counterexample", "--p", p]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: p={float(p)} is too large" in captured.err
 
 
 def test_report_floats_serialized_at_full_precision():

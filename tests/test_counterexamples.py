@@ -1,5 +1,6 @@
 """The l_p triangles that separate the upper comparison condition from CAT(0)."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,12 @@ def test_invalid_p_rejected():
         counterexample_triangle(1.0)
     with pytest.raises(InvalidPError):
         check_counterexample(0.5)
+    # p >= 1024 overflows the 2^p inside the l_p side length 2
+    for p in (2000.0, 2100.0, 1e308):
+        with pytest.raises(InvalidPError, match=re.escape(f"p={p} is too large")):
+            check_counterexample(p)
+        with pytest.raises(InvalidPError):
+            counterexample_space(p)
 
 
 def test_counterexample_space_shape_and_labels():

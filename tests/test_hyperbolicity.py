@@ -1,11 +1,13 @@
 """Four-point hyperbolicity and the relaxed-defect comparison."""
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import curvcomp.hyperbolicity as hyperbolicity_module
 from curvcomp import (
     GeneratorSpec,
     delta_four_point,
@@ -80,6 +82,24 @@ def test_delta_thread_invariance():
     for bad in (0, -2):
         with pytest.raises(ValueError):
             delta_four_point(space, threads=bad)
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_delta_scans_each_base_point_once(monkeypatch, threads):
+    space = validate_metric(random_metric_matrix(np.random.default_rng(6), 11))
+    per_base_max = hyperbolicity_module._per_base_max
+    bases = []
+    lock = threading.Lock()
+
+    def recorded(d, w):
+        with lock:
+            bases.append(w)
+        return per_base_max(d, w)
+
+    monkeypatch.setattr(hyperbolicity_module, "_per_base_max", recorded)
+    res = delta_four_point(space, threads=threads)
+    assert sorted(bases) == list(range(space.n))
+    assert (res.delta, res.witness) == brute_delta(space.dist)
 
 
 def test_delta_scales_linearly():

@@ -1,15 +1,17 @@
 """Triangle enumeration, signed defects against the model plane, and verdicts.
 
 The scan is the O(n^3) heart of the pipeline: every canonical triple is
-compared against its model circumradius. Batches are vectorized over the
-third vertex and gathered into rows, a row being all triples with smallest
-index i. Rows are folded in index order into one running reduction, so no
+compared against its model circumradius. A row, all triples with smallest
+index i, is built once as index arrays, goes through the model kernel in one
+call and takes its candidate min-max in blocks of _BLOCK entries (one triple
+at least). Rows are folded in index order into one running reduction, so no
 per-triple value outlives its row.
 
-The scan runs on the calling thread: its per-row numpy calls are too small
-for a pool to pay. Two threads lost at n <= 300 (2-core x86, random metric:
-n=150, kappa=0, 1.10-1.43 s against 0.95-1.04 s on one) and won only at
-n=400 (17.9-18.9 s against 21.0-22.3 s), so `threads` here is only checked.
+The scan runs on the calling thread, so `threads` here is only checked. One
+thread takes 0.29-0.32 s at n=150, kappa=0; 3.2-3.4 s at n=300, kappa=-1;
+and 8.5-9.5 s at n=400, kappa=0 (2-core x86 VM, random metric). A pool over
+rows lost below n=400 when each row was a Python loop over pairs; it has not
+been tried on the row kernel.
 """
 from __future__ import annotations
 
@@ -21,10 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circumradius import CandidatePolicy, candidate_rows, discrete_circumradius
-from .metricspace import FiniteMetricSpace, SideLengths, Triple, metric_tolerance
-from .modelplane import kappa_value, model_circumradius, model_circumradius_batch
+from .metricspace import FiniteMetricSpace, SideLengths, Triple
+from .modelplane import kappa_value, model_circumradius, model_circumradius_batch, model_perimeter_bound
 
 TAU_DEFECT = 1e-12  # absolute verdict tolerance on defects
+_BLOCK = 1 << 14  # candidate x triple entries per min-max block of the scan
 
 
 def check_threads(threads: int | None) -> None:
@@ -127,13 +130,8 @@ def enumerate_triples(space: FiniteMetricSpace, triple_policy: str = "distinct",
 def _perimeter_cap(kappa: float, max_perimeter: float | None) -> float:
     if max_perimeter is not None and not 0 < max_perimeter < math.inf:
         raise ValueError(f"max_perimeter must be positive and finite, got {max_perimeter}")
-    cap = math.inf
-    if kappa > 0:
-        bound = 2.0 * math.pi / math.sqrt(kappa)
-        cap = bound - metric_tolerance(bound)
-    if max_perimeter is not None:
-        cap = min(cap, max_perimeter)
-    return cap
+    cap = model_perimeter_bound(kappa)
+    return cap if max_perimeter is None else min(cap, max_perimeter)
 
 
 def triangle_defect(
@@ -150,11 +148,7 @@ def triangle_defect(
     if sides.perimeter >= _perimeter_cap(k, max_perimeter):
         return None
     r_space = discrete_circumradius(space, t, policy).radius
-    if t.i == t.j or t.j == t.k:
-        r_model = sides.a / 2.0  # degenerate pair: model half-distance
-    else:
-        r_model = model_circumradius(sides, k).radius
-    return TriangleDefect(t, sides, r_space, r_model)
+    return TriangleDefect(t, sides, r_space, model_circumradius(sides, k).radius)
 
 
 @dataclass
@@ -183,55 +177,45 @@ class _ScanAggregate:
             self.fold(i, js, ks, defect, min_side)
 
 
-def _scan_row(space, rows, kappa, beta, degenerate, cap, i):
+def _scan_row(space, cols, kappa, beta, degenerate, cap, i):
     """Skipped count and row i, the triples with smallest index i, as arrays (js, ks,
-    defect, r_space, r_model, min_side): degenerate (i, i, j) first, then j, k ascending."""
+    defect, r_space, r_model, min_side): degenerate (i, i, k) first, then j, k ascending.
+
+    `cols[v]` holds the distances from point v to every candidate. A degenerate
+    triple is the triangle (a, a, 0), whose model radius is exactly a / 2.
+    """
     d = space.dist
     n = space.n
-    skipped = 0
-    blocks = [(np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 4]
+    js, ks = np.triu_indices(n - i - 1, 1)
+    js, ks = js + (i + 1), ks + (i + 1)
     if degenerate:
-        js = np.arange(i + 1, n)[d[i, i + 1:] >= beta]
-        small = 2.0 * d[i, js] < cap
-        skipped += int(np.count_nonzero(~small))
-        js = js[small]
-        rs = np.min(np.maximum(rows[:, [i]], rows[:, js]), axis=0)
-        rm = d[i, js] / 2.0
-        blocks.append((np.full(js.size, i), js, rs - rm, rs, rm, d[i, js]))
-    for j in range(i + 1, n - 1):
-        ks = np.arange(j + 1, n)
-        dij = d[i, j]
-        dik = d[i, ks]
-        djk = d[j, ks]
-        if beta > 0:
-            if dij < beta:
-                continue
-            mask = (dik >= beta) & (djk >= beta)
-            ks, dik, djk = ks[mask], dik[mask], djk[mask]
-        if ks.size == 0:
-            continue
-        sides = np.sort(np.stack([np.full(ks.size, dij), dik, djk]), axis=0)
-        if cap < math.inf:
-            small = sides.sum(axis=0) < cap
-            skipped += int(np.count_nonzero(~small))
-            ks = ks[small]
-            sides = sides[:, small]
-            if ks.size == 0:
-                continue
-        rm = model_circumradius_batch(sides[2], sides[1], sides[0], kappa)
-        pair_max = np.maximum(rows[:, i], rows[:, j])
-        rs = np.min(np.maximum(pair_max[:, None], rows[:, ks]), axis=0)
-        blocks.append((np.full(ks.size, j), ks, rs - rm, rs, rm, sides[0]))
-    return skipped, tuple(np.concatenate(column) for column in zip(*blocks))
+        js = np.concatenate([np.full(n - i - 1, i), js])
+        ks = np.concatenate([np.arange(i + 1, n), ks])
+    sides = np.sort([d[i, js], d[i, ks], d[js, ks]], axis=0)
+    # beta filters distinct pairs only: a degenerate triple's one distinct pair is its sides[1]
+    min_side = np.where(js == i, sides[1], sides[0])
+    small = sides.sum(axis=0) < cap
+    admissible = min_side >= beta
+    skipped = int(np.count_nonzero(admissible & ~small))
+    keep = admissible & small
+    js, ks, sides, min_side = js[keep], ks[keep], sides[:, keep], min_side[keep]
+    rm = model_circumradius_batch(sides[2], sides[1], sides[0], kappa)
+    pair = np.maximum(cols[i], cols)
+    rs = np.empty(js.size)
+    step = max(1, _BLOCK // cols.shape[1])
+    for start in range(0, js.size, step):
+        block = slice(start, start + step)
+        rs[block] = np.maximum(pair[js[block]], cols[ks[block]]).min(axis=1)
+    return skipped, (js, ks, rs - rm, rs, rm, min_side)
 
 
 def _run_scan(space, kappa, policy, beta, degenerate, max_perimeter, fold=None) -> _ScanAggregate:
     k = kappa_value(kappa)
     cap = _perimeter_cap(k, max_perimeter)
-    rows = candidate_rows(space, policy)
+    cols = np.ascontiguousarray(candidate_rows(space, policy).T)
     agg = _ScanAggregate(fold=fold)
     for i in range(space.n):
-        skipped, row = _scan_row(space, rows, k, beta, degenerate, cap, i)
+        skipped, row = _scan_row(space, cols, k, beta, degenerate, cap, i)
         agg.absorb_row(i, skipped, *row)
     return agg
 
@@ -305,7 +289,6 @@ def defect_profile(
     degenerate_pairs: bool = False,
     candidates: CandidatePolicy = CandidatePolicy(),
     max_perimeter: float | None = None,
-    threads: int | None = None,
     bins: int = 40,
 ) -> DefectReport:
     """Full defect scan with the scale curve epsilon*(beta) and a histogram.
@@ -327,7 +310,6 @@ def defect_profile(
             row_max = np.where(min_side >= betas[:, None], defect, 0.0).max(axis=1)
             np.maximum(curve, row_max, out=curve)
 
-    check_threads(threads)
     agg = _run_scan(space, kappa, candidates, 0.0, degenerate_pairs, max_perimeter, fold)
     return DefectReport(
         epsilon_star_upper=agg.eps_upper,
@@ -364,7 +346,6 @@ def local_defect_map(
     space: FiniteMetricSpace,
     ball_radius: float,
     kappa: float = 0.0,
-    threads: int | None = None,
 ) -> np.ndarray:
     """Per-point upper defect maximum over triples inside the closed ball B(x, R).
 
@@ -373,7 +354,6 @@ def local_defect_map(
     """
     if not 0 < ball_radius < math.inf:
         raise ValueError("ball radius must be positive and finite")
-    check_threads(threads)
     within = space.dist <= ball_radius
     out = np.zeros(space.n)
 

@@ -179,7 +179,6 @@ def _dispatch(args, threads: int, started: float) -> int:
             kappa=args.kappa,
             beta_grid=grid,
             degenerate_pairs=args.degenerate,
-            threads=threads,
         )
         report = base_report(space, {"kappa": args.kappa, "beta_grid": grid, "degenerate": args.degenerate})
         report["epsilon_star_upper"] = profile.epsilon_star_upper

@@ -46,8 +46,13 @@ def kappa_value(kappa) -> float:
     return k
 
 
-def model_diameter(kappa) -> float:
-    return Kappa(kappa_value(kappa)).diameter
+def model_perimeter_bound(k: float) -> float:
+    """Perimeter below which a triangle has a comparison triangle in M_k: the
+    great-circle length 2*pi/sqrt(k) less its metric tolerance; inf for k <= 0."""
+    if k <= 0:
+        return math.inf
+    bound = 2.0 * math.pi / math.sqrt(k)
+    return bound - metric_tolerance(bound)
 
 
 def chart_for(kappa) -> str:
@@ -95,12 +100,9 @@ def model_distance(p: ModelPoint, q: ModelPoint, kappa) -> float:
 
 
 def _check_model_size(sides: SideLengths, k: float) -> None:
-    if k > 0:
-        bound = 2.0 * math.pi / math.sqrt(k)
-        if sides.perimeter >= bound - metric_tolerance(bound):
-            raise TooLargeForModelError(
-                f"perimeter {sides.perimeter} exceeds model bound {bound} for kappa={k}"
-            )
+    bound = model_perimeter_bound(k)
+    if sides.perimeter >= bound:
+        raise TooLargeForModelError(f"perimeter {sides.perimeter} exceeds model bound {bound} for kappa={k}")
 
 
 def comparison_triangle(sides, kappa) -> ComparisonTriangle:

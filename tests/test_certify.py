@@ -86,6 +86,13 @@ def test_degenerate_pair_defect_is_midpoint_gap():
     td = triangle_defect(PATH4, Triple(0, 0, 3))
     assert td.r_model == 1.5  # half the pair distance
     assert td.r_space == 2.0  # best discrete midpoint of 0-3 sits at distance 2
+    # (i, i, k) is the model triangle (a, a, 0), whose radius is exactly a / 2 at every kappa
+    space = validate_metric(random_metric_matrix(np.random.default_rng(2), 7))
+    for kappa in (0.0, 1.0, -1.0):
+        for i in range(space.n):
+            for k in range(i + 1, space.n):
+                td = triangle_defect(space, Triple(i, i, k), kappa=kappa)
+                assert td.r_model == space.dist[i, k] / 2.0
 
 
 def test_query_validation():
@@ -120,7 +127,7 @@ def test_certify_lower_direction_on_convex_position_points():
     assert v.holds and v.epsilon_needed <= 1e-12
 
 
-def test_certify_matches_brute_force_with_beta_and_degenerate():
+def test_certify_matches_brute_force_with_beta_and_degenerate(monkeypatch):
     rng = np.random.default_rng(3)
     for _ in range(10):
         n = int(rng.integers(5, 10))
@@ -133,15 +140,19 @@ def test_certify_matches_brute_force_with_beta_and_degenerate():
             ("upper", "eps_upper", "worst_upper"),
             ("lower", "eps_lower", "worst_lower"),
         ):
-            v = certify(
-                space,
-                CurvatureQuery(
-                    kappa=0.0, direction=direction, beta=beta, degenerate_pairs=degenerate
-                ),
-            )
-            assert abs(v.epsilon_needed - ref[key]) <= 1e-12
-            if not v.holds:
-                assert v.witness.triple.as_tuple() == ref[wkey]
+            # one triple per min-max block, a few triples per block, the whole row in one block
+            for block in (1, 3 * n, certify_module._BLOCK):
+                with monkeypatch.context() as patch:
+                    patch.setattr(certify_module, "_BLOCK", block)
+                    v = certify(
+                        space,
+                        CurvatureQuery(
+                            kappa=0.0, direction=direction, beta=beta, degenerate_pairs=degenerate
+                        ),
+                    )
+                assert abs(v.epsilon_needed - ref[key]) <= 1e-12
+                if not v.holds:
+                    assert v.witness.triple.as_tuple() == ref[wkey]
 
 
 def test_certify_scale_invariance_kappa_zero():
@@ -187,6 +198,23 @@ def test_certify_scans_every_row_on_the_calling_thread(monkeypatch):
     assert rows == [(i, threading.get_ident()) for i in range(space.n)]
 
 
+def test_scan_calls_the_model_kernel_once_per_row(monkeypatch):
+    space = validate_metric(random_metric_matrix(np.random.default_rng(5), 12))
+    batch = certify_module.model_circumradius_batch
+    sizes = []
+
+    def recorded(a, b, c, kappa):
+        sizes.append(len(a))
+        return batch(a, b, c, kappa)
+
+    monkeypatch.setattr(certify_module, "model_circumradius_batch", recorded)
+    for kappa in (0.0, -1.0):
+        sizes.clear()
+        certify(space, CurvatureQuery(kappa=kappa, degenerate_pairs=True))
+        assert len(sizes) <= space.n
+        assert sum(sizes) == math.comb(space.n, 3) + math.comb(space.n, 2)
+
+
 def test_certify_counts_skipped_large_triangles():
     m = random_metric_matrix(np.random.default_rng(6), 6, lo=2.2, hi=2.5)
     space = validate_metric(m)
@@ -228,19 +256,14 @@ def test_defect_profile_histogram_bins_are_powers_of_two():
     for n, kappa, degenerate in ((6, 0.0, False), (14, 0.0, True), (20, -1.0, False), (17, 1.0, True)):
         space = validate_metric(random_metric_matrix(rng, n))
         grid = [0.0, 1.1, 1.4, 1.8]
-        profiles = [
-            defect_profile(space, kappa=kappa, beta_grid=grid, degenerate_pairs=degenerate, threads=t)
-            for t in (1, 3)
-        ]
-        assert profiles[0].histogram == profiles[1].histogram
-        assert profiles[0].beta_curve == profiles[1].beta_curve
-        hist = profiles[0].histogram
+        profile = defect_profile(space, kappa=kappa, beta_grid=grid, degenerate_pairs=degenerate)
+        hist = profile.histogram
         defects = [
             td.defect
             for t in enumerate_triples(space, "with-degenerate-pairs" if degenerate else "distinct")
             if (td := triangle_defect(space, t, kappa=kappa)) is not None
         ]
-        assert sum(hist.counts) == len(defects) == math.comb(n, 3) + degenerate * math.comb(n, 2) - profiles[0].skipped
+        assert sum(hist.counts) == len(defects) == math.comb(n, 3) + degenerate * math.comb(n, 2) - profile.skipped
         # bins of one power-of-two width, anchored at 0, holding [min, max]
         edges = hist.bin_edges
         width = edges[1] - edges[0]
@@ -308,9 +331,8 @@ def test_local_defect_map_matches_brute_force():
                 for x in range(n):
                     inside = [dft for tri, dft in defects if all(space.dist[x, v] <= radius for v in tri)]
                     want[x] = max([0.0, *inside])
-                for threads in (1, 3):
-                    got = local_defect_map(space, radius, kappa=kappa, threads=threads)
-                    assert got.tolist() == want.tolist()
+                got = local_defect_map(space, radius, kappa=kappa)
+                assert got.tolist() == want.tolist()
 
 
 def test_profile_and_local_map_memory_stays_quadratic():

@@ -1,6 +1,7 @@
 """Four-point hyperbolicity and the relaxed-defect comparison."""
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,15 +61,19 @@ def test_tiny_spaces_are_trivially_hyperbolic():
     assert delta_four_point(two).witness is None
 
 
-def test_delta_matches_brute_force_bitwise():
+def test_delta_matches_brute_force_bitwise(monkeypatch):
     rng = np.random.default_rng(5)
     for _ in range(12):
         n = int(rng.integers(4, 9))
         m = random_metric_matrix(rng, n)
-        res = delta_four_point(validate_metric(m))
         want_delta, want_witness = brute_delta(m)
-        assert res.delta == want_delta
-        assert res.witness == want_witness
+        # one x row per block, a few rows per block, one block
+        for block in (1, 150, hyperbolicity_module._BLOCK):
+            with monkeypatch.context() as patch:
+                patch.setattr(hyperbolicity_module, "_BLOCK", block)
+                res = delta_four_point(validate_metric(m))
+            assert res.delta == want_delta
+            assert res.witness == want_witness
 
 
 def test_delta_thread_invariance():
@@ -100,6 +105,18 @@ def test_delta_scans_each_base_point_once(monkeypatch, threads):
     res = delta_four_point(space, threads=threads)
     assert sorted(bases) == list(range(space.n))
     assert (res.delta, res.witness) == brute_delta(space.dist)
+
+
+def test_delta_memory_stays_below_cubic():
+    # one n^3 float64 (max, min) product per base point would take n^3 * 8 B = 4.1 MB here
+    space = validate_metric(random_metric_matrix(np.random.default_rng(9), 80))
+    tracemalloc.start()
+    try:
+        delta_four_point(space, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_delta_scales_linearly():

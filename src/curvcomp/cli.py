@@ -6,6 +6,7 @@ Exit codes: 0 condition holds / success, 1 condition fails, 2 invalid metric,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -42,6 +43,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvcomp",
@@ -130,8 +132,8 @@ def main(argv=None) -> int:
         threads = resolve_threads(args.threads)
         return _dispatch(args, threads, started)
     except MetricValidationError as exc:
-        for violation in exc.violations:
-            print(f"violation: {violation}", file=sys.stderr)
+        for chunk in exc.text_chunks("violation: "):
+            sys.stderr.write(chunk)
         return EXIT_INVALID_METRIC
     except (OSError, ValueError, DisconnectedGraphError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -241,12 +243,19 @@ def _dispatch(args, threads: int, started: float) -> int:
         reproduced = (
             result.margin >= 1e-3 if expects_violation else abs(result.margin) <= 1e-9
         )
+        if result.margin > result.margin_error:
+            statement = "Curv <= 0 fails"
+        elif expects_violation:
+            statement = "violation below float64 resolution"
+        else:
+            statement = "no violation"
         report = base_report(None, {"p": args.p})
         report["verdict"] = {
             "r_space": result.space_result.radius,
             "r_model": result.comparison_radius,
             "margin": result.margin,
-            "statement": "Curv <= 0 fails" if result.margin > 1e-9 else "no violation",
+            "margin_error": result.margin_error,
+            "statement": statement,
             "reproduced": reproduced,
         }
         report["witnesses"] = [

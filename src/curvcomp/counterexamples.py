@@ -3,16 +3,24 @@
 For p != 2, inf a right comparison triangle with legs sqrt(2) and hypotenuse 2
 has circumradius exactly 1, while the l_p triangle realizing those side
 lengths has circumradius strictly above 1.
+
+The l_p min-max is convex and the triangle is mirror-symmetric, so a
+circumcenter lies on its symmetry axis. There the radius is the larger of
+one increasing and one decreasing distance, and a float64 bisection on
+their crossing gives it with an error bound that comes from the final
+bracket, the evaluation rounding and the apex coordinate.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .circumradius import CircumResult, InvalidPError, lp_circumradius
+from .circumradius import CircumResult, InvalidPError, linf_circumcenter
+from .circumradius import lp_circumradius  # noqa: F401  (re-exported name that bench/spans.py wraps)
 from .generators import lp_distances
 from .metricspace import Embedding, FiniteMetricSpace, SideLengths, validate_metric
 from .modelplane import euclidean_circumradius
@@ -26,6 +34,7 @@ class CounterexampleResult:
     comparison_radius: float
     space_result: CircumResult
     margin: float  # space radius minus comparison radius
+    margin_error: float  # bound on |margin - exact margin| of the exact triangle
 
     @property
     def violates_upper_bound(self) -> bool:
@@ -55,14 +64,88 @@ def counterexample_triangle(p: float) -> tuple[tuple[float, float], ...]:
     return ((root, root), (-r, r), (r, -r))
 
 
+# Rounding allowance, in units of the radius' last place, for evaluating the
+# two axis distances and the closed-form or bracketed vertex coordinates.
+_ULPS = 8
+
+
+def _last_bracket(f, lo: float, hi: float) -> tuple[float, float, int]:
+    """Bisect an increasing f with f(lo) < 0 <= f(hi) until no float lies
+    strictly between lo and hi; returns (lo, hi, evaluations of f)."""
+    evaluations = 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        evaluations += 1
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, evaluations
+
+
+def _axis_circumradius(p: float, verts) -> tuple[CircumResult, float]:
+    """Circumradius of `verts`, the triangle `counterexample_triangle(p)`, and
+    a bound on its distance from the exact triangle's circumradius.
+
+    p >= 2: centers (0, t), at distance g(t) from B and C and h(t) = y - t
+    from A'. 1 < p < 2: centers (u, u), at distance g(u) from B and C and
+    h(u) = 2^(1/p) (s - u) from A'. g increases and h decreases from 0, so
+    the exact radius lies between min(g, h) and max(g, h) at every center;
+    the returned one has the smaller max(g, h) of the final bracket. p = inf
+    is exact.
+    """
+    if math.isinf(p):
+        return linf_circumcenter(verts), 0.0
+    q = 1.0 / p
+    apex_shift = 0.0
+    if p >= 2.0:
+        y = end = verts[0][1]
+
+        def g(t):
+            return (1.0 + t**p) ** q
+
+        def h(t):
+            return y - t
+
+    else:
+        s, r, w = verts[0][0], verts[2][0], 2.0**q
+        end = s
+
+        def g(u):
+            return ((u + r) ** p + abs(u - r) ** p) ** q
+
+        def h(u):
+            return w * (s - u)
+
+        # s solves (s + r)^p + (s - r)^p = 2^(p/2) only to the root finder's
+        # tolerance. That equation's slope in s is at least p, and h moves by
+        # w per unit of s, so its residual bounds the shift of the radius.
+        residual = (s + r) ** p + (s - r) ** p - 2.0 ** (p / 2.0)
+        apex_shift = w * (abs(residual) + _ULPS * sys.float_info.epsilon) / p
+    evaluations = 1
+    if g(0.0) - h(0.0) >= 0.0:
+        center = 0.0  # h(0) <= g(0): the radius is g(0), at the axis' end
+    else:
+        lo, hi, steps = _last_bracket(lambda t: g(t) - h(t), 0.0, end)
+        evaluations += steps
+        center = min((lo, hi), key=lambda t: max(g(t), h(t)))
+    gc, hc = g(center), h(center)
+    radius = max(gc, hc)
+    error = abs(gc - hc) + _ULPS * sys.float_info.epsilon * radius + apex_shift
+    point = (0.0, center) if p >= 2.0 else (center, center)
+    return CircumResult(radius=radius, center=point, attained=True, evaluations=evaluations), error
+
+
 def check_counterexample(p: float) -> CounterexampleResult:
-    """Build the triangle for p and measure its circumradius against the plane."""
+    """Build the triangle for p and measure its circumradius against the plane.
+
+    `margin_error` bounds the margin's distance from that of the exact
+    triangle with sides sqrt(2), sqrt(2), 2, whose comparison radius is 1.
+    """
     verts = counterexample_triangle(p)
-    pts = np.asarray(verts, dtype=float)
-    d = lp_distances(pts, p)
+    d = lp_distances(np.asarray(verts, dtype=float), p)
     sides = SideLengths(d[0, 1], d[0, 2], d[1, 2])
     comparison = euclidean_circumradius(sides).radius
-    result = lp_circumradius(pts, p)
+    result, error = _axis_circumradius(p, verts)
     return CounterexampleResult(
         p=p,
         vertices=verts,
@@ -70,6 +153,7 @@ def check_counterexample(p: float) -> CounterexampleResult:
         comparison_radius=comparison,
         space_result=result,
         margin=result.radius - comparison,
+        margin_error=error + abs(comparison - 1.0),
     )
 
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.sparse.csgraph import shortest_path
@@ -27,11 +28,34 @@ class Violation:
 
 
 class MetricValidationError(ValueError):
-    def __init__(self, violations: Sequence[Violation]):
-        self.violations = list(violations)
-        head = ", ".join(str(v) for v in self.violations[:8])
-        more = "" if len(self.violations) <= 8 else f" (+{len(self.violations) - 8} more)"
-        super().__init__(f"invalid metric: {head}{more}")
+    """A rejected matrix's violations, grouped by kind as index arrays.
+
+    `groups` holds (kind, indices) pairs in report order, `indices` an
+    (m, arity) int array; `count` is the total. `violations` builds the
+    Violation objects on first read, and `text_chunks` formats their lines
+    without them.
+    """
+
+    def __init__(self, groups: Sequence[tuple[str, np.ndarray]]):
+        self.groups = [(kind, idx) for kind, idx in groups if len(idx)]
+        self.count = sum(len(idx) for _, idx in self.groups)
+        head = [Violation(kind, tuple(row)) for kind, idx in self.groups for row in idx[:8].tolist()][:8]
+        more = "" if self.count <= 8 else f" (+{self.count - 8} more)"
+        super().__init__(f"invalid metric: {', '.join(map(str, head))}{more}")
+
+    @cached_property
+    def violations(self) -> list[Violation]:
+        return [Violation(kind, tuple(row)) for kind, idx in self.groups for row in idx.tolist()]
+
+    def text_chunks(self, prefix: str = "", lines: int = 4096) -> Iterator[str]:
+        """`prefix + str(violation)` lines in order, at most `lines` per string."""
+        for kind, idx in self.groups:
+            arity = idx.shape[1]
+            # the text of str(Violation): the kind, then the index tuple's repr
+            line = f"{prefix}{kind}({', '.join(['%d'] * arity)}{',' if arity == 1 else ''})\n"
+            for start in range(0, len(idx), lines):
+                block = idx[start : start + lines]
+                yield line * len(block) % tuple(block.ravel().tolist())
 
 
 class DisconnectedGraphError(ValueError):
@@ -153,10 +177,24 @@ class SideLengths:
 
     @property
     def perimeter(self) -> float:
-        return self.a + self.b + self.c
+        # ascending, the order in which the triple scan sums its sorted sides
+        return self.c + self.b + self.a
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.a, self.b, self.c)
+
+
+def _triangle_violations(d: np.ndarray, tau: float) -> np.ndarray:
+    """Rows (i, j, k) with i < j, k apart from both and d(i, j) > d(i, k) +
+    d(k, j) + tau, ordered by k, then i, then j."""
+    found = [np.empty((0, 3), dtype=np.intp)]
+    for k in range(d.shape[0]):
+        bad = d > d[:, [k]] + d[[k], :] + tau
+        bad[:, k] = bad[k, :] = False
+        ij = np.argwhere(np.triu(bad, 1))
+        if ij.size:
+            found.append(np.column_stack([ij, np.full(len(ij), k)]))
+    return np.concatenate(found)
 
 
 def validate_metric(
@@ -167,8 +205,9 @@ def validate_metric(
 ) -> FiniteMetricSpace:
     """Validate a square distance matrix and wrap it as a FiniteMetricSpace.
 
-    Raises MetricValidationError carrying the full list of violations; each
-    violation names the offending index pair or triple.
+    Raises MetricValidationError carrying every violation; each names the
+    offending index, pair or triple (i, j, k: d(i, j) > d(i, k) + d(k, j)),
+    ordered by kind and then by k, i, j.
     """
     d = np.array(matrix, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -176,35 +215,17 @@ def validate_metric(
     if not np.all(np.isfinite(d)):
         raise ValueError("distance matrix contains non-finite entries")
     n = d.shape[0]
-    violations: list[Violation] = []
-
-    for i in np.nonzero(np.diag(d) != 0.0)[0]:
-        violations.append(Violation("nonzero_diagonal", (int(i),)))
-    asym = np.argwhere(d != d.T)
-    for i, j in asym:
-        if i < j:
-            violations.append(Violation("asymmetry", (int(i), int(j))))
-    neg = np.argwhere(d < 0.0)
-    for i, j in neg:
-        if i < j:
-            violations.append(Violation("negative_entry", (int(i), int(j))))
+    groups = [
+        ("nonzero_diagonal", np.nonzero(np.diag(d) != 0.0)[0][:, None]),
+        ("asymmetry", np.argwhere(np.triu(d != d.T, 1))),
+        ("negative_entry", np.argwhere(np.triu(d < 0.0, 1))),
+    ]
     if not pseudo_ok:
-        off = ~np.eye(n, dtype=bool)
-        for i, j in np.argwhere((d == 0.0) & off):
-            if i < j:
-                violations.append(Violation("zero_off_diagonal", (int(i), int(j))))
+        groups.append(("zero_off_diagonal", np.argwhere(np.triu(d == 0.0, 1))))
 
-    tau = metric_tolerance(float(d.max()) if n else 0.0)
-    for k in range(n):
-        bad = d > d[:, [k]] + d[[k], :] + tau
-        bad[:, k] = bad[k, :] = False
-        np.fill_diagonal(bad, False)
-        for i, j in np.argwhere(bad):
-            if i < j:
-                violations.append(Violation("triangle", (int(i), int(j), int(k))))
-
-    if violations:
-        raise MetricValidationError(violations)
+    groups.append(("triangle", _triangle_violations(d, metric_tolerance(float(d.max()) if n else 0.0))))
+    if any(len(idx) for _, idx in groups):
+        raise MetricValidationError(groups)
 
     d.flags.writeable = False
     lab = tuple(labels) if labels is not None else None

@@ -65,6 +65,19 @@ def test_triangle_defect_respects_perimeter_cap():
     assert triangle_defect(PATH4, Triple(0, 1, 2), max_perimeter=5.0) is not None
 
 
+def test_scan_and_triangle_defect_sum_the_perimeter_alike():
+    # a + b + c and c + b + a differ in the last place for these sides; a cap
+    # at the larger sum must exclude the triple on both paths
+    a, b, c = 1.7503646726300526, 1.2623133404418496, 1.2034552406761496
+    cap = 4.216133253748052
+    assert a + b + c < cap == c + b + a
+    space = validate_metric(np.array([[0.0, a, b], [a, 0.0, c], [b, c, 0.0]]))
+    assert certify(space, CurvatureQuery(max_perimeter=cap)).skipped == 1
+    assert defect_profile(space, max_perimeter=cap).skipped == 1
+    assert triangle_defect(space, Triple(0, 1, 2), max_perimeter=cap) is None
+    assert triangle_defect(space, Triple(0, 1, 2), max_perimeter=math.nextafter(cap, math.inf)) is not None
+
+
 def test_max_perimeter_must_be_positive_and_finite():
     space = validate_metric(random_metric_matrix(np.random.default_rng(3), 6))
     for bad in (math.nan, math.inf, -1.0, 0.0):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from curvcomp.certify import certify
-from curvcomp.cli import EXIT_FAILS, EXIT_INTERNAL, EXIT_INVALID_METRIC, EXIT_OK, EXIT_USAGE, main
+from curvcomp.cli import EXIT_FAILS, EXIT_INTERNAL, EXIT_INVALID_METRIC, EXIT_OK, EXIT_USAGE, build_parser, main
 from curvcomp.hyperbolicity import delta_four_point
 from curvcomp.metricspace import format_distance_matrix
 from curvcomp.report import REPORT_FIELDS, dumps_report
@@ -42,6 +42,41 @@ def test_validate_invalid_metric_exits_two(tmp_path, capsys):
     f.write_text("3\n0,1,5\n1,0,1\n5,1,0\n")
     assert main(["validate", str(f)]) == EXIT_INVALID_METRIC
     assert "triangle" in capsys.readouterr().err
+
+
+def test_validate_stderr_lists_every_violation_in_order(tmp_path, capsys):
+    # every kind of violation, each several times
+    m = np.array(
+        [
+            [0.5, 1.0, 9.0, 0.0, 2.0],
+            [1.0, 0.0, -1.0, 1.0, 1.0],
+            [9.0, -1.0, 0.0, 1.0, 8.0],
+            [0.0, 1.5, 1.0, 0.0, -2.0],
+            [2.0, 1.0, 8.0, -2.0, 0.25],
+        ]
+    )
+    f = tmp_path / "bad.csv"
+    f.write_text(format_distance_matrix(m))
+    n = len(m)
+    tau = 1e-9 * (1.0 + m.max())
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    expected = [f"nonzero_diagonal({i},)" for i in range(n) if m[i, i] != 0.0]
+    expected += [f"asymmetry({i}, {j})" for i, j in pairs if m[i, j] != m[j, i]]
+    expected += [f"negative_entry({i}, {j})" for i, j in pairs if m[i, j] < 0.0]
+    expected += [f"zero_off_diagonal({i}, {j})" for i, j in pairs if m[i, j] == 0.0]
+    expected += [
+        f"triangle({i}, {j}, {k})"
+        for k in range(n)
+        for i, j in pairs
+        if k not in (i, j) and m[i, j] > m[i, k] + m[k, j] + tau
+    ]
+    assert {line.split("(")[0] for line in expected} == {
+        "nonzero_diagonal", "asymmetry", "negative_entry", "zero_off_diagonal", "triangle"
+    }
+    assert main(["validate", str(f)]) == EXIT_INVALID_METRIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "".join(f"violation: {line}\n" for line in expected)
 
 
 def test_missing_file_exits_three(capsys):
@@ -230,6 +265,28 @@ def test_counterexample_reproduction_codes(p, code, capsys, tmp_path):
         assert abs(report["verdict"]["margin"]) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "p,code,statement",
+    [
+        ("4", EXIT_OK, "Curv <= 0 fails"),
+        # margin 2.7e-11: resolved, but under the 1e-3 reproduction gate
+        ("24", EXIT_FAILS, "Curv <= 0 fails"),
+        # margin ~1.5e-21, printed as 4.441e-16 by an earlier solver
+        ("50", EXIT_FAILS, "violation below float64 resolution"),
+        ("2", EXIT_OK, "no violation"),
+        ("inf", EXIT_OK, "no violation"),
+    ],
+)
+def test_counterexample_statement_is_honest_about_resolution(p, code, statement, capsys, tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["counterexample", "--p", p, "--json", str(out)]) == code
+    verdict = json.loads(out.read_text())["verdict"]
+    assert verdict["statement"] == statement
+    assert verdict["margin_error"] < 1e-14
+    resolved = verdict["margin"] > verdict["margin_error"]
+    assert resolved == (statement == "Curv <= 0 fails")
+
+
 @pytest.mark.parametrize("p", ("2000", "2100", "1e308"))
 def test_counterexample_overflowing_p_exits_three(p, capsys):
     assert main(["counterexample", "--p", p]) == EXIT_USAGE
@@ -279,3 +336,22 @@ def test_threads_env_default(monkeypatch, path4_file, capsys):
         monkeypatch.setenv("CURV_THREADS", bad)
         assert main(["certify", path4_file, "--epsilon", "0.5"]) == EXIT_USAGE
         assert "error: CURV_THREADS" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_keeps_no_state(monkeypatch, path4_file, capsys):
+    assert build_parser() is build_parser()
+    seen = []
+
+    def recording(space, query, threads):
+        seen.append(threads)
+        return certify(space, query, threads=threads)
+
+    monkeypatch.setattr("curvcomp.cli.certify", recording)
+    monkeypatch.delenv("CURV_THREADS", raising=False)
+    assert main(["--threads", "2", "certify", path4_file, "--epsilon", "0.5"]) == EXIT_OK
+    assert main(["certify", path4_file, "--epsilon", "0.5"]) == EXIT_OK
+    monkeypatch.setenv("CURV_THREADS", "3")
+    assert main(["certify", path4_file, "--epsilon", "0.5"]) == EXIT_OK
+    assert main(["certify", path4_file, "--epsilon", "0.5", "--threads", "2"]) == EXIT_OK
+    assert main(["certify", path4_file, "--epsilon", "0.5"]) == EXIT_OK
+    assert seen == [2, 1, 3, 2, 3]

@@ -2,6 +2,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,8 +12,10 @@ from curvcomp import (
     check_counterexample,
     counterexample_space,
     counterexample_triangle,
+    lp_circumradius,
 )
 from curvcomp.circumradius import InvalidPError
+from curvcomp.generators import lp_distances
 
 P_VALUES = (1.2, 1.5, 2.0, 3.0, 4.0, 7.0, math.inf)
 
@@ -109,3 +112,71 @@ def test_filler_points_are_seed_deterministic():
     a = counterexample_space(1.5, fillers=2, seed=9)
     b = counterexample_space(1.5, fillers=2, seed=9)
     assert np.array_equal(a.dist, b.dist)
+
+
+def _mp_margin(p: float) -> mpmath.mpf:
+    """Circumradius minus 1 of the exact (sqrt 2, sqrt 2, 2) l_p triangle at
+    50 digits: the crossing of the two distances along the symmetry axis,
+    found with mpmath's root finder from exact vertices."""
+    with mpmath.workdps(50):
+        P = mpmath.mpf(p)
+        if P > 2:
+            y = (2 ** (P / 2) - 1) ** (1 / P)  # A' = (0, y), B = (-1, 0)
+            t = mpmath.findroot(lambda t: (1 + t**P) ** (1 / P) - (y - t), (0, y), solver="anderson")
+            return (1 + t**P) ** (1 / P) - 1
+        r = 2 ** (-1 / P)  # B = (-r, r), A' = (s, s)
+        s = mpmath.findroot(lambda s: (s + r) ** P + (s - r) ** P - 2 ** (P / 2), (r, 10), solver="anderson")
+
+        def g(u):
+            return ((u + r) ** P + abs(u - r) ** P) ** (1 / P)
+
+        def h(u):
+            return 2 ** (1 / P) * (s - u)
+
+        if h(0) <= g(0):
+            return g(0) - 1
+        u = mpmath.findroot(lambda u: g(u) - h(u), (0, s), solver="anderson")
+        return g(u) - 1
+
+
+# 1.0112 and 5.2567 sit within 4e-5 of the 1e-3 reproduction gate; p = 50's
+# margin (~1.5e-21) is below float64 resolution
+MP_P_VALUES = (1.001, 1.0112, 1.5, 1.99, 2.01, 3.0, 5.2567, 10.0, 24.0, 50.0)
+
+
+@pytest.mark.parametrize("p", MP_P_VALUES)
+def test_margin_matches_mpmath_within_stated_bound(p):
+    result = check_counterexample(p)
+    exact = _mp_margin(p)
+    assert abs(mpmath.mpf(result.margin) - exact) <= result.margin_error
+    assert 0.0 < result.margin_error < 1e-14
+    if p != 50.0:
+        assert result.margin > result.margin_error  # resolved, and positive as in the paper
+
+
+@pytest.mark.parametrize("p", (1.001, 1.2, 1.5, 1.99, 2.0, 2.01, 3.0, 7.0, 24.0, 50.0))
+def test_center_lies_on_the_axis_and_attains_the_radius(p):
+    result = check_counterexample(p)
+    x, y = result.space_result.center
+    assert x == y if p < 2.0 else x == 0.0
+    pts = np.vstack([result.vertices, [result.space_result.center]])
+    reach = lp_distances(pts, p)[3, :3]
+    assert abs(reach.max() - result.space_result.radius) <= result.margin_error
+
+
+def test_counterexample_does_not_run_the_general_solver(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the counterexample path called the general l_p solver")
+
+    for name in ("minimize", "linprog", "lp_circumradius"):
+        monkeypatch.setattr(f"curvcomp.circumradius.{name}", forbidden)
+    monkeypatch.setattr("curvcomp.counterexamples.lp_circumradius", forbidden)
+    for p in (1.5, 2.0, 4.0, math.inf):
+        check_counterexample(p)
+
+
+@pytest.mark.parametrize("p", (1.5, 3.0, 7.0))
+def test_general_solver_agrees_with_the_axis_radius(p):
+    result = check_counterexample(p)
+    general = lp_circumradius(np.asarray(result.vertices), p)
+    assert general.radius == pytest.approx(result.space_result.radius, abs=1e-8)

@@ -1,5 +1,6 @@
 """Validation, graph ingestion, triples, side lengths, and file formats."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from curvcomp import (
 from curvcomp.metricspace import (
     DisconnectedGraphError,
     NonpositiveWeightError,
+    Violation,
     format_distance_matrix,
     metric_tolerance,
     parse_distance_matrix,
@@ -76,6 +78,59 @@ def test_validate_triangle_violation_names_indices():
         validate_metric(m)
     tri = [v for v in exc.value.violations if v.kind == "triangle"]
     assert tri and tri[0].indices == (0, 2, 1)
+
+
+def test_violations_keep_their_contents_and_order():
+    m = np.array(
+        [
+            [0.5, 1.0, 9.0, 0.0],
+            [1.0, 0.0, -1.0, 1.0],
+            [9.0, -1.0, 0.0, 1.0],
+            [0.0, 1.5, 1.0, 0.0],
+        ]
+    )
+    with pytest.raises(MetricValidationError) as exc:
+        validate_metric(m)
+    assert exc.value.violations == [
+        Violation("nonzero_diagonal", (0,)),
+        Violation("asymmetry", (1, 3)),
+        Violation("negative_entry", (1, 2)),
+        Violation("zero_off_diagonal", (0, 3)),
+        Violation("triangle", (0, 2, 1)),
+        Violation("triangle", (2, 3, 1)),
+        Violation("triangle", (1, 3, 2)),
+        Violation("triangle", (0, 2, 3)),
+    ]
+    assert exc.value.count == 8
+    assert str(exc.value) == (
+        "invalid metric: nonzero_diagonal(0,), asymmetry(1, 3), negative_entry(1, 2), "
+        "zero_off_diagonal(0, 3), triangle(0, 2, 1), triangle(2, 3, 1), triangle(1, 3, 2), "
+        "triangle(0, 2, 3)"
+    )
+    assert all(type(i) is int for v in exc.value.violations for i in v.indices)
+
+
+def test_rejection_builds_no_violation_objects_until_read():
+    rng = np.random.default_rng(4)
+    m = np.triu(rng.uniform(0.1, 3.0, size=(110, 110)), 1)
+    m = m + m.T
+    tracemalloc.start()
+    try:
+        with pytest.raises(MetricValidationError) as exc:
+            validate_metric(m)
+        held, _ = tracemalloc.get_traced_memory()
+        violations = exc.value.violations
+        read, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    count = exc.value.count
+    assert len(violations) == count > 90_000
+    # the index arrays take 24 bytes a violation; the objects several times that
+    assert held < 40 * count
+    assert read - held > 100 * count
+    lines = "".join(exc.value.text_chunks(lines=1000)).splitlines()
+    assert lines == [str(v) for v in violations]
+    assert max(chunk.count("\n") for chunk in exc.value.text_chunks(lines=1000)) == 1000
 
 
 def test_pseudo_ok_admits_zero_off_diagonal():

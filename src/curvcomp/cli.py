@@ -22,6 +22,7 @@ from .metricspace import (
     MetricValidationError,
     format_distance_matrix,
     load_space,
+    violation_template,
 )
 from .report import base_report, dumps_report, verdict_fields, witness_entry
 
@@ -30,6 +31,10 @@ EXIT_FAILS = 1
 EXIT_INVALID_METRIC = 2
 EXIT_USAGE = 3
 EXIT_INTERNAL = 4
+
+# violation lines per stderr write: one write per line is slow on large
+# rejections, and one write of all of them holds the whole text in memory
+_CHUNK_LINES = 4096
 
 
 def _parse_float(text: str) -> float:
@@ -132,8 +137,11 @@ def main(argv=None) -> int:
         threads = resolve_threads(args.threads)
         return _dispatch(args, threads, started)
     except MetricValidationError as exc:
-        for chunk in exc.text_chunks("violation: "):
-            sys.stderr.write(chunk)
+        for kind, idx in exc.groups:
+            line = f"violation: {violation_template(kind, idx.shape[1])}\n"
+            for start in range(0, len(idx), _CHUNK_LINES):
+                block = idx[start : start + _CHUNK_LINES]
+                sys.stderr.write(line * len(block) % tuple(block.ravel().tolist()))
         return EXIT_INVALID_METRIC
     except (OSError, ValueError, DisconnectedGraphError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)

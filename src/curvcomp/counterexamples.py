@@ -6,9 +6,10 @@ lengths has circumradius strictly above 1.
 
 The l_p min-max is convex and the triangle is mirror-symmetric, so a
 circumcenter lies on its symmetry axis. There the radius is the larger of
-one increasing and one decreasing distance, and a float64 bisection on
-their crossing gives it with an error bound that comes from the final
-bracket, the evaluation rounding and the apex coordinate.
+one increasing and one decreasing distance. Brent's method finds their
+crossing to a few ulps, and the radius' error bound comes from the gap
+between the two distances there, the evaluation rounding and the apex
+coordinate.
 """
 from __future__ import annotations
 
@@ -65,21 +66,8 @@ def counterexample_triangle(p: float) -> tuple[tuple[float, float], ...]:
 
 
 # Rounding allowance, in units of the radius' last place, for evaluating the
-# two axis distances and the closed-form or bracketed vertex coordinates.
+# two axis distances and the closed-form or root-found vertex coordinates.
 _ULPS = 8
-
-
-def _last_bracket(f, lo: float, hi: float) -> tuple[float, float, int]:
-    """Bisect an increasing f with f(lo) < 0 <= f(hi) until no float lies
-    strictly between lo and hi; returns (lo, hi, evaluations of f)."""
-    evaluations = 0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        evaluations += 1
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi, evaluations
 
 
 def _axis_circumradius(p: float, verts) -> tuple[CircumResult, float]:
@@ -89,9 +77,8 @@ def _axis_circumradius(p: float, verts) -> tuple[CircumResult, float]:
     p >= 2: centers (0, t), at distance g(t) from B and C and h(t) = y - t
     from A'. 1 < p < 2: centers (u, u), at distance g(u) from B and C and
     h(u) = 2^(1/p) (s - u) from A'. g increases and h decreases from 0, so
-    the exact radius lies between min(g, h) and max(g, h) at every center;
-    the returned one has the smaller max(g, h) of the final bracket. p = inf
-    is exact.
+    the exact radius lies between min(g, h) and max(g, h) at every center,
+    and the returned one is their crossing to a few ulps. p = inf is exact.
     """
     if math.isinf(p):
         return linf_circumcenter(verts), 0.0
@@ -125,9 +112,10 @@ def _axis_circumradius(p: float, verts) -> tuple[CircumResult, float]:
     if g(0.0) - h(0.0) >= 0.0:
         center = 0.0  # h(0) <= g(0): the radius is g(0), at the axis' end
     else:
-        lo, hi, steps = _last_bracket(lambda t: g(t) - h(t), 0.0, end)
-        evaluations += steps
-        center = min((lo, hi), key=lambda t: max(g(t), h(t)))
+        center, info = brentq(
+            lambda t: g(t) - h(t), 0.0, end, xtol=sys.float_info.min, rtol=4 * sys.float_info.epsilon, full_output=True
+        )
+        evaluations += info.function_calls
     gc, hc = g(center), h(center)
     radius = max(gc, hc)
     error = abs(gc - hc) + _ULPS * sys.float_info.epsilon * radius + apex_shift

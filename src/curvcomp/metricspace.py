@@ -5,7 +5,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse.csgraph import shortest_path
@@ -16,6 +16,12 @@ def metric_tolerance(scale: float) -> float:
     return 1e-9 * (1.0 + scale)
 
 
+def violation_template(kind: str, arity: int) -> str:
+    """`%` template of a violation's text, the kind and then its index tuple:
+    `violation_template("triangle", 3) % (0, 2, 1)` is "triangle(0, 2, 1)"."""
+    return f"{kind}({', '.join(['%d'] * arity)}{',' if arity == 1 else ''})"
+
+
 @dataclass(frozen=True)
 class Violation:
     """A single metric-axiom violation, naming the offending indices."""
@@ -24,7 +30,7 @@ class Violation:
     indices: tuple[int, ...]
 
     def __str__(self) -> str:
-        return f"{self.kind}{self.indices}"
+        return violation_template(self.kind, len(self.indices)) % self.indices
 
 
 class MetricValidationError(ValueError):
@@ -32,12 +38,11 @@ class MetricValidationError(ValueError):
 
     `groups` holds (kind, indices) pairs in report order, `indices` an
     (m, arity) int array; `count` is the total. `violations` builds the
-    Violation objects on first read, and `text_chunks` formats their lines
-    without them.
+    Violation objects on first read.
     """
 
     def __init__(self, groups: Sequence[tuple[str, np.ndarray]]):
-        self.groups = [(kind, idx) for kind, idx in groups if len(idx)]
+        self.groups = list(groups)
         self.count = sum(len(idx) for _, idx in self.groups)
         head = [Violation(kind, tuple(row)) for kind, idx in self.groups for row in idx[:8].tolist()][:8]
         more = "" if self.count <= 8 else f" (+{self.count - 8} more)"
@@ -46,16 +51,6 @@ class MetricValidationError(ValueError):
     @cached_property
     def violations(self) -> list[Violation]:
         return [Violation(kind, tuple(row)) for kind, idx in self.groups for row in idx.tolist()]
-
-    def text_chunks(self, prefix: str = "", lines: int = 4096) -> Iterator[str]:
-        """`prefix + str(violation)` lines in order, at most `lines` per string."""
-        for kind, idx in self.groups:
-            arity = idx.shape[1]
-            # the text of str(Violation): the kind, then the index tuple's repr
-            line = f"{prefix}{kind}({', '.join(['%d'] * arity)}{',' if arity == 1 else ''})\n"
-            for start in range(0, len(idx), lines):
-                block = idx[start : start + lines]
-                yield line * len(block) % tuple(block.ravel().tolist())
 
 
 class DisconnectedGraphError(ValueError):
@@ -224,7 +219,8 @@ def validate_metric(
         groups.append(("zero_off_diagonal", np.argwhere(np.triu(d == 0.0, 1))))
 
     groups.append(("triangle", _triangle_violations(d, metric_tolerance(float(d.max()) if n else 0.0))))
-    if any(len(idx) for _, idx in groups):
+    groups = [(kind, idx) for kind, idx in groups if len(idx)]
+    if groups:
         raise MetricValidationError(groups)
 
     d.flags.writeable = False

@@ -3,14 +3,24 @@ import json
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from curvcomp.certify import certify
-from curvcomp.cli import EXIT_FAILS, EXIT_INTERNAL, EXIT_INVALID_METRIC, EXIT_OK, EXIT_USAGE, build_parser, main
+from curvcomp.cli import (
+    _CHUNK_LINES,
+    EXIT_FAILS,
+    EXIT_INTERNAL,
+    EXIT_INVALID_METRIC,
+    EXIT_OK,
+    EXIT_USAGE,
+    build_parser,
+    main,
+)
 from curvcomp.hyperbolicity import delta_four_point
-from curvcomp.metricspace import format_distance_matrix
+from curvcomp.metricspace import MetricValidationError, format_distance_matrix, validate_metric
 from curvcomp.report import REPORT_FIELDS, dumps_report
 from oracles import random_metric_matrix
 
@@ -77,6 +87,21 @@ def test_validate_stderr_lists_every_violation_in_order(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "".join(f"violation: {line}\n" for line in expected)
+
+
+def test_validate_writes_large_rejections_in_bounded_chunks(tmp_path, monkeypatch):
+    rng = np.random.default_rng(4)
+    m = np.triu(rng.uniform(0.1, 3.0, size=(110, 110)), 1)
+    f = tmp_path / "bad.csv"
+    f.write_text(format_distance_matrix(m + m.T))
+    with pytest.raises(MetricValidationError) as exc:
+        validate_metric(m + m.T)
+    writes = []
+    monkeypatch.setattr(sys, "stderr", SimpleNamespace(write=writes.append))
+    assert main(["validate", str(f)]) == EXIT_INVALID_METRIC
+    assert "".join(writes) == "".join(f"violation: {v}\n" for v in exc.value.violations)
+    assert len(writes) > 1
+    assert max(chunk.count("\n") for chunk in writes) == _CHUNK_LINES
 
 
 def test_missing_file_exits_three(capsys):

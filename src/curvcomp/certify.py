@@ -9,9 +9,8 @@ per-triple value outlives its row.
 
 The scan runs on the calling thread, so `threads` here is only checked. One
 thread takes 0.29-0.32 s at n=150, kappa=0; 3.2-3.4 s at n=300, kappa=-1;
-and 8.5-9.5 s at n=400, kappa=0 (2-core x86 VM, random metric). A pool over
-rows lost below n=400 when each row was a Python loop over pairs; it has not
-been tried on the row kernel.
+and 8.5-9.5 s at n=400, kappa=0 (2-core x86 VM, random metric). A two-thread
+pool over rows lost at n=150, 300 and 400 on the row kernel.
 """
 from __future__ import annotations
 

@@ -56,6 +56,8 @@ def test_unit_four_cycle_delta_one():
 
 
 def test_tiny_spaces_are_trivially_hyperbolic():
+    empty = delta_four_point(validate_metric(np.zeros((0, 0))))
+    assert (empty.delta, empty.witness, empty.bases_scanned) == (0.0, None, 0)
     assert delta_four_point(validate_metric(np.zeros((1, 1)))).delta == 0.0
     two = validate_metric(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert delta_four_point(two).witness is None
@@ -103,8 +105,135 @@ def test_delta_scans_each_base_point_once(monkeypatch, threads):
 
     monkeypatch.setattr(hyperbolicity_module, "_per_base_max", recorded)
     res = delta_four_point(space, threads=threads)
-    assert sorted(bases) == list(range(space.n))
+    assert len(bases) == len(set(bases)) == res.bases_scanned  # no base point twice
     assert (res.delta, res.witness) == brute_delta(space.dist)
+
+
+def _every_base_point(d):
+    """The fold of _per_base_max over every base point in index order."""
+    best = (0.0, None)
+    for w in range(len(d)):
+        value, x, y, z = hyperbolicity_module._per_base_max(d, w)
+        if value > best[0]:
+            best = (value, (x, y, z, w))
+    return best
+
+
+def _unit_graph(edges):
+    return from_graph([(u, v, 1.0) for u, v in edges])
+
+
+SMALL_SPACES = {  # n <= 8, against brute_delta
+    "unit_four_cycle": lambda: _unit_graph([(0, 1), (1, 2), (2, 3), (3, 0)]),
+    "unit_five_cycle": lambda: _unit_graph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+    "grid_2x4": lambda: sample_space(GeneratorSpec(kind="grid", width=2, height=4)),
+    "unit_tree": lambda: sample_space(GeneratorSpec(kind="tree", n=8, seed=3)),
+    "tree_0.3": lambda: sample_space(GeneratorSpec(kind="tree", n=8, seed=3, edge_length=0.3)),
+    "integer_weights": lambda: from_graph([(0, 1, 3.0), (1, 2, 1.0), (2, 3, 2.0), (3, 0, 2.0), (1, 4, 5.0), (4, 5, 1.0), (5, 3, 4.0)]),
+}
+
+SPACES = {  # n = 40-60, against the fold over every base point
+    "grid_6x8": lambda: sample_space(GeneratorSpec(kind="grid", width=6, height=8)),
+    "unit_random_graph": lambda: sample_space(
+        GeneratorSpec(kind="random_graph", n=50, seed=3, edge_prob=0.1, weight_min=1.0, weight_max=1.0)
+    ),
+    "exact_tree": lambda: sample_space(GeneratorSpec(kind="tree", n=15, seed=2, subdivision=2)),
+    "tree_0.3": lambda: sample_space(GeneratorSpec(kind="tree", n=45, seed=1, edge_length=0.3)),
+    "random_metric": lambda: validate_metric(random_metric_matrix(np.random.default_rng(11), 50)),
+    "weighted_graph": lambda: sample_space(GeneratorSpec(kind="random_graph", n=45, seed=4, edge_prob=0.05)),
+    "hyperbolic": lambda: sample_space(GeneratorSpec(kind="hyperbolic", n=40, seed=5, kappa=-1.0)),
+}
+
+
+@pytest.mark.parametrize("scale", (1.0, 3.0, 0.1))
+@pytest.mark.parametrize("name", sorted(SMALL_SPACES))
+def test_pruned_delta_matches_brute_force_on_small_spaces(name, scale):
+    space = SMALL_SPACES[name]().rescale(scale)
+    res = delta_four_point(space)
+    assert (res.delta, res.witness) == brute_delta(space.dist)
+
+
+@pytest.mark.parametrize("scale", (1.0, 3.0, 0.1))
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_pruned_delta_matches_every_base_point_bitwise(monkeypatch, name, scale):
+    space = SPACES[name]().rescale(scale)
+    want = _every_base_point(space.dist)
+    # one outer pair per block, a few per block, the default
+    for block in (1, 300, hyperbolicity_module._BLOCK):
+        with monkeypatch.context() as patch:
+            patch.setattr(hyperbolicity_module, "_BLOCK", block)
+            res = delta_four_point(space)
+        assert (res.delta, res.witness) == want
+        assert 1 <= res.bases_scanned <= space.n
+
+
+@pytest.mark.parametrize("scale", (1.0, 3.0, 0.5))
+def test_exact_tree_is_settled_by_one_base_point(scale):
+    space = SPACES["exact_tree"]().rescale(scale)
+    res = delta_four_point(space)
+    assert (res.delta, res.witness) == (0.0, None)
+    assert res.bases_scanned == 1 and res.quadruples == space.n**3
+
+
+def test_tree_with_inexact_edges_keeps_the_noisy_witness():
+    # 0.3 is not a multiple of a power of two: delta is rounding noise, nothing
+    # can be cut, and every base point is scanned as in the exhaustive fold
+    space = SPACES["tree_0.3"]()
+    res = delta_four_point(space)
+    assert 0.0 < res.delta < 1e-14 and res.witness is not None
+    assert (res.delta, res.witness) == _every_base_point(space.dist)
+    assert res.bases_scanned == space.n
+
+
+def test_delta_prunes_base_points_on_a_random_metric():
+    space = validate_metric(random_metric_matrix(np.random.default_rng(12), 60))
+    res = delta_four_point(space)
+    assert (res.delta, res.witness) == _every_base_point(space.dist)
+    assert res.bases_scanned < space.n / 4
+    assert space.n**3 * res.bases_scanned < res.quadruples < space.n**4
+
+
+STAR = [[0, 1, 2, 2, 2], [1, 0, 1, 1, 1], [2, 1, 0, 2, 2], [2, 1, 2, 0, 2], [2, 1, 2, 2, 0]]
+CYCLE_AND_HUB = [[0, 1, 2, 1, 1], [1, 0, 1, 2, 1], [2, 1, 0, 1, 2], [1, 2, 1, 0, 1], [1, 1, 2, 1, 0]]
+
+
+@pytest.mark.parametrize(
+    "units, shifts, want",
+    [
+        (STAR, {(1, 3): -256.0, (3, 4): 64.0}, (160.0, (3, 4, 1, 1))),
+        (CYCLE_AND_HUB, {(0, 1): 64.0, (1, 3): 128.0}, (2.0**40 + 64.0, (2, 4, 3, 1))),
+    ],
+    ids=["repeated_point", "pair_bound"],
+)
+def test_pruned_delta_within_the_triangle_tolerance(units, shifts, want):
+    # unit graph metrics scaled by 2**40 and shifted by a few hundred units pass
+    # validation (tolerance about 2200 units) but break the triangle inequality.
+    # On the star around point 1 the first maximiser repeats a point and is worth
+    # half a 320-unit violation; on the 4-cycle 1-2-3-4 its value exceeds half the
+    # distance of either of its pairs, the bound the pair search cuts at
+    d = np.array(units) * 2.0**40
+    for (i, j), shift in shifts.items():
+        d[i, j] = d[j, i] = d[i, j] + shift
+    space = validate_metric(d)
+    res = delta_four_point(space)
+    assert (res.delta, res.witness) == brute_delta(space.dist) == want
+
+
+@pytest.mark.parametrize(
+    "entries, exact",
+    [
+        ([1.0, 2.0, 7.0], True),
+        ([0.5, 0.75, 12.25], True),
+        ([3.0 * 2.0**-40, 2.0**9], True),
+        ([2.0**-42, 2.0**9], False),  # 51 bits apart
+        ([0.3, 0.6], False),
+        ([1.0, 1.0 / 3.0], False),
+    ],
+)
+def test_exactness_rule(entries, exact):
+    d = np.zeros((len(entries) + 1, len(entries) + 1))
+    d[0, 1:] = d[1:, 0] = entries
+    assert hyperbolicity_module._is_exact(d) is exact
 
 
 def test_delta_memory_stays_below_cubic():

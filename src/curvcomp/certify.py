@@ -4,8 +4,11 @@ The scan is the O(n^3) heart of the pipeline: every canonical triple is
 compared against its model circumradius. A row, all triples with smallest
 index i, is built once as index arrays, goes through the model kernel in one
 call and takes its candidate min-max in blocks of _BLOCK entries (one triple
-at least). Rows are folded in index order into one running reduction, so no
-per-triple value outlives its row.
+at least). `_scan_rows` yields the rows in index order, and each caller
+reduces only what it reports: `certify` the worst defect of its query's
+direction, `defect_profile` both directions, the histogram and the beta
+curve, and `local_defect_map` a maximum per ball. No per-triple value
+outlives its row.
 
 The scan runs on the calling thread, so `threads` here is only checked. One
 thread takes 0.29-0.32 s at n=150, kappa=0; 3.2-3.4 s at n=300, kappa=-1;
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,32 +152,6 @@ def triangle_defect(
     return TriangleDefect(t, sides, r_space, model_circumradius(sides, k).radius)
 
 
-@dataclass
-class _ScanAggregate:
-    eps_upper: float = 0.0
-    eps_lower: float = 0.0
-    worst_upper: tuple | None = None  # (defect, i, j, k, r_space, r_model)
-    worst_lower: tuple | None = None
-    skipped: int = 0
-    fold: Callable | None = None  # fold(i, js, ks, defect, min_side), once per row
-
-    def absorb_row(self, i, skipped, js, ks, defect, rs, rm, min_side):
-        # index-ordered rows, first extremes, strict improvement: lexicographically first witness
-        self.skipped += skipped
-        if defect.size == 0:
-            return
-        hi = int(np.argmax(defect))
-        if defect[hi] > self.eps_upper:
-            self.eps_upper = float(defect[hi])
-            self.worst_upper = (float(defect[hi]), i, int(js[hi]), int(ks[hi]), float(rs[hi]), float(rm[hi]))
-        lo = int(np.argmin(defect))
-        if -defect[lo] > self.eps_lower:
-            self.eps_lower = float(-defect[lo])
-            self.worst_lower = (float(-defect[lo]), i, int(js[lo]), int(ks[lo]), float(rs[lo]), float(rm[lo]))
-        if self.fold is not None:
-            self.fold(i, js, ks, defect, min_side)
-
-
 def _scan_row(space, cols, kappa, beta, degenerate, cap, i):
     """Skipped count and row i, the triples with smallest index i, as arrays (js, ks,
     defect, r_space, r_model, min_side): degenerate (i, i, k) first, then j, k ascending.
@@ -208,22 +184,45 @@ def _scan_row(space, cols, kappa, beta, degenerate, cap, i):
     return skipped, (js, ks, rs - rm, rs, rm, min_side)
 
 
-def _run_scan(space, kappa, policy, beta, degenerate, max_perimeter, fold=None) -> _ScanAggregate:
+def _scan_rows(space, kappa, policy, beta, degenerate, max_perimeter):
+    """(i, skipped, row) for i = 0 .. n - 1, with `_scan_row`'s skipped count and row.
+
+    kappa and the perimeter cap are checked, and the candidate columns built,
+    when the first row is asked for.
+    """
     k = kappa_value(kappa)
     cap = _perimeter_cap(k, max_perimeter)
     cols = np.ascontiguousarray(candidate_rows(space, policy).T)
-    agg = _ScanAggregate(fold=fold)
     for i in range(space.n):
-        skipped, row = _scan_row(space, cols, k, beta, degenerate, cap, i)
-        agg.absorb_row(i, skipped, *row)
-    return agg
+        yield (i, *_scan_row(space, cols, k, beta, degenerate, cap, i))
 
 
-def _witness(space: FiniteMetricSpace, record: tuple | None) -> TriangleDefect | None:
-    if record is None:
-        return None
-    t = Triple(*record[1:4])
-    return TriangleDefect(t, SideLengths.of_triple(space, t), record[4], record[5])
+class _Worst:
+    """One direction's worst defect over rows added in index order, and its witness.
+
+    Upper keeps the largest r_space - r_model, lower the largest r_model - r_space,
+    0 when no triple exceeds 0. A row gives its first extreme, and only a strict
+    improvement replaces the witness, so the witness is the lexicographically first.
+    """
+
+    def __init__(self, direction: str):
+        self.sign, self.pick = (1.0, np.argmax) if direction == "upper" else (-1.0, np.argmin)
+        self.epsilon, self.record = 0.0, None  # record: (i, j, k, r_space, r_model)
+
+    def add(self, i, row) -> None:
+        js, ks, defect, rs, rm, _ = row
+        if not defect.size:
+            return
+        t = int(self.pick(defect))
+        if self.sign * defect[t] > self.epsilon:
+            self.epsilon = float(self.sign * defect[t])
+            self.record = (i, int(js[t]), int(ks[t]), float(rs[t]), float(rm[t]))
+
+    def witness(self, space: FiniteMetricSpace) -> TriangleDefect | None:
+        if self.record is None:
+            return None
+        t = Triple(*self.record[:3])
+        return TriangleDefect(t, SideLengths.of_triple(space, t), *self.record[3:])
 
 
 def certify(space: FiniteMetricSpace, query: CurvatureQuery, threads: int | None = None) -> Verdict:
@@ -234,15 +233,14 @@ def certify(space: FiniteMetricSpace, query: CurvatureQuery, threads: int | None
     the exact worst deficiency, 0 when the strict condition already holds.
     """
     check_threads(threads)
-    agg = _run_scan(space, query.kappa, query.candidates, query.beta, query.degenerate_pairs,
-                    query.max_perimeter)
-    if query.direction == "upper":
-        needed, record = agg.eps_upper, agg.worst_upper
-    else:
-        needed, record = agg.eps_lower, agg.worst_lower
-    holds = needed <= query.epsilon + TAU_DEFECT
-    witness = None if holds else _witness(space, record)
-    return Verdict(holds=holds, witness=witness, epsilon_needed=needed, skipped=agg.skipped)
+    worst, skipped = _Worst(query.direction), 0
+    rows = _scan_rows(space, query.kappa, query.candidates, query.beta, query.degenerate_pairs, query.max_perimeter)
+    for i, row_skipped, row in rows:
+        skipped += row_skipped
+        worst.add(i, row)
+    holds = worst.epsilon <= query.epsilon + TAU_DEFECT
+    witness = None if holds else worst.witness(space)
+    return Verdict(holds=holds, witness=witness, epsilon_needed=worst.epsilon, skipped=skipped)
 
 
 class _BinCounter:
@@ -302,21 +300,25 @@ def defect_profile(
         raise ValueError("bins must be a positive integer")
     curve = np.zeros(betas.size)
     counter = _BinCounter(bins, space.diameter)
-
-    def fold(i, js, ks, defect, min_side):
+    upper, lower, skipped = _Worst("upper"), _Worst("lower"), 0
+    for i, row_skipped, row in _scan_rows(space, kappa, candidates, 0.0, degenerate_pairs, max_perimeter):
+        skipped += row_skipped
+        defect, min_side = row[2], row[5]
+        upper.add(i, row)
+        lower.add(i, row)
+        if not defect.size:
+            continue
         counter.add(defect)
         if betas.size:
             row_max = np.where(min_side >= betas[:, None], defect, 0.0).max(axis=1)
             np.maximum(curve, row_max, out=curve)
-
-    agg = _run_scan(space, kappa, candidates, 0.0, degenerate_pairs, max_perimeter, fold)
     return DefectReport(
-        epsilon_star_upper=agg.eps_upper,
-        epsilon_star_lower=agg.eps_lower,
-        worst_upper=_witness(space, agg.worst_upper),
-        worst_lower=_witness(space, agg.worst_lower),
+        epsilon_star_upper=upper.epsilon,
+        epsilon_star_lower=lower.epsilon,
+        worst_upper=upper.witness(space),
+        worst_lower=lower.witness(space),
         histogram=counter.histogram(),
-        skipped=agg.skipped,
+        skipped=skipped,
         beta_curve=tuple((float(b), float(eps)) for b, eps in zip(betas, curve)),
     )
 
@@ -355,13 +357,10 @@ def local_defect_map(
         raise ValueError("ball radius must be positive and finite")
     within = space.dist <= ball_radius
     out = np.zeros(space.n)
-
-    def fold(i, js, ks, defect, min_side):
+    for i, _, (js, ks, defect, *_) in _scan_rows(space, kappa, CandidatePolicy(), 0.0, False, None):
         # every ball holding a triple of row i holds i
         for x in np.flatnonzero(within[i]):
             inside = within[x, js] & within[x, ks]
             if inside.any():
                 out[x] = max(out[x], defect[inside].max())
-
-    _run_scan(space, kappa, CandidatePolicy(), 0.0, False, None, fold)
     return out

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 import time
 import traceback
@@ -15,7 +16,7 @@ import traceback
 from .certify import CurvatureQuery, certify, defect_profile
 from .counterexamples import check_counterexample
 from .generators import parse_generator_spec, sample_space
-from .hyperbolicity import check_allowance, delta_four_point, relaxed_npc_bound_check, resolve_threads
+from .hyperbolicity import check_allowance, delta_four_point, relaxed_npc_bound_check
 from .metricspace import (
     DisconnectedGraphError,
     InvalidParameterError,
@@ -37,8 +38,14 @@ EXIT_INTERNAL = 4
 _CHUNK_LINES = 4096
 
 
-def _parse_float(text: str) -> float:
-    return float(text)
+def resolve_threads(threads: int | None) -> int:
+    """`--threads`, or CURV_THREADS (1 when unset) when it is None; the variable's one reader."""
+    if threads is not None:
+        return threads
+    env = os.environ.get("CURV_THREADS") or "1"
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"CURV_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _positive_int(text: str) -> int:
@@ -71,17 +78,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="test Curv <= kappa or Curv >= kappa")
     add_input(p)
-    p.add_argument("--kappa", type=_parse_float, default=0.0)
+    p.add_argument("--kappa", type=float, default=0.0)
     p.add_argument("--direction", choices=["upper", "lower"], default="upper")
-    p.add_argument("--beta", type=_parse_float, default=0.0)
-    p.add_argument("--epsilon", type=_parse_float, default=0.0)
+    p.add_argument("--beta", type=float, default=0.0)
+    p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--degenerate", action="store_true", help="include degenerate pair-triples")
-    p.add_argument("--max-perimeter", type=_parse_float, default=None)
+    p.add_argument("--max-perimeter", type=float, default=None)
     p.add_argument("--json", dest="json_out", default=None, help="write a JSON report here")
 
     p = sub.add_parser("defect", help="defect profile with scale curve and histogram")
     add_input(p)
-    p.add_argument("--kappa", type=_parse_float, default=0.0)
+    p.add_argument("--kappa", type=float, default=0.0)
     p.add_argument("--beta-grid", default="", help="comma-separated ascending beta values")
     p.add_argument("--degenerate", action="store_true")
     p.add_argument("--json", dest="json_out", default=None)
@@ -89,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hyperbolicity", help="four-point delta and the relaxed-defect comparison")
     add_input(p)
-    p.add_argument("--allowance", type=_parse_float, default=0.0, help="discretization allowance h (e.g. max edge length)")
+    p.add_argument("--allowance", type=float, default=0.0, help="discretization allowance h (e.g. max edge length)")
     p.add_argument("--json", dest="json_out", default=None)
 
     p = sub.add_parser("sample", help="generate a synthetic space from a spec string")
@@ -98,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", dest="json_out", default=None)
 
     p = sub.add_parser("counterexample", help="reproduce the l_p upper-bound counterexample")
-    p.add_argument("--p", type=_parse_float, required=True)
+    p.add_argument("--p", type=float, required=True)
     p.add_argument("--json", dest="json_out", default=None)
     return parser
 

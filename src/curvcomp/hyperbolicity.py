@@ -7,7 +7,6 @@ without asserting tightness of the relationship.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -35,17 +34,6 @@ class RelaxedBoundReport:
     delta: float
     discretization: float
     slack: float  # 2*delta + h - epsilon_star_upper
-
-
-def resolve_threads(threads: int | None) -> int:
-    """`threads`, or CURV_THREADS (1 when unset) when it is None; ValueError unless positive."""
-    if threads is None:
-        env = os.environ.get("CURV_THREADS") or "1"
-        if not env.strip().isdecimal() or int(env) < 1:
-            raise ValueError(f"CURV_THREADS must be a positive integer, got {env!r}")
-        threads = int(env)
-    check_threads(threads)
-    return threads
 
 
 def gromov_product(space: FiniteMetricSpace, x: int, y: int, w: int) -> float:
@@ -188,9 +176,10 @@ def delta_four_point(space: FiniteMetricSpace, threads: int | None = None) -> De
 
     This is the package's one pooled scan: each base point is a run of numpy
     (max, min) products over bounded blocks, which release the GIL, so up to
-    `threads` base points run at once.
+    `threads` base points run at once; None means one.
     """
-    threads = resolve_threads(threads)
+    check_threads(threads)
+    threads = threads or 1
     if space.n == 0:
         return DeltaResult(0.0, None)
     scan = partial(_per_base_max, space.dist)

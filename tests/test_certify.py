@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from curvcomp import (
     CurvatureQuery,
     GeneratorSpec,
+    SideLengths,
     Triple,
     certify,
     defect_profile,
@@ -237,18 +238,38 @@ def test_certify_counts_skipped_large_triangles():
 
 def test_defect_profile_consistent_with_certify():
     rng = np.random.default_rng(7)
-    m = random_metric_matrix(rng, 14)
+    n = 14
+    m = random_metric_matrix(rng, n)
     space = validate_metric(m)
-    profile = defect_profile(space, kappa=0.0, beta_grid=[0.0, 1.0, 1.2, 1.5])
-    upper = certify(space, CurvatureQuery(kappa=0.0, direction="upper"))
-    lower = certify(space, CurvatureQuery(kappa=0.0, direction="lower"))
-    assert profile.epsilon_star_upper == upper.epsilon_needed
-    assert profile.epsilon_star_lower == lower.epsilon_needed
-    assert sum(profile.histogram.counts) == math.comb(14, 3)
-    # scale curve starts at the global upper defect and never increases
-    curve = [eps for _, eps in profile.beta_curve]
-    assert curve[0] == profile.epsilon_star_upper
-    assert all(x >= y for x, y in zip(curve, curve[1:]))
+    # row 5 holds triples, but none with perimeter below its smallest one
+    cap = min(SideLengths.of_triple(space, t).perimeter for t in enumerate_triples(space) if t.i == 5)
+    witnesses = 0
+    for kappa in (0.0, 1.0, -1.0):
+        for degenerate in (False, True):
+            for max_perimeter in (None, cap):
+                profile = defect_profile(
+                    space, kappa=kappa, beta_grid=[0.0, 1.0, 1.2, 1.5],
+                    degenerate_pairs=degenerate, max_perimeter=max_perimeter,
+                )
+                for direction, eps, worst in (
+                    ("upper", profile.epsilon_star_upper, profile.worst_upper),
+                    ("lower", profile.epsilon_star_lower, profile.worst_lower),
+                ):
+                    v = certify(space, CurvatureQuery(
+                        kappa=kappa, direction=direction, degenerate_pairs=degenerate, max_perimeter=max_perimeter,
+                    ))
+                    assert (v.epsilon_needed, v.skipped) == (eps, profile.skipped)
+                    if not v.holds:
+                        # TriangleDefect equality compares triple, sides, r_space and r_model exactly
+                        assert v.witness == worst
+                        witnesses += 1
+                triples = math.comb(n, 3) + (math.comb(n, 2) if degenerate else 0)
+                assert sum(profile.histogram.counts) + profile.skipped == triples
+                # scale curve starts at the global upper defect and never increases
+                curve = [eps for _, eps in profile.beta_curve]
+                assert curve[0] == profile.epsilon_star_upper
+                assert all(x >= y for x, y in zip(curve, curve[1:]))
+    assert witnesses >= 12
 
 
 def test_defect_profile_beta_curve_matches_filtered_certify():

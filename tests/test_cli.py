@@ -117,6 +117,9 @@ def test_bad_usage_exits_three(path4_file, capsys):
         assert "error:" in capsys.readouterr().err
         assert main(["--threads", threads, "certify", path4_file]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+    # argparse names the float type, not a helper of this module
+    assert main(["certify", path4_file, "--kappa", "abc"]) == EXIT_USAGE
+    assert "invalid float value: 'abc'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -91,6 +91,14 @@ def test_delta_thread_invariance():
             delta_four_point(space, threads=bad)
 
 
+def test_delta_does_not_read_curv_threads(monkeypatch):
+    # only the CLI reads the variable; the library's default is one worker
+    m = random_metric_matrix(np.random.default_rng(7), 8)
+    monkeypatch.setenv("CURV_THREADS", "abc")
+    res = delta_four_point(validate_metric(m))
+    assert (res.delta, res.witness) == brute_delta(m)
+
+
 @pytest.mark.parametrize("threads", (1, 2))
 def test_delta_scans_each_base_point_once(monkeypatch, threads):
     space = validate_metric(random_metric_matrix(np.random.default_rng(6), 11))

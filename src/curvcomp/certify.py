@@ -2,18 +2,34 @@
 
 The scan is the O(n^3) heart of the pipeline: every canonical triple is
 compared against its model circumradius. A row, all triples with smallest
-index i, is built once as index arrays, goes through the model kernel in one
-call and takes its candidate min-max in blocks of _BLOCK entries (one triple
-at least). `_scan_rows` yields the rows in index order, and each caller
+index i, is built once as index arrays and goes through the model kernel in
+one call. `_scan_rows` yields the rows in index order, and each caller
 reduces only what it reports: `certify` the worst defect of its query's
 direction, `defect_profile` both directions, the histogram and the beta
 curve, and `local_defect_map` a maximum per ball. No per-triple value
 outlives its row.
 
-The scan runs on the calling thread, so `threads` here is only checked. One
-thread takes 0.29-0.32 s at n=150, kappa=0; 3.2-3.4 s at n=300, kappa=-1;
-and 8.5-9.5 s at n=400, kappa=0 (2-core x86 VM, random metric). A two-thread
-pool over rows lost at n=150, 300 and 400 on the row kernel.
+r_space = min_x max(d(x, i), d(x, j), d(x, k)) would cost O(m) per triple
+over m candidates. The scan first builds one pair table over the candidate
+columns, P[a, b] = min_x max(d(x, a), d(x, b)) with C[a, b] its first argmin
+(O(n^2 m), 2 n^2 words). Then each triple gets two bounds in O(1):
+lb = max(P[i, j], P[i, k], P[j, k]) <= r_space, and ub, the least over its
+three pairs of max(P[a, b], d(C[a, b], c)) >= r_space. ub is the max at one
+candidate and max/min never round, so where ub == lb, r_space is ub bitwise.
+Only the other triples take the candidate min-max, in blocks of _BLOCK
+entries (one triple at least). `certify` also keeps a floor, the largest
+lower bound on its direction's defect seen so far (and at least the running
+epsilon). The floor never exceeds epsilon*, so triples whose upper bound is
+below it cannot be the witness and are dropped; `Verdict.gathered` counts
+the triples whose min-max was evaluated.
+
+The scan runs on the calling thread, so `threads` here is only checked.
+`certify` upper/lower takes 0.10/0.07 s at n=150, kappa=0;
+1.47-1.5/0.83-0.9 s at n=300, kappa=-1; and 3.1/1.4 s at n=400, kappa=0, where
+the full min-max took 0.30-0.34, 3.2-4.1 and 9.3-9.6 s (2-core x86 VM,
+random metric). `defect_profile` gathers about 80% of a random metric's
+triples and takes 8.2 s at n=400 (9.2 s before). A two-thread pool over rows
+lost at n=150, 300 and 400 on the row kernel.
 """
 from __future__ import annotations
 
@@ -79,6 +95,7 @@ class Verdict:
     witness: TriangleDefect | None
     epsilon_needed: float
     skipped: int
+    gathered: int  # triples whose candidate min-max was evaluated; not reported
 
 
 @dataclass(frozen=True)
@@ -152,12 +169,52 @@ def triangle_defect(
     return TriangleDefect(t, sides, r_space, model_circumradius(sides, k).radius)
 
 
-def _scan_row(space, cols, kappa, beta, degenerate, cap, i):
-    """Skipped count and row i, the triples with smallest index i, as arrays (js, ks,
-    defect, r_space, r_model, min_side): degenerate (i, i, k) first, then j, k ascending.
+def _pair_table(cols):
+    """(P, C) over the candidate columns `cols` (n, m): P[a, b] = min_x max(d(x, a), d(x, b))
+    and C[a, b] the first candidate attaining it, one (n - a, m) block per row."""
+    n = cols.shape[0]
+    P, C = np.empty((n, n)), np.empty((n, n), dtype=np.intp)
+    for a in range(n):
+        pair = np.maximum(cols[a], cols[a:])
+        C[a, a:] = C[a:, a] = pair.argmin(axis=1)
+        P[a, a:] = P[a:, a] = pair[np.arange(n - a), C[a, a:]]
+    return P, C
 
-    `cols[v]` holds the distances from point v to every candidate. A degenerate
-    triple is the triangle (a, a, 0), whose model radius is exactly a / 2.
+
+def _sorted_sides(x, y, z):
+    """(short, mid, long), elementwise, by a min-max network."""
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    return np.minimum(lo, z), np.maximum(lo, np.minimum(hi, z)), np.maximum(hi, z)
+
+
+def _radius_bounds(cols, table, i, js, ks):
+    """(lb, ub) with lb <= r_space <= ub for the triples (i, js, ks), from the pair table.
+
+    lb is the largest pair radius; ub, for each pair, the radius at the pair's
+    best candidate C, max(P, d(C, third vertex)), and the least over the pairs.
+    """
+    P, C = table
+    m = cols.shape[1]
+    jk = js * P.shape[0] + ks
+    p_ij, p_ik, p_jk = P[i, js], P[i, ks], P.take(jk)
+    lb = np.maximum(np.maximum(p_ij, p_ik), p_jk)
+    ub = np.minimum(
+        np.minimum(np.maximum(p_ij, cols.take(ks * m + C[i, js])), np.maximum(p_ik, cols.take(js * m + C[i, ks]))),
+        np.maximum(p_jk, cols[i].take(C.take(jk))),
+    )
+    return lb, ub
+
+
+def _scan_row(space, cols, table, kappa, beta, degenerate, cap, worst, i):
+    """Skipped count, gathered count and row i, the triples with smallest index i, as
+    arrays (js, ks, defect, r_space, r_model, min_side): degenerate (i, i, k) first,
+    then j, k ascending.
+
+    `cols[v]` holds the distances from point v to every candidate and `table` is
+    `_pair_table(cols)`. A degenerate triple is the triangle (a, a, 0), whose model
+    radius is exactly a / 2. r_space is ub where the bounds meet, and the candidate
+    min-max is gathered only for the rest. Given a `_Worst`, the row keeps only the
+    triples whose defect bound reaches its floor.
     """
     d = space.dist
     n = space.n
@@ -166,35 +223,44 @@ def _scan_row(space, cols, kappa, beta, degenerate, cap, i):
     if degenerate:
         js = np.concatenate([np.full(n - i - 1, i), js])
         ks = np.concatenate([np.arange(i + 1, n), ks])
-    sides = np.sort([d[i, js], d[i, ks], d[js, ks]], axis=0)
-    # beta filters distinct pairs only: a degenerate triple's one distinct pair is its sides[1]
-    min_side = np.where(js == i, sides[1], sides[0])
-    small = sides.sum(axis=0) < cap
+    short, mid, long = _sorted_sides(d[i, js], d[i, ks], d.take(js * n + ks))
+    # beta filters distinct pairs only: a degenerate triple's one distinct pair is its mid side
+    min_side = np.where(js == i, mid, short)
+    small = short + mid + long < cap
     admissible = min_side >= beta
     skipped = int(np.count_nonzero(admissible & ~small))
     keep = admissible & small
-    js, ks, sides, min_side = js[keep], ks[keep], sides[:, keep], min_side[keep]
-    rm = model_circumradius_batch(sides[2], sides[1], sides[0], kappa)
-    pair = np.maximum(cols[i], cols)
-    rs = np.empty(js.size)
+    if not keep.all():
+        js, ks, short, mid, long, min_side = (v[keep] for v in (js, ks, short, mid, long, min_side))
+    rm = model_circumradius_batch(long, mid, short, kappa)
+    del short, mid, long  # row-sized; freed early to keep the row's peak memory down
+    lb, ub = _radius_bounds(cols, table, i, js, ks)
+    if worst is not None:
+        keep = worst.reachable(lb, ub, rm)
+        js, ks, min_side, rm, lb, ub = js[keep], ks[keep], min_side[keep], rm[keep], lb[keep], ub[keep]
+    rs = ub
+    gather = np.flatnonzero(ub != lb)
+    del lb
+    pair = np.maximum(cols[i], cols) if gather.size else None
     step = max(1, _BLOCK // cols.shape[1])
-    for start in range(0, js.size, step):
-        block = slice(start, start + step)
-        rs[block] = np.maximum(pair[js[block]], cols[ks[block]]).min(axis=1)
-    return skipped, (js, ks, rs - rm, rs, rm, min_side)
+    for start in range(0, gather.size, step):
+        t = gather[start : start + step]
+        rs[t] = np.maximum(pair[js[t]], cols[ks[t]]).min(axis=1)
+    return skipped, int(gather.size), (js, ks, rs - rm, rs, rm, min_side)
 
 
-def _scan_rows(space, kappa, policy, beta, degenerate, max_perimeter):
-    """(i, skipped, row) for i = 0 .. n - 1, with `_scan_row`'s skipped count and row.
+def _scan_rows(space, kappa, policy, beta, degenerate, max_perimeter, worst=None):
+    """(i, skipped, gathered, row) for i = 0 .. n - 1, from `_scan_row`.
 
-    kappa and the perimeter cap are checked, and the candidate columns built,
-    when the first row is asked for.
+    kappa and the perimeter cap are checked, and the candidate columns and their
+    pair table built, when the first row is asked for.
     """
     k = kappa_value(kappa)
     cap = _perimeter_cap(k, max_perimeter)
     cols = np.ascontiguousarray(candidate_rows(space, policy).T)
+    table = _pair_table(cols)
     for i in range(space.n):
-        yield (i, *_scan_row(space, cols, k, beta, degenerate, cap, i))
+        yield (i, *_scan_row(space, cols, table, k, beta, degenerate, cap, worst, i))
 
 
 class _Worst:
@@ -203,11 +269,22 @@ class _Worst:
     Upper keeps the largest r_space - r_model, lower the largest r_model - r_space,
     0 when no triple exceeds 0. A row gives its first extreme, and only a strict
     improvement replaces the witness, so the witness is the lexicographically first.
+
+    `floor` is the largest lower bound on this direction's defect seen so far, and
+    at least `epsilon`; it never exceeds the final epsilon, so a triple whose
+    upper bound is below it cannot be the witness.
     """
 
     def __init__(self, direction: str):
         self.sign, self.pick = (1.0, np.argmax) if direction == "upper" else (-1.0, np.argmin)
         self.epsilon, self.record = 0.0, None  # record: (i, j, k, r_space, r_model)
+        self.floor = 0.0
+
+    def reachable(self, lb, ub, rm) -> np.ndarray:
+        """Mask of the triples, with r_space in [lb, ub], whose defect can reach the floor."""
+        low, high = (lb - rm, ub - rm) if self.sign > 0 else (rm - ub, rm - lb)
+        self.floor = max(self.epsilon, float(low.max(initial=self.floor)))
+        return high >= self.floor
 
     def add(self, i, row) -> None:
         js, ks, defect, rs, rm, _ = row
@@ -233,14 +310,17 @@ def certify(space: FiniteMetricSpace, query: CurvatureQuery, threads: int | None
     the exact worst deficiency, 0 when the strict condition already holds.
     """
     check_threads(threads)
-    worst, skipped = _Worst(query.direction), 0
-    rows = _scan_rows(space, query.kappa, query.candidates, query.beta, query.degenerate_pairs, query.max_perimeter)
-    for i, row_skipped, row in rows:
+    worst, skipped, gathered = _Worst(query.direction), 0, 0
+    rows = _scan_rows(
+        space, query.kappa, query.candidates, query.beta, query.degenerate_pairs, query.max_perimeter, worst
+    )
+    for i, row_skipped, row_gathered, row in rows:
         skipped += row_skipped
+        gathered += row_gathered
         worst.add(i, row)
     holds = worst.epsilon <= query.epsilon + TAU_DEFECT
     witness = None if holds else worst.witness(space)
-    return Verdict(holds=holds, witness=witness, epsilon_needed=worst.epsilon, skipped=skipped)
+    return Verdict(holds=holds, witness=witness, epsilon_needed=worst.epsilon, skipped=skipped, gathered=gathered)
 
 
 class _BinCounter:
@@ -301,7 +381,7 @@ def defect_profile(
     curve = np.zeros(betas.size)
     counter = _BinCounter(bins, space.diameter)
     upper, lower, skipped = _Worst("upper"), _Worst("lower"), 0
-    for i, row_skipped, row in _scan_rows(space, kappa, candidates, 0.0, degenerate_pairs, max_perimeter):
+    for i, row_skipped, _, row in _scan_rows(space, kappa, candidates, 0.0, degenerate_pairs, max_perimeter):
         skipped += row_skipped
         defect, min_side = row[2], row[5]
         upper.add(i, row)
@@ -330,11 +410,7 @@ def midpoint_defect(space: FiniteMetricSpace) -> MidpointReport:
     zero exactly when a true midpoint exists among the points.
     """
     n = space.n
-    d = space.dist
-    defects = np.zeros((n, n))
-    for i in range(n):
-        pair_min = np.min(np.maximum(d[:, [i]], d), axis=0)
-        defects[i] = pair_min - d[i] / 2.0
+    defects = _pair_table(np.ascontiguousarray(space.dist.T))[0] - space.dist / 2.0
     np.fill_diagonal(defects, 0.0)
     if n < 2:
         return MidpointReport(defects, 0.0, None)
@@ -357,7 +433,7 @@ def local_defect_map(
         raise ValueError("ball radius must be positive and finite")
     within = space.dist <= ball_radius
     out = np.zeros(space.n)
-    for i, _, (js, ks, defect, *_) in _scan_rows(space, kappa, CandidatePolicy(), 0.0, False, None):
+    for i, _, _, (js, ks, defect, *_) in _scan_rows(space, kappa, CandidatePolicy(), 0.0, False, None):
         # every ball holding a triple of row i holds i
         for x in np.flatnonzero(within[i]):
             inside = within[x, js] & within[x, ks]

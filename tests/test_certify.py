@@ -1,5 +1,6 @@
 """Triangle enumeration, defect scans, verdicts, and the derived profiles."""
 import importlib
+import itertools
 import math
 import threading
 import tracemalloc
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvcomp import (
+    CandidatePolicy,
     CurvatureQuery,
+    Embedding,
     GeneratorSpec,
     SideLengths,
     Triple,
@@ -25,6 +28,7 @@ from curvcomp import (
     validate_metric,
 )
 from curvcomp.certify import TAU_DEFECT
+from curvcomp.generators import lp_distances
 from oracles import brute_certify, random_metric_matrix
 
 # the package re-exports the function `certify`, which shadows the module
@@ -141,21 +145,40 @@ def test_certify_lower_direction_on_convex_position_points():
     assert v.holds and v.epsilon_needed <= 1e-12
 
 
-def test_certify_matches_brute_force_with_beta_and_degenerate(monkeypatch):
-    rng = np.random.default_rng(3)
+def _integer_tree(rng, n):
+    return from_graph([(int(rng.integers(0, v)), v, float(rng.integers(1, 4))) for v in range(1, n)])
+
+
+def _integer_graph(rng, n):
+    edges = [(int(rng.integers(0, v)), v, float(rng.integers(1, 4))) for v in range(1, n)]
+    edges += [(u, v, float(rng.integers(1, 4))) for u, v in itertools.combinations(range(n), 2) if rng.uniform() < 0.2]
+    return from_graph(edges)
+
+
+def _brute_force_cases(rng):
+    """(space, beta, degenerate): random metrics, then integer-weight trees and
+    graphs, where many triples tie for epsilon* and only the first may be reported."""
     for _ in range(10):
         n = int(rng.integers(5, 10))
-        m = random_metric_matrix(rng, n)
-        space = validate_metric(m)
-        beta = float(rng.uniform(0.9, 1.6))
-        degenerate = bool(rng.integers(0, 2))
-        ref = brute_certify(m, beta=beta, degenerate=degenerate)
+        space = validate_metric(random_metric_matrix(rng, n))
+        yield space, float(rng.uniform(0.9, 1.6)), bool(rng.integers(0, 2))
+    for make in (_integer_tree, _integer_graph):
+        for _ in range(8):
+            space = make(rng, int(rng.integers(5, 13)))
+            for beta, degenerate in itertools.product((0.0, 2.0), (False, True)):
+                yield space, beta, degenerate
+
+
+def test_certify_matches_brute_force_with_beta_and_degenerate(monkeypatch):
+    witnesses = 0
+    for space, beta, degenerate in _brute_force_cases(np.random.default_rng(3)):
+        ref = brute_certify(space.dist, beta=beta, degenerate=degenerate)
         for direction, key, wkey in (
             ("upper", "eps_upper", "worst_upper"),
             ("lower", "eps_lower", "worst_lower"),
         ):
             # one triple per min-max block, a few triples per block, the whole row in one block
-            for block in (1, 3 * n, certify_module._BLOCK):
+            for block in (1, 3 * space.n, certify_module._BLOCK):
                 with monkeypatch.context() as patch:
                     patch.setattr(certify_module, "_BLOCK", block)
                     v = certify(
@@ -167,6 +190,54 @@ def test_certify_matches_brute_force_with_beta_and_degenerate(monkeypatch):
                 assert abs(v.epsilon_needed - ref[key]) <= 1e-12
                 if not v.holds:
                     assert v.witness.triple.as_tuple() == ref[wkey]
+                    witnesses += 1
+    assert witnesses >= 150
+
+
+def test_certify_witness_matches_defect_profile_across_policies():
+    # defect_profile computes every defect; certify may skip triples below its
+    # floor, but never the witness, so both report the same TriangleDefect
+    rng = np.random.default_rng(22)
+    cells = rng.choice(16, size=10, replace=False)
+    pts = np.stack([cells % 4, cells // 4], axis=1) / 4.0
+    plane = validate_metric(lp_distances(pts, 2.0), embedding=Embedding(pts, 2.0))
+    spaces = [_integer_tree(rng, 10).rescale(0.25), _integer_graph(rng, 10).rescale(0.25), plane]
+    policies = [CandidatePolicy(), CandidatePolicy.of_subset(range(0, 10, 2))]
+    witnesses = 0
+    for space in spaces:
+        extra = [CandidatePolicy.augmented([(0.125, 0.375), (0.5, 0.25)])] if space.embedding else []
+        perimeters = sorted(SideLengths.of_triple(space, t).perimeter for t in enumerate_triples(space))
+        for policy, kappa, degenerate, max_perimeter in itertools.product(
+            policies + extra, (0.0, 1.0, -1.0), (False, True), (None, perimeters[len(perimeters) // 2])
+        ):
+            profile = defect_profile(
+                space, kappa=kappa, degenerate_pairs=degenerate, candidates=policy, max_perimeter=max_perimeter
+            )
+            for direction, eps, worst in (
+                ("upper", profile.epsilon_star_upper, profile.worst_upper),
+                ("lower", profile.epsilon_star_lower, profile.worst_lower),
+            ):
+                v = certify(space, CurvatureQuery(
+                    kappa=kappa, direction=direction, degenerate_pairs=degenerate,
+                    candidates=policy, max_perimeter=max_perimeter,
+                ))
+                assert (v.epsilon_needed, v.skipped) == (eps, profile.skipped)
+                if not v.holds:
+                    assert v.witness == worst
+                    witnesses += 1
+    assert witnesses >= 100
+
+
+def test_certify_counts_the_triples_it_gathers():
+    # on a tree every triple's pair-table bounds meet, so no candidate min-max runs
+    tree = sample_space(GeneratorSpec(kind="tree", n=40, seed=1))
+    for direction in ("upper", "lower"):
+        assert certify(tree, CurvatureQuery(direction=direction, degenerate_pairs=True)).gathered == 0
+    space = validate_metric(random_metric_matrix(np.random.default_rng(13), 60))
+    lower = certify(space, CurvatureQuery(direction="lower"))
+    upper = certify(space, CurvatureQuery(direction="upper"))
+    assert lower.gathered < 0.01 * math.comb(60, 3)
+    assert 0 < upper.gathered < math.comb(60, 3)
 
 
 def test_certify_scale_invariance_kappa_zero():
@@ -324,6 +395,17 @@ def test_midpoint_defect_path():
             assert report.defects[i, j] == pytest.approx(want, abs=1e-15)
     assert report.max_defect == 0.5
     assert report.argmax_pair is not None
+
+
+def test_midpoint_defect_is_bitwise_the_pair_minimum():
+    space = validate_metric(random_metric_matrix(np.random.default_rng(15), 40))
+    d = space.dist
+    want = np.stack([np.min(np.maximum(d[:, [i]], d), axis=0) - d[i] / 2.0 for i in range(space.n)])
+    np.fill_diagonal(want, 0.0)
+    report = midpoint_defect(space)
+    assert report.defects.tobytes() == want.tobytes()
+    i, j = report.argmax_pair
+    assert report.max_defect == want.max() == want[i, j]
 
 
 def test_midpoint_defect_nonnegative_random():

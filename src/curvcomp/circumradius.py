@@ -5,12 +5,26 @@ Discrete min-max over candidate points, and continuous min-max in l_p planes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 
 from .metricspace import FiniteMetricSpace, Triple
+
+
+def __getattr__(name: str):
+    """`minimize` and `linprog` from scipy.optimize, imported on first read.
+
+    The name is then kept in the module, where a wrapper or a test may
+    replace it; `lp_circumradius` calls whatever the module holds.
+    """
+    if name in ("minimize", "linprog"):
+        import scipy.optimize
+
+        value = globals()[name] = getattr(scipy.optimize, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class EmptyCandidateSetError(ValueError):
@@ -156,6 +170,7 @@ def _certified_lower_bound(pts: np.ndarray, x: np.ndarray, p: float) -> float:
     grads = np.array([_lp_grad(x - a, p) for a in pts])
     a_eq = np.vstack([grads.T, np.ones(3)])
     b_eq = np.concatenate([np.zeros(pts.shape[1]), [1.0]])
+    linprog = sys.modules[__name__].linprog  # the module's name, which a wrapper may replace
     res = linprog(-f, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * 3, method="highs")
     lp_bound = -res.fun if res.status == 0 else -math.inf
     return max(pair, lp_bound)
@@ -193,6 +208,7 @@ def lp_circumradius(points, p: float, tol: float = 1e-8) -> CircumResult:
     starts += [(pts[i] + pts[j]) / 2.0 for i, j in ((0, 1), (0, 2), (1, 2))]
     solutions = []
     evaluations = 0
+    minimize = sys.modules[__name__].minimize
     for x0 in starts:
         t0 = max(_lp_norm(x0 - a, p) for a in pts)
         z0 = np.concatenate([x0, [t0 * (1.0 + 1e-9) + 1e-12]])

@@ -18,7 +18,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .circumradius import CircumResult, InvalidPError, linf_circumcenter
 from .circumradius import lp_circumradius  # noqa: F401  (re-exported name that bench/spans.py wraps)
@@ -59,6 +58,8 @@ def counterexample_triangle(p: float) -> tuple[tuple[float, float], ...]:
     if p >= 2.0:
         y = (2.0 ** (p / 2.0) - 1.0) ** (1.0 / p)
         return ((0.0, y), (-1.0, 0.0), (1.0, 0.0))
+    from scipy.optimize import brentq
+
     r = 2.0 ** (-1.0 / p)
     target = 2.0 ** (p / 2.0)
     root = brentq(lambda rp: (rp + r) ** p + (rp - r) ** p - target, r, 10.0, xtol=1e-15)
@@ -112,6 +113,8 @@ def _axis_circumradius(p: float, verts) -> tuple[CircumResult, float]:
     if g(0.0) - h(0.0) >= 0.0:
         center = 0.0  # h(0) <= g(0): the radius is g(0), at the axis' end
     else:
+        from scipy.optimize import brentq
+
         center, info = brentq(
             lambda t: g(t) - h(t), 0.0, end, xtol=sys.float_info.min, rtol=4 * sys.float_info.epsilon, full_output=True
         )

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .metricspace import (
     Embedding,
@@ -109,6 +108,8 @@ def hyperboloid_distances(points: np.ndarray, kappa: float) -> np.ndarray:
 
 
 def lp_distances(points: np.ndarray, p: float) -> np.ndarray:
+    from scipy.spatial.distance import cdist
+
     if math.isinf(p):
         d = cdist(points, points, "chebyshev")
     else:

@@ -8,7 +8,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
 
 
 def metric_tolerance(scale: float) -> float:
@@ -179,9 +178,32 @@ class SideLengths:
         return (self.a, self.b, self.c)
 
 
+def _flags_a_triangle(d: np.ndarray, tau: float) -> bool:
+    """Whether some i < j has d(i, j) > min over every k of d(i, k) + d(k, j),
+    plus tau: one min-plus pass per row i, stopping at the first row flagged.
+
+    It never misses a violation of `_triangle_violations`: adding tau rounds
+    monotonically, so fl(min_k s_k + tau) = min_k fl(s_k + tau) for the sums
+    s_k the enumeration compares against. The min also takes k = i and k = j;
+    with a zero diagonal and tau >= 0 those never flag, so the answer is then
+    exactly whether a violation exists.
+    """
+    for i in range(d.shape[0] - 1):
+        row = d[i]
+        if np.any(row[i + 1 :] > (row[:, None] + d[:, i + 1 :]).min(axis=0) + tau):
+            return True
+    return False
+
+
 def _triangle_violations(d: np.ndarray, tau: float) -> np.ndarray:
     """Rows (i, j, k) with i < j, k apart from both and d(i, j) > d(i, k) +
-    d(k, j) + tau, ordered by k, then i, then j."""
+    d(k, j) + tau, ordered by k, then i, then j.
+
+    The per-k enumeration, n passes over the whole matrix, runs only when the
+    min-plus screen `_flags_a_triangle` finds a row to flag.
+    """
+    if not _flags_a_triangle(d, tau):
+        return np.empty((0, 3), dtype=np.intp)
     found = [np.empty((0, 3), dtype=np.intp)]
     for k in range(d.shape[0]):
         bad = d > d[:, [k]] + d[[k], :] + tau
@@ -202,7 +224,9 @@ def validate_metric(
 
     Raises MetricValidationError carrying every violation; each names the
     offending index, pair or triple (i, j, k: d(i, j) > d(i, k) + d(k, j)),
-    ordered by kind and then by k, i, j.
+    ordered by kind and then by k, i, j. Accepting a matrix costs one
+    min-plus pass over its rows; the triangles are enumerated only when that
+    pass finds one.
     """
     d = np.array(matrix, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -234,8 +258,11 @@ def from_graph(edges: Iterable[tuple], labels: Sequence[str] | None = None) -> F
     """All-pairs shortest-path metric of a positive-weight undirected graph.
 
     Vertex ids may be arbitrary hashables; they are remapped to indices in
-    order of first appearance (deterministic for a fixed edge list).
+    order of first appearance (deterministic for a fixed edge list). A
+    weight that is not positive and finite raises NonpositiveWeightError.
     """
+    from scipy.sparse.csgraph import shortest_path
+
     edge_list = list(edges)
     if not edge_list:
         raise ValueError("empty edge list")
@@ -249,7 +276,7 @@ def from_graph(edges: Iterable[tuple], labels: Sequence[str] | None = None) -> F
     np.fill_diagonal(w, 0.0)
     for u, v, weight in edge_list:
         weight = float(weight)
-        if weight <= 0.0:
+        if not 0.0 < weight < math.inf:  # nan fails both comparisons
             raise NonpositiveWeightError(f"edge ({u!r}, {v!r}) has weight {weight}")
         i, j = index[u], index[v]
         if weight < w[i, j]:

@@ -278,3 +278,17 @@ def random_metric_matrix(rng, n, lo=1.0, hi=2.0):
     m = np.triu(m, 1)
     m = m + m.T
     return m
+
+
+def triangle_violations(d, tau):
+    """Every (i, j, k) with i < j, k apart from both and d(i, j) > d(i, k) +
+    d(k, j) + tau, ordered by k, then i, then j: one pass over the whole
+    matrix per k, with no screen in front."""
+    found = [np.empty((0, 3), dtype=np.intp)]
+    for k in range(d.shape[0]):
+        bad = d > d[:, [k]] + d[[k], :] + tau
+        bad[:, k] = bad[k, :] = False
+        ij = np.argwhere(np.triu(bad, 1))
+        if ij.size:
+            found.append(np.column_stack([ij, np.full(len(ij), k)]))
+    return np.concatenate(found)

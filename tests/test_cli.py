@@ -1,8 +1,11 @@
 """Exit codes, report fields, and byte-level determinism of the CLI."""
 import json
 import math
+import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -102,6 +105,70 @@ def test_validate_writes_large_rejections_in_bounded_chunks(tmp_path, monkeypatc
     assert "".join(writes) == "".join(f"violation: {v}\n" for v in exc.value.violations)
     assert len(writes) > 1
     assert max(chunk.count("\n") for chunk in writes) == _CHUNK_LINES
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "0"])
+def test_edge_weight_that_is_not_positive_and_finite_exits_three(weight, tmp_path, capsys):
+    f = tmp_path / "g.edges"
+    f.write_text(f"a b 1\nb c {weight}\na c 5\n")
+    for argv in (["validate", str(f)], ["hyperbolicity", str(f), "--allowance", "1.0"]):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "edge ('b', 'c') has weight" in captured.err
+
+
+# Runs in a fresh interpreter: the commands that never call scipy must not
+# import it, and each one that does imports only the submodule it calls.
+_COLD_START = textwrap.dedent(
+    """
+    import sys
+    from curvcomp.cli import main
+
+    def scipy_modules():
+        return {m for m in sys.modules if m.split(".")[0] == "scipy"}
+
+    valid, invalid, edges, out = sys.argv[1:]
+    codes = [
+        main(["certify", valid]),
+        main(["defect", valid]),
+        main(["validate", valid]),
+        main(["validate", invalid]),
+        main(["sample", "sphere:kappa=1,n=12,seed=3", "--out", out]),
+    ]
+    assert codes == [1, 0, 0, 2, 0], codes
+    assert not scipy_modules(), sorted(scipy_modules())
+    assert main(["hyperbolicity", edges, "--allowance", "1.0"]) == 0
+    assert "scipy.sparse.csgraph" in sys.modules
+    assert "scipy.optimize" not in sys.modules, sorted(scipy_modules())
+    assert main(["counterexample", "--p", "4"]) == 0
+    assert "scipy.optimize" in sys.modules
+
+    import curvcomp.circumradius
+    import scipy.optimize
+
+    assert curvcomp.circumradius.minimize is scipy.optimize.minimize
+    assert curvcomp.circumradius.linprog is scipy.optimize.linprog
+    """
+)
+
+
+def test_commands_import_only_the_scipy_modules_they_call(path4_file, tmp_path):
+    invalid = tmp_path / "bad.csv"
+    invalid.write_text("3\n0,1,5\n1,0,1\n5,1,0\n")
+    edges = tmp_path / "path.edges"
+    edges.write_text("a b 1\nb c 1\nc d 1\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, path4_file, str(invalid), str(edges), str(tmp_path / "s.csv")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_missing_file_exits_three(capsys):

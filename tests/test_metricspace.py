@@ -26,7 +26,8 @@ from curvcomp.metricspace import (
     parse_distance_matrix,
     parse_edge_list,
 )
-from oracles import random_metric_matrix
+from curvcomp.metricspace import _flags_a_triangle
+from oracles import random_metric_matrix, triangle_violations
 
 PATH4 = np.array(
     [
@@ -128,6 +129,77 @@ def test_rejection_builds_no_violation_objects_until_read():
     # the index arrays take 24 bytes a violation; the objects several times that
     assert held < 40 * count
     assert read - held > 100 * count
+
+
+def _assert_validation_matches_enumeration(m):
+    """validate_metric's triangle group and message against the unscreened
+    enumeration; with a zero diagonal the screen must flag exactly the
+    matrices that have a triangle violation."""
+    d = np.array(m, dtype=float)
+    tau = metric_tolerance(float(d.max()))
+    want = triangle_violations(d, tau)
+    if not np.any(np.diag(d)):
+        assert _flags_a_triangle(d, tau) == bool(len(want))
+    try:
+        validate_metric(d)
+    except MetricValidationError as exc:
+        groups = dict(exc.groups)
+        got = groups.pop("triangle", np.empty((0, 3), dtype=np.intp))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        expected = list(groups.items()) + ([("triangle", want)] if len(want) else [])
+        assert str(exc) == str(MetricValidationError(expected))
+    else:
+        assert len(want) == 0
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_triangle_screen_matches_enumeration_on_perturbed_metrics(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    m = random_metric_matrix(rng, n)
+    _assert_validation_matches_enumeration(m)
+    # a few entries pushed past 2 = the shortest two-step path, anywhere in the matrix
+    for _ in range(int(rng.integers(1, 4))):
+        i, j = rng.integers(0, n, size=2)
+        if i != j:
+            m[i, j] = m[j, i] = rng.uniform(1.5, 3.5)
+    _assert_validation_matches_enumeration(m)
+    # asymmetric: one direction only, then a whole random non-symmetric matrix
+    i, j = rng.integers(0, n, size=2)
+    if i != j:
+        m[i, j] = rng.uniform(0.5, 4.0)
+    _assert_validation_matches_enumeration(m)
+    a = rng.uniform(1.0, 2.6, size=(n, n))
+    np.fill_diagonal(a, 0.0)
+    _assert_validation_matches_enumeration(a)
+    # a negative diagonal makes the screen's k = i term flag rows with no violation
+    a[n - 1, n - 1] = -rng.uniform(0.1, 1.0)
+    _assert_validation_matches_enumeration(a)
+    _assert_validation_matches_enumeration(-a)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_triangle_screen_is_exact_at_the_tolerance(seed):
+    # integer distances in [4, 8] and a far point at 32, which fixes the
+    # diameter and so tau; one entry then sits exactly at its tightest bound
+    # d(i, k) + d(k, j) + tau (no violation) or one ulp above it (violation)
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 20))
+    m = np.triu(rng.integers(4, 9, size=(n, n)).astype(float), 1)
+    m = m + m.T
+    m[-1, :-1] = m[:-1, -1] = 32.0
+    tau = metric_tolerance(32.0)
+    i, j = sorted(rng.choice(n - 1, size=2, replace=False))
+    bound = min(m[i, k] + m[k, j] + tau for k in range(n) if k not in (i, j))
+    for entry in (bound, np.nextafter(bound, np.inf)):
+        for symmetric in (True, False):
+            d = m.copy()
+            d[i, j] = entry
+            if symmetric:
+                d[j, i] = entry
+            _assert_validation_matches_enumeration(d)
+            assert bool(len(triangle_violations(d, tau))) == (entry > bound)
 
 
 def test_pseudo_ok_admits_zero_off_diagonal():

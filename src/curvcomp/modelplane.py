@@ -2,6 +2,10 @@
 
 Comparison-triangle placement, model distances, and the circumradius of three
 model points (the right-hand side of the comparison inequality).
+
+One circumradius kernel serves every kappa, the plane being its kappa = 0 row;
+it needs no rule for thin triangles, and raises ValueError naming kappa where
+float64 cannot hold its steps.
 """
 from __future__ import annotations
 
@@ -14,9 +18,16 @@ from .circumradius import CircumResult
 from .metricspace import SideLengths, metric_tolerance
 
 _OBTUSE_REL = 1e-12  # b^2 + c^2 - a^2 below this (times a^2) routes to the half-side branch
-_THIN_REL = 1e-14  # Heron area below this (times a^2) counts as degenerate
-# (sn, cs, arc) of the model plane by the sign of kappa, at unit curvature radius
-_TRIG = {1.0: (np.sin, np.cos, np.arctan), -1.0: (np.sinh, np.cosh, np.arctanh)}
+# (sn, cs) of the model plane by the sign of kappa, at unit curvature radius
+_TRIG = {1.0: (np.sin, np.cos), -1.0: (np.sinh, np.cosh)}
+# the circumradius kernel's rows by the sign of kappa: sn of half its argument, and
+# arc. The plane's row is sn = arc = identity with the halvings left out: its formula
+# is homogeneous, so that doubles tan R, and its arc halves it back; both are exact.
+_KERNEL = {
+    1.0: (lambda v: np.sin(0.5 * v), np.arctan),
+    -1.0: (lambda v: np.sinh(0.5 * v), np.arctanh),
+    0.0: (lambda v: v, lambda v: 0.5 * v),
+}
 
 
 class ChartMismatchError(ValueError):
@@ -130,7 +141,7 @@ def comparison_triangle(sides, kappa) -> ComparisonTriangle:
         return ComparisonTriangle(k, verts)
 
     sign = math.copysign(1.0, k)
-    sn, cs, _ = _TRIG[sign]
+    sn, cs = _TRIG[sign]
     radius = 1.0 / math.sqrt(abs(k))
     alpha, beta, gamma_side = a / radius, b / radius, c / radius
     denom = sn(alpha) * sn(beta)
@@ -150,103 +161,82 @@ def comparison_triangle(sides, kappa) -> ComparisonTriangle:
 
 
 # ---------------------------------------------------------------------------
-# Batched circumradius kernels over arrays of side triples (a >= b >= c).
+# One circumradius kernel, for every kappa, over arrays of side triples (a >= b >= c).
 
 
-def euclidean_circumradius_batch(a, b, c):
-    """Minimum enclosing ball radius of a planar triangle with sides a >= b >= c.
+def _model_circumradius_batch(a, b, c, k: float):
+    """Model circumradii, and the mask of the half-side branch, for any kappa.
 
-    Obtuse, right, and near-degenerate triangles take half the longest side;
-    acute triangles take abc / (4 * Area) with a numerically stable Heron area.
+    Works on sides scaled by sqrt|kappa| with (sn, arc) = (sin, arctan) on the
+    sphere, (sinh, arctanh) on the hyperboloid, and identity with scale 1 in the
+    plane, the kappa = 0 row of _KERNEL. The longest side's midpoint covers the
+    triangle iff sn(b/2)^2 + sn(c/2)^2 <= sn(a/2)^2, the curved b^2 + c^2 <= a^2.
+    Otherwise the circumcircle is the enclosing ball:
+    tan R (tanh R, R) = 2 sn(a/2) sn(b/2) sn(c/2) / sqrt(sn s sn(s-a) sn(s-b) sn(s-c)),
+    in the plane bitwise abc / (4 Area) with Heron's area.
+    No thin-triangle rule: off the half-side branch, b^2 + c^2 > (1 + 1e-12) a^2
+    gives c > 1e-6 a, b > a / sqrt 2 and an angle of 60 to 90 degrees between
+    them, so the area is at least 3e-7 a^2.
+
+    Float64 range: a step that overflows, divides by zero or is invalid raises
+    ValueError naming kappa, never a radius of inf, nan or 0. On the
+    hyperboloid, once tanh R rounds to 1 (sqrt|kappa| R near 19), or the four
+    sinh's product overflows (scaled perimeter past about 710; 1420 if
+    collinear); in the plane, once Heron's product overflows (sides past about
+    1e77) or, off the half-side branch, underflows to 0 (below about 1e-81).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    a2 = a * a
-    heron = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
-    area = 0.25 * np.sqrt(np.maximum(heron, 0.0))
-    half_side = (b * b + c * c - a2) <= _OBTUSE_REL * a2
-    thin = area < _THIN_REL * a2
-    use_half = half_side | thin
-    denom = np.where(use_half, 1.0, 4.0 * area)
-    return np.where(use_half, 0.5 * a, a * b * c / denom)
-
-
-def _curved_circumradius_batch(a, b, c, k: float):
-    """Model circumradii for kappa != 0, and the mask of the half-side branch.
-
-    Works on sides scaled by sqrt|kappa| with (sn, cs) = (sin, cos) on the
-    sphere and (sinh, cosh) on the hyperboloid. The longest side's midpoint
-    covers the triangle iff cs(b) + cs(c) >= 1 + cs(a) (sphere; <= on the
-    hyperboloid), i.e. sn(b/2)^2 + sn(c/2)^2 <= sn(a/2)^2, the curved form of
-    b^2 + c^2 <= a^2. Otherwise the circumcircle is the enclosing ball:
-    tan R (tanh R) = 2 sn(a/2) sn(b/2) sn(c/2) / sqrt(sn s sn(s-a) sn(s-b) sn(s-c)).
-    """
-    sn, _, arc = _TRIG[math.copysign(1.0, k)]
-    scale = math.sqrt(abs(k))
-    x, y, z = a * scale, b * scale, c * scale
-    ha, hb, hc = sn(0.5 * x), sn(0.5 * y), sn(0.5 * z)
-    ha2 = ha * ha
-    s = 0.5 * (x + (y + z))
-    sa = 0.5 * np.maximum(z - (x - y), 0.0)
-    sb = 0.5 * np.maximum(z + (x - y), 0.0)
-    sc = 0.5 * np.maximum(x + (y - z), 0.0)
-    root = np.sqrt(sn(s) * sn(sa) * sn(sb) * sn(sc))
-    half_side = (hb * hb + hc * hc - ha2) <= _OBTUSE_REL * ha2
-    thin = root < _THIN_REL * ha2
-    use_half = half_side | thin
-    ratio = np.where(use_half, 0.0, 2.0 * ha * hb * hc) / np.where(use_half, 1.0, root)
-    return np.where(use_half, 0.5 * a, arc(ratio) / scale), use_half
+    sn_half, arc = _KERNEL[float(np.sign(k))]
+    scale = math.sqrt(abs(k)) or 1.0
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            # scaled sides, where a scale of 1 changes nothing (kappa = 0 or +-1)
+            x, y, z = (a, b, c) if scale == 1.0 else (a * scale, b * scale, c * scale)
+            # twice s, s - a, s - b and s - c; with a >= b >= c only s - a can fall below 0
+            xy = x - y
+            root = sn_half(x + (y + z)) * sn_half(np.maximum(z - xy, 0.0))
+            root = np.sqrt(root * sn_half(z + xy) * sn_half(x + (y - z)))
+            ha, hb, hc = sn_half(x), sn_half(y), sn_half(z)
+            ha2 = ha * ha
+            half = (hb * hb + hc * hc - ha2) <= _OBTUSE_REL * ha2
+            ratio = np.where(half, 0.0, 2.0 * ha * hb * hc) / np.where(half, 1.0, root)
+            return np.where(half, 0.5 * a, arc(ratio) / scale), half
+    except FloatingPointError as exc:
+        raise ValueError(f"model circumradius at kappa={k} leaves the float64 range: {exc}") from None
 
 
 def model_circumradius_batch(a, b, c, kappa):
     """Model circumradii for arrays of side triples (a >= b >= c elementwise)."""
     k = kappa_value(kappa)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if k == 0:
-        return euclidean_circumradius_batch(a, b, c)
-    return _curved_circumradius_batch(a, b, c, k)[0]
+    return _model_circumradius_batch(*(np.asarray(v, dtype=float) for v in (a, b, c)), k)[0]
 
 
 def euclidean_circumradius(sides) -> CircumResult:
-    """Closed-form circumradius of a planar comparison triangle.
-
-    The center witness is given in the canonical placement of
-    comparison_triangle(sides, 0).
-    """
-    if not isinstance(sides, SideLengths):
-        sides = SideLengths(*sides)
-    a, b, c = sides.as_tuple()
-    r = float(euclidean_circumradius_batch(np.array([a]), np.array([b]), np.array([c]))[0])
-    if r == 0.5 * a:
-        center = (0.5 * a, 0.0)  # midpoint of the longest placed side
-    else:
-        x2 = (a * a + b * b - c * c) / (2.0 * a)
-        y2 = math.sqrt(max(b * b - x2 * x2, 0.0))
-        cy = (x2 * x2 + y2 * y2 - a * x2) / (2.0 * y2)
-        center = (0.5 * a, cy)
-    return CircumResult(radius=r, center=center, attained=True, evaluations=1)
+    """model_circumradius(sides, 0), whose center witness is a point (x, y) in
+    the canonical placement of comparison_triangle(sides, 0)."""
+    return model_circumradius(sides, 0.0)
 
 
 def model_circumradius(sides, kappa) -> CircumResult:
     """Minimum enclosing model-ball radius of the three comparison vertices.
 
-    The radius is model_circumradius_batch's; the center witness is given in
-    the canonical placement of comparison_triangle(sides, kappa): the midpoint
-    of the longest side on the half-side branch, else the circumcenter, the
-    chart point orthogonal (Minkowski-orthogonal on the hyperboloid) to the
-    plane through the three vertices.
+    The radius and the half-side branch are the kernel's; the center witness is
+    given in the canonical placement of comparison_triangle(sides, kappa): the
+    midpoint of the longest side on the half-side branch, else the
+    circumcenter, which in the plane is (x, y) and otherwise the chart point
+    orthogonal (Minkowski-orthogonal on the hyperboloid) to the plane through
+    the three vertices.
     """
     if not isinstance(sides, SideLengths):
         sides = SideLengths(*sides)
     k = kappa_value(kappa)
     _check_model_size(sides, k)
-    if k == 0:
-        return euclidean_circumradius(sides)
-    r, half = _curved_circumradius_batch(*(np.array([s]) for s in sides.as_tuple()), k)
+    r, half = _model_circumradius_batch(*(np.array([s]) for s in sides.as_tuple()), k)
     tri = comparison_triangle(sides, k)
+    if k == 0:
+        a = sides.a
+        x2, y2 = tri.vertices[2].coords
+        cy = 0.0 if half[0] else (x2 * x2 + y2 * y2 - a * x2) / (2.0 * y2)
+        return CircumResult(radius=float(r[0]), center=(0.5 * a, cy), attained=True, evaluations=1)
     v0, v1, v2 = (np.array(v.coords) for v in tri.vertices)
     if half[0]:
         u = v0 + v1

@@ -2,6 +2,7 @@
 import importlib
 import itertools
 import math
+import re
 import threading
 import tracemalloc
 
@@ -128,6 +129,35 @@ def test_certify_path_fails_then_holds_with_slack():
     assert bad.witness.triple.as_tuple() == (0, 1, 3)
     good = certify(PATH4, CurvatureQuery(kappa=0.0, direction="upper", epsilon=0.5))
     assert good.holds and good.witness is None
+
+
+def _equilateral(side):
+    return validate_metric(side * (1.0 - np.eye(3)))
+
+
+# spaces and curvatures where the model kernel leaves float64: it once returned a
+# radius of inf (tanh R rounds to 1), 0 (the root overflows) or nan (sinh overflows)
+KERNEL_OVERFLOWS = {
+    "random40-kappa-400": (lambda: validate_metric(random_metric_matrix(np.random.default_rng(0), 40)), -400.0),
+    "random40-kappa-1e6": (lambda: validate_metric(random_metric_matrix(np.random.default_rng(0), 40)), -1e6),
+    "side100": (lambda: _equilateral(100.0), -1.0),
+    "side400": (lambda: _equilateral(400.0), -1.0),
+    "side800": (lambda: _equilateral(800.0), -1.0),
+}
+
+
+@pytest.mark.parametrize("direction", ("upper", "lower"))
+@pytest.mark.parametrize("case", sorted(KERNEL_OVERFLOWS))
+def test_model_kernel_overflow_raises_instead_of_a_verdict(case, direction):
+    build, kappa = KERNEL_OVERFLOWS[case]
+    with pytest.raises(ValueError, match=re.escape(f"kappa={kappa}")):
+        certify(build(), CurvatureQuery(kappa=kappa, direction=direction))
+
+
+def test_large_hyperbolic_triangle_inside_float64_keeps_its_verdict():
+    upper = certify(_equilateral(10.0), CurvatureQuery(kappa=-1.0, direction="upper"))
+    assert not upper.holds and upper.epsilon_needed == 4.8561703134370875
+    assert certify(_equilateral(10.0), CurvatureQuery(kappa=-1.0, direction="lower")).holds
 
 
 def test_certify_collinear_points_with_midpoint_hold():

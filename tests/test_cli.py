@@ -250,6 +250,30 @@ def test_non_finite_query_exits_three(argv, path4_file, capsys, monkeypatch):
         assert scans == []
 
 
+@pytest.mark.parametrize("command", ("certify", "defect"))
+@pytest.mark.parametrize(
+    "matrix, kappa",
+    [
+        (random_metric_matrix(np.random.default_rng(0), 40), "-400"),
+        (random_metric_matrix(np.random.default_rng(0), 40), "-1e6"),
+        (100.0 * (1.0 - np.eye(3)), "-1"),
+        (400.0 * (1.0 - np.eye(3)), "-1"),
+        (800.0 * (1.0 - np.eye(3)), "-1"),
+    ],
+    ids=["random40-kappa-400", "random40-kappa-1e6", "side100", "side400", "side800"],
+)
+def test_model_kernel_overflow_exits_three(command, matrix, kappa, tmp_path, capsys):
+    f = tmp_path / "space.csv"
+    f.write_text(format_distance_matrix(matrix))
+    out = tmp_path / "report.json"
+    # caught during the scan: an error, never a verdict
+    assert main([command, str(f), f"--kappa={kappa}", "--json", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"kappa={float(kappa)}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_internal_error_exits_four(monkeypatch, capsys):
     def broken(p):
         raise RuntimeError("certificate gap too large")

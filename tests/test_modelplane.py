@@ -19,7 +19,6 @@ from curvcomp.modelplane import (
     ChartMismatchError,
     TooLargeForModelError,
     chart_for,
-    euclidean_circumradius_batch,
     model_circumradius_batch,
 )
 from oracles import law_of_sines_circumradius, minmax_grid_model
@@ -149,9 +148,39 @@ def test_euclidean_batch_matches_law_of_sines():
     sides = np.sort(
         np.array([random_sides(rng, 4.0).as_tuple() for _ in range(2000)]), axis=1
     )[:, ::-1]
-    got = euclidean_circumradius_batch(sides[:, 0], sides[:, 1], sides[:, 2])
+    got = model_circumradius_batch(sides[:, 0], sides[:, 1], sides[:, 2], 0.0)
     want = [law_of_sines_circumradius(*row) for row in sides]
     assert np.allclose(got, want, atol=1e-12)
+
+
+def heron_circumradius_batch(a, b, c):
+    """The plane's former kernel: Heron's area with a thin-triangle rule."""
+    a2 = a * a
+    heron = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
+    area = 0.25 * np.sqrt(np.maximum(heron, 0.0))
+    use_half = ((b * b + c * c - a2) <= 1e-12 * a2) | (area < 1e-14 * a2)
+    return np.where(use_half, 0.5 * a, a * b * c / np.where(use_half, 1.0, 4.0 * area))
+
+
+def test_flat_row_is_bitwise_the_heron_formula():
+    rng = np.random.default_rng(43)
+    n = 20_000
+    scalene = np.array([random_sides(rng, 4.0).as_tuple() for _ in range(n)])
+    ties = rng.integers(0, 7, size=(n, 3)).astype(float)
+    b, c = rng.uniform(0.0, 5.0, n), rng.uniform(0.0, 5.0, n)
+    ulps = rng.integers(-4, 5, n) * 2.0**-52
+    right = np.stack([np.hypot(b, c) * (1.0 + ulps), b, c], axis=1)
+    pythagorean = np.array([[5.0, 4.0, 3.0], [13.0, 12.0, 5.0], [25.0, 24.0, 7.0], [2.0, math.sqrt(2), math.sqrt(2)]])
+    collinear = np.stack([b + c, b, c], axis=1)
+    below = collinear.copy()
+    below[:, 0] = np.nextafter(below[:, 0], 0.0)
+    apex = rng.uniform(0.1, 5.0, n)
+    base = apex * 10.0 ** rng.uniform(-16.0, 0.0, n)
+    isosceles = np.stack([apex, apex, base], axis=1)
+    zero = np.zeros((4, 3))
+    sides = -np.sort(-np.concatenate([scalene, ties, right, pythagorean, collinear, below, isosceles, zero]), axis=1)
+    a, b, c = sides.T
+    assert np.array_equal(model_circumradius_batch(a, b, c, 0.0), heron_circumradius_batch(a, b, c))
 
 
 @pytest.mark.parametrize("kappa", (-2.0, -1.0, 0.5, 1.0))
@@ -231,3 +260,12 @@ def test_model_radius_at_least_half_longest_side():
             sides = random_sides(rng, 0.8)
             r = model_circumradius(sides, kappa).radius
             assert r >= sides.a / 2.0 - 1e-12
+
+
+@pytest.mark.parametrize("side", (100.0, 400.0, 800.0))
+def test_kernel_overflow_raises_on_both_paths(side):
+    # the unchecked kernel returned R = inf, 0 and nan for these sides
+    with pytest.raises(ValueError, match="kappa=-1.0"):
+        model_circumradius_batch(np.array([side]), np.array([side]), np.array([side]), -1.0)
+    with pytest.raises(ValueError, match="kappa=-1.0"):
+        model_circumradius(SideLengths(side, side, side), -1.0)

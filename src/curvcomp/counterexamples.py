@@ -6,10 +6,12 @@ lengths has circumradius strictly above 1.
 
 The l_p min-max is convex and the triangle is mirror-symmetric, so a
 circumcenter lies on its symmetry axis. There the radius is the larger of
-one increasing and one decreasing distance. Brent's method finds their
-crossing to a few ulps, and the radius' error bound comes from the gap
-between the two distances there, the evaluation rounding and the apex
-coordinate.
+one increasing and one decreasing distance. Bisection brackets their
+crossing between two adjacent floats, as it does the apex coordinate for
+1 < p < 2, and the radius' error bound comes from the gap between the two
+distances at the better end, the evaluation rounding and the apex
+coordinate. `check_counterexample` is plain float arithmetic, its sides
+the expression that scipy's cdist evaluates, so it loads no scipy module.
 """
 from __future__ import annotations
 
@@ -58,12 +60,31 @@ def counterexample_triangle(p: float) -> tuple[tuple[float, float], ...]:
     if p >= 2.0:
         y = (2.0 ** (p / 2.0) - 1.0) ** (1.0 / p)
         return ((0.0, y), (-1.0, 0.0), (1.0, 0.0))
-    from scipy.optimize import brentq
-
     r = 2.0 ** (-1.0 / p)
     target = 2.0 ** (p / 2.0)
-    root = brentq(lambda rp: (rp + r) ** p + (rp - r) ** p - target, r, 10.0, xtol=1e-15)
-    return ((root, root), (-r, r), (r, -r))
+    _, s, _ = _bisect(lambda s: (s + r) ** p + (s - r) ** p - target, r, 10.0)
+    return ((s, s), (-r, r), (r, -r))
+
+
+def _bisect(f, lo: float, hi: float) -> tuple[float, float, int]:
+    """Halve [lo, hi] until lo and hi are adjacent floats, keeping
+    f(lo) < 0 <= f(hi), which the caller guarantees at the start.
+
+    Returns (lo, hi, evaluations of f). The midpoint of two floats with one
+    strictly between them rounds strictly between them, so each step
+    shrinks the bracket and the loop stops: after about 52 + log2(hi / root)
+    steps from lo = 0 or an lo near the root, and at most about 1080 on
+    [0, 10], where the root may be subnormal.
+    """
+    steps = 0
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        steps += 1
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, steps
 
 
 # Rounding allowance, in units of the radius' last place, for evaluating the
@@ -78,8 +99,10 @@ def _axis_circumradius(p: float, verts) -> tuple[CircumResult, float]:
     p >= 2: centers (0, t), at distance g(t) from B and C and h(t) = y - t
     from A'. 1 < p < 2: centers (u, u), at distance g(u) from B and C and
     h(u) = 2^(1/p) (s - u) from A'. g increases and h decreases from 0, so
-    the exact radius lies between min(g, h) and max(g, h) at every center,
-    and the returned one is their crossing to a few ulps. p = inf is exact.
+    the exact radius lies between min(g, h) and max(g, h) at every center.
+    The returned center is the end with the smaller max(g, h) of the pair of
+    adjacent floats that brackets their crossing, and `evaluations` counts
+    the evaluations of g - h. p = inf is exact.
     """
     if math.isinf(p):
         return linf_circumcenter(verts), 0.0
@@ -104,26 +127,30 @@ def _axis_circumradius(p: float, verts) -> tuple[CircumResult, float]:
         def h(u):
             return w * (s - u)
 
-        # s solves (s + r)^p + (s - r)^p = 2^(p/2) only to the root finder's
-        # tolerance. That equation's slope in s is at least p, and h moves by
+        # s solves (s + r)^p + (s - r)^p = 2^(p/2) only to the nearest
+        # float. That equation's slope in s is at least p, and h moves by
         # w per unit of s, so its residual bounds the shift of the radius.
         residual = (s + r) ** p + (s - r) ** p - 2.0 ** (p / 2.0)
         apex_shift = w * (abs(residual) + _ULPS * sys.float_info.epsilon) / p
-    evaluations = 1
-    if g(0.0) - h(0.0) >= 0.0:
-        center = 0.0  # h(0) <= g(0): the radius is g(0), at the axis' end
-    else:
-        from scipy.optimize import brentq
-
-        center, info = brentq(
-            lambda t: g(t) - h(t), 0.0, end, xtol=sys.float_info.min, rtol=4 * sys.float_info.epsilon, full_output=True
-        )
-        evaluations += info.function_calls
+    center, evaluations = 0.0, 1  # h(0) <= g(0): the radius is g(0), at the axis' end
+    if g(0.0) - h(0.0) < 0.0:
+        lo, hi, steps = _bisect(lambda t: g(t) - h(t), 0.0, end)
+        center = min((lo, hi), key=lambda t: max(g(t), h(t)))
+        evaluations += steps
     gc, hc = g(center), h(center)
     radius = max(gc, hc)
     error = abs(gc - hc) + _ULPS * sys.float_info.epsilon * radius + apex_shift
     point = (0.0, center) if p >= 2.0 else (center, center)
     return CircumResult(radius=radius, center=point, attained=True, evaluations=evaluations), error
+
+
+def _lp_side(u, v, p: float) -> float:
+    """l_p distance of two plane points, as the expression scipy's cdist
+    evaluates for "minkowski" (and "chebyshev" at p = inf), so bitwise its value."""
+    dx, dy = abs(u[0] - v[0]), abs(u[1] - v[1])
+    if math.isinf(p):
+        return max(dx, dy)
+    return (dx**p + dy**p) ** (1.0 / p)
 
 
 def check_counterexample(p: float) -> CounterexampleResult:
@@ -133,8 +160,7 @@ def check_counterexample(p: float) -> CounterexampleResult:
     triangle with sides sqrt(2), sqrt(2), 2, whose comparison radius is 1.
     """
     verts = counterexample_triangle(p)
-    d = lp_distances(np.asarray(verts, dtype=float), p)
-    sides = SideLengths(d[0, 1], d[0, 2], d[1, 2])
+    sides = SideLengths(*(_lp_side(verts[i], verts[j], p) for i, j in ((0, 1), (0, 2), (1, 2))))
     comparison = euclidean_circumradius(sides).radius
     result, error = _axis_circumradius(p, verts)
     return CounterexampleResult(

@@ -135,14 +135,15 @@ _COLD_START = textwrap.dedent(
         main(["validate", valid]),
         main(["validate", invalid]),
         main(["sample", "sphere:kappa=1,n=12,seed=3", "--out", out]),
+        # p = 4 bisects for the axis crossing, p = 1.5 also for the apex
+        main(["counterexample", "--p", "4"]),
+        main(["counterexample", "--p", "1.5"]),
     ]
-    assert codes == [1, 0, 0, 2, 0], codes
+    assert codes == [1, 0, 0, 2, 0, 0, 0], codes
     assert not scipy_modules(), sorted(scipy_modules())
     assert main(["hyperbolicity", edges, "--allowance", "1.0"]) == 0
     assert "scipy.sparse.csgraph" in sys.modules
     assert "scipy.optimize" not in sys.modules, sorted(scipy_modules())
-    assert main(["counterexample", "--p", "4"]) == 0
-    assert "scipy.optimize" in sys.modules
 
     import curvcomp.circumradius
     import scipy.optimize

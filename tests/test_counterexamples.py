@@ -1,6 +1,7 @@
 """The l_p triangles that separate the upper comparison condition from CAT(0)."""
 import math
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ from curvcomp import (
     counterexample_triangle,
     lp_circumradius,
 )
+from curvcomp import counterexamples
 from curvcomp.circumradius import InvalidPError
 from curvcomp.generators import lp_distances
 
@@ -180,3 +182,82 @@ def test_general_solver_agrees_with_the_axis_radius(p):
     result = check_counterexample(p)
     general = lp_circumradius(np.asarray(result.vertices), p)
     assert general.radius == pytest.approx(result.space_result.radius, abs=1e-8)
+
+
+# p - 1 log-spaced on [1e-3, 1), p log-spaced on (2, 24], the two norms
+# without a violation, and large exponents up to the 2^p overflow at 1024
+GRID = (
+    [1.0 + float(x) for x in np.logspace(-3.0, 0.0, 60, endpoint=False)]
+    + [float(x) for x in np.logspace(math.log10(2.0), math.log10(24.0), 91)[1:]]
+    + [2.0, 50.0, 1000.0, 1023.9, math.inf]
+)
+
+
+def test_sides_are_bitwise_cdist_and_comparison_radius_is_one():
+    from scipy.spatial.distance import cdist
+
+    for p in GRID:
+        result = check_counterexample(p)
+        pts = np.asarray(result.vertices)
+        d = cdist(pts, pts, "chebyshev") if math.isinf(p) else cdist(pts, pts, "minkowski", p=p)
+        oracle = sorted((d[0, 1], d[0, 2], d[1, 2]), reverse=True)
+        assert list(result.sides.as_tuple()) == oracle, p
+        # the sides round, so the flat radius of (a, b, b) with a^2 = 2 b^2 can
+        # miss 1 by an ulp; margin_error carries that miss
+        assert abs(result.comparison_radius - 1.0) <= sys.float_info.epsilon, p
+        assert result.margin_error >= abs(result.comparison_radius - 1.0), p
+
+
+def _axis_functions(p, verts):
+    """(g - h, max(g, h)) on the symmetry axis, as the solver evaluates them."""
+    q = 1.0 / p
+    if p >= 2.0:
+        y = verts[0][1]
+        return lambda t: (1.0 + t**p) ** q - (y - t), lambda t: max((1.0 + t**p) ** q, y - t)
+    s, r, w = verts[0][0], verts[2][0], 2.0**q
+
+    def g(u):
+        return ((u + r) ** p + abs(u - r) ** p) ** q
+
+    return lambda u: g(u) - w * (s - u), lambda u: max(g(u), w * (s - u))
+
+
+def test_apex_is_the_upper_end_of_an_adjacent_float_bracket():
+    for p in (p for p in GRID if 1.0 < p < 2.0):
+        s = counterexample_triangle(p)[0][0]
+        r = 2.0 ** (-1.0 / p)
+
+        def f(x):
+            return (x + r) ** p + (x - r) ** p - 2.0 ** (p / 2.0)
+
+        assert f(math.nextafter(s, 0.0)) < 0.0 <= f(s), p
+
+
+def test_axis_center_ends_an_adjacent_float_bracket_and_counts_its_evaluations(monkeypatch):
+    bisect, calls = counterexamples._bisect, []
+
+    def counting(f, lo, hi):
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        return bisect(counted, lo, hi)
+
+    monkeypatch.setattr(counterexamples, "_bisect", counting)
+    ends = []
+    for p in (p for p in GRID if not math.isinf(p)):
+        verts = counterexample_triangle(p)
+        calls.clear()
+        result, _ = counterexamples._axis_circumradius(p, verts)
+        gap, radius = _axis_functions(p, verts)
+        c = result.center[1] if p >= 2.0 else result.center[0]
+        assert result.evaluations == 1 + len(calls) < 1100, p
+        assert result.radius == radius(c), p
+        if not calls:  # h(0) <= g(0): the radius is attained at the axis' end
+            assert c == 0.0 and gap(0.0) >= 0.0, p
+            ends.append(p)
+            continue
+        lo, hi = (c, math.nextafter(c, math.inf)) if gap(c) < 0.0 else (math.nextafter(c, 0.0), c)
+        assert gap(lo) < 0.0 <= gap(hi), p
+        assert radius(c) <= radius(hi if c == lo else lo), p
+    assert ends == [2.0]  # g(0) = h(0) = 1 in the Euclidean plane; every other p bisects

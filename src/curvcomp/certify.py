@@ -25,11 +25,9 @@ the triples whose min-max was evaluated.
 
 The scan runs on the calling thread, so `threads` here is only checked.
 `certify` upper/lower takes 0.10/0.07 s at n=150, kappa=0;
-1.47-1.5/0.83-0.9 s at n=300, kappa=-1; and 3.1/1.4 s at n=400, kappa=0, where
-the full min-max took 0.30-0.34, 3.2-4.1 and 9.3-9.6 s (2-core x86 VM,
-random metric). `defect_profile` gathers about 80% of a random metric's
-triples and takes 8.2 s at n=400 (9.2 s before). A two-thread pool over rows
-lost at n=150, 300 and 400 on the row kernel.
+1.47-1.5/0.83-0.9 s at n=300, kappa=-1; and 3.1/1.4 s at n=400, kappa=0
+(2-core x86 VM, random metric). `defect_profile` gathers about 80% of a
+random metric's triples and takes 8.2 s at n=400.
 """
 from __future__ import annotations
 
@@ -41,10 +39,11 @@ import numpy as np
 
 from .circumradius import CandidatePolicy, candidate_rows, discrete_circumradius
 from .metricspace import FiniteMetricSpace, SideLengths, Triple
-from .modelplane import kappa_value, model_circumradius, model_circumradius_batch, model_perimeter_bound
+from .modelplane import kappa_value, model_circumradius_batch, model_perimeter_bound
 
 TAU_DEFECT = 1e-12  # absolute verdict tolerance on defects
 _BLOCK = 1 << 14  # candidate x triple entries per min-max block of the scan
+_BINS = 40  # histogram bins of defect_profile
 
 
 def check_threads(threads: int | None) -> None:
@@ -160,13 +159,15 @@ def triangle_defect(
     max_perimeter: float | None = None,
 ) -> TriangleDefect | None:
     """Signed defect r_space - r_model for one triple; None if the triple is
-    excluded by the kappa > 0 large-triangle rule."""
+    excluded by the kappa > 0 large-triangle rule. r_model is the scan's
+    kernel on the three sides, with no comparison triangle placed."""
     k = kappa_value(kappa)
     sides = SideLengths.of_triple(space, t)
     if sides.perimeter >= _perimeter_cap(k, max_perimeter):
         return None
     r_space = discrete_circumradius(space, t, policy).radius
-    return TriangleDefect(t, sides, r_space, model_circumradius(sides, k).radius)
+    r_model = float(model_circumradius_batch(*([s] for s in sides.as_tuple()), k)[0])
+    return TriangleDefect(t, sides, r_space, r_model)
 
 
 def _pair_table(cols):
@@ -324,16 +325,16 @@ def certify(space: FiniteMetricSpace, query: CurvatureQuery, threads: int | None
 
 
 class _BinCounter:
-    """Defect counts in `bins` bins of width 2**e, anchored at 0.
+    """Defect counts in _BINS bins of width 2**e, anchored at 0.
 
     e is the smallest exponent, and at least the diameter's binary exponent
-    minus 40, at which [min defect, max defect] fits in `bins` bins. Bin
+    minus 40, at which [min defect, max defect] fits in _BINS bins. Bin
     m = floor(defect / 2**e) is a Counter key and m >> 1 merges bins exactly
     when e grows, so the result does not depend on the scan order.
     """
 
-    def __init__(self, bins: int, diameter: float):
-        self.bins, self.e = bins, math.frexp(diameter)[1] - 40
+    def __init__(self, diameter: float):
+        self.e = math.frexp(diameter)[1] - 40
         self.lo, self.hi, self.counts = math.inf, -math.inf, Counter()
 
     def _bin(self, x: float) -> int:
@@ -341,7 +342,7 @@ class _BinCounter:
 
     def add(self, defect: np.ndarray) -> None:
         self.lo, self.hi = min(self.lo, float(defect.min())), max(self.hi, float(defect.max()))
-        while self._bin(self.hi) - self._bin(self.lo) >= self.bins:
+        while self._bin(self.hi) - self._bin(self.lo) >= _BINS:
             self.e += 1
             merged = Counter()
             for m, count in self.counts.items():
@@ -353,10 +354,10 @@ class _BinCounter:
 
     def histogram(self) -> Histogram:
         if self.lo > self.hi:
-            return Histogram(tuple(np.linspace(-0.5, 0.5, self.bins + 1)), (0,) * self.bins)
+            return Histogram(tuple(np.linspace(-0.5, 0.5, _BINS + 1)), (0,) * _BINS)
         first = self._bin(self.lo)
-        edges = tuple(math.ldexp(first + t, self.e) for t in range(self.bins + 1))
-        return Histogram(edges, tuple(self.counts[first + t] for t in range(self.bins)))
+        edges = tuple(math.ldexp(first + t, self.e) for t in range(_BINS + 1))
+        return Histogram(edges, tuple(self.counts[first + t] for t in range(_BINS)))
 
 
 def defect_profile(
@@ -366,7 +367,6 @@ def defect_profile(
     degenerate_pairs: bool = False,
     candidates: CandidatePolicy = CandidatePolicy(),
     max_perimeter: float | None = None,
-    bins: int = 40,
 ) -> DefectReport:
     """Full defect scan with the scale curve epsilon*(beta) and a histogram.
 
@@ -376,10 +376,8 @@ def defect_profile(
     betas = np.asarray(beta_grid, dtype=float).reshape(-1)
     if not np.all((betas >= 0) & (betas < math.inf)):
         raise ValueError("beta grid values must be finite and nonnegative")
-    if bins < 1:
-        raise ValueError("bins must be a positive integer")
     curve = np.zeros(betas.size)
-    counter = _BinCounter(bins, space.diameter)
+    counter = _BinCounter(space.diameter)
     upper, lower, skipped = _Worst("upper"), _Worst("lower"), 0
     for i, row_skipped, _, row in _scan_rows(space, kappa, candidates, 0.0, degenerate_pairs, max_perimeter):
         skipped += row_skipped

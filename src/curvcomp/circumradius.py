@@ -53,29 +53,25 @@ class CircumResult:
 class CandidatePolicy:
     """Which points may serve as circumcenter candidates.
 
-    `all`: every point of the space. `subset`: the listed indices only.
-    `augmented`: every point plus extra coordinate points (requires the space
-    to carry an l_p embedding).
+    By default every point of the space. `subset` (see `of_subset`): the
+    listed indices only. `extra_points` (see `augmented`): every point plus
+    extra coordinate points, which requires the space to carry an l_p
+    embedding.
     """
 
-    mode: str = "all"
-    subset: tuple[int, ...] = ()
-    extra_points: tuple[tuple[float, ...], ...] = ()
-
-    @classmethod
-    def all_points(cls) -> "CandidatePolicy":
-        return cls()
+    subset: tuple[int, ...] | None = None
+    extra_points: tuple[tuple[float, ...], ...] | None = None
 
     @classmethod
     def of_subset(cls, indices) -> "CandidatePolicy":
         indices = tuple(int(i) for i in indices)
         if not indices:
             raise EmptyCandidateSetError("subset policy requires a nonempty index list")
-        return cls(mode="subset", subset=indices)
+        return cls(subset=indices)
 
     @classmethod
     def augmented(cls, points) -> "CandidatePolicy":
-        return cls(mode="augmented", extra_points=tuple(tuple(float(x) for x in p) for p in points))
+        return cls(extra_points=tuple(tuple(float(x) for x in p) for p in points))
 
 
 def candidate_rows(space: FiniteMetricSpace, policy: CandidatePolicy) -> np.ndarray:
@@ -85,21 +81,19 @@ def candidate_rows(space: FiniteMetricSpace, policy: CandidatePolicy) -> np.ndar
     in the order given; ties in later min-max scans therefore resolve to the
     lowest candidate index.
     """
-    if policy.mode == "all":
-        return space.dist
-    if policy.mode == "subset":
+    if policy.subset is not None:
         bad = [i for i in policy.subset if not 0 <= i < space.n]
         if bad:
             raise IndexError(f"candidate indices out of range: {bad}")
         return space.dist[np.asarray(policy.subset, dtype=int)]
-    if policy.mode == "augmented":
-        if space.embedding is None:
-            raise ValueError("augmented candidate policy requires an embedded space")
-        if not policy.extra_points:
-            return space.dist
-        extra = space.embedding.distances_to_points(np.asarray(policy.extra_points, dtype=float))
-        return np.vstack([space.dist, extra])
-    raise ValueError(f"unknown candidate policy mode {policy.mode!r}")
+    if policy.extra_points is None:
+        return space.dist
+    if space.embedding is None:
+        raise ValueError("augmented candidate policy requires an embedded space")
+    if not policy.extra_points:
+        return space.dist
+    extra = space.embedding.distances_to_points(np.asarray(policy.extra_points, dtype=float))
+    return np.vstack([space.dist, extra])
 
 
 def discrete_circumradius(
@@ -121,10 +115,8 @@ def discrete_circumradius(
         raise EmptyCandidateSetError("no candidates available")
     per_candidate = np.maximum(np.maximum(rows[:, t.i], rows[:, t.j]), rows[:, t.k])
     best = int(np.argmin(per_candidate))
-    if policy.mode == "subset":
-        center = int(policy.subset[best])  # report the space index, not the row position
-    else:
-        center = best
+    # report the space index, not the row position
+    center = best if policy.subset is None else int(policy.subset[best])
     return CircumResult(
         radius=float(per_candidate[best]),
         center=center,
@@ -184,7 +176,7 @@ def lp_circumradius(points, p: float, tol: float = 1e-8) -> CircumResult:
     carries a verified suboptimality bound below `tol` (duality-style
     certificate, see _certified_lower_bound).
     """
-    if math.isinf(p):
+    if p == math.inf:
         return linf_circumcenter(points)
     if not p > 1.0:
         raise InvalidPError(f"p must exceed 1 (or be inf), got {p}")

@@ -128,10 +128,6 @@ def _write_json(path: str | None, report: dict, started: float) -> None:
             fh.write(dumps_report(report))
 
 
-def _load(args):
-    return load_space(args.path, fmt=args.format)
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -167,7 +163,7 @@ def _dispatch(args, threads: int, started: float) -> int:
         return EXIT_OK
 
     if args.command == "certify":
-        space = _load(args)
+        space = load_space(args.path, fmt=args.format)
         query = CurvatureQuery(
             kappa=args.kappa,
             direction=args.direction,
@@ -189,7 +185,7 @@ def _dispatch(args, threads: int, started: float) -> int:
         return EXIT_FAILS
 
     if args.command == "defect":
-        space = _load(args)
+        space = load_space(args.path, fmt=args.format)
         grid = [float(x) for x in args.beta_grid.split(",") if x.strip()] if args.beta_grid else []
         profile = defect_profile(
             space,
@@ -223,10 +219,10 @@ def _dispatch(args, threads: int, started: float) -> int:
         return EXIT_OK
 
     if args.command == "hyperbolicity":
-        space = _load(args)
+        space = load_space(args.path, fmt=args.format)
         check_allowance(args.allowance)
         result = delta_four_point(space, threads=threads)
-        bound = relaxed_npc_bound_check(space, args.allowance, threads=threads, delta=result)
+        bound = relaxed_npc_bound_check(space, args.allowance, delta=result)
         report = base_report(space, {"allowance": args.allowance})
         report["delta"] = result.delta
         report["epsilon_star_upper"] = bound.epsilon_star_upper

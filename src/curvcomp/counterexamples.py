@@ -25,7 +25,7 @@ from .circumradius import CircumResult, InvalidPError, linf_circumcenter
 from .circumradius import lp_circumradius  # noqa: F401  (re-exported name that bench/spans.py wraps)
 from .generators import lp_distances
 from .metricspace import Embedding, FiniteMetricSpace, SideLengths, validate_metric
-from .modelplane import euclidean_circumradius
+from .modelplane import model_circumradius_batch
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def counterexample_triangle(p: float) -> tuple[tuple[float, float], ...]:
     l_p unit sphere with r = 2^(-1/p), and A' = (r', r') solved so that the
     equal sides reach sqrt(2). InvalidPError for p <= 1 and for p >= 1024.
     """
-    if math.isinf(p):
+    if p == math.inf:
         return ((0.0, math.sqrt(2.0)), (-1.0, 0.0), (1.0, 0.0))
     if not p > 1.0:
         raise InvalidPError(f"p must exceed 1 (or be inf), got {p}")
@@ -158,10 +158,12 @@ def check_counterexample(p: float) -> CounterexampleResult:
 
     `margin_error` bounds the margin's distance from that of the exact
     triangle with sides sqrt(2), sqrt(2), 2, whose comparison radius is 1.
+    The comparison radius is the plane kernel's on the three sides; no
+    comparison triangle is placed.
     """
     verts = counterexample_triangle(p)
     sides = SideLengths(*(_lp_side(verts[i], verts[j], p) for i, j in ((0, 1), (0, 2), (1, 2))))
-    comparison = euclidean_circumradius(sides).radius
+    comparison = float(model_circumradius_batch(*([s] for s in sides.as_tuple()), 0.0)[0])
     result, error = _axis_circumradius(p, verts)
     return CounterexampleResult(
         p=p,

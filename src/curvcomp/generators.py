@@ -14,6 +14,7 @@ from .metricspace import (
     from_graph,
     validate_metric,
 )
+from .modelplane import _TRIG
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,7 @@ def sample_space(spec: GeneratorSpec) -> FiniteMetricSpace:
         pts = hyperboloid_points(spec.kappa, spec.n, rng, spec.chart_radius)
         return validate_metric(hyperboloid_distances(pts, spec.kappa), pseudo_ok=True)
     if kind == "lp_plane":
-        _require(spec.n >= 1 and (spec.p > 1 or math.isinf(spec.p)), "lp_plane needs n>=1 and p>1")
+        _require(spec.n >= 1 and spec.p > 1, "lp_plane needs n>=1 and p>1")
         pts = rng.uniform(0.0, spec.box, size=(spec.n, 2))
         return validate_metric(lp_distances(pts, spec.p), pseudo_ok=True, embedding=Embedding(pts, spec.p))
     if kind == "tree":
@@ -215,20 +216,17 @@ def distance_comparison_curve(
 
     if family == "euclidean":
         return np.ones_like(t)
-    if family == "sphere":
-        if kappa is None or kappa <= 0:
-            raise InvalidParameterError("sphere curve requires kappa > 0")
-        radius = 1.0 / math.sqrt(kappa)
-        if np.any(t >= math.pi / (2.0 * math.sqrt(kappa))):
-            raise InvalidParameterError("t outside the spherical chart")
-        a = t / radius
-        d = radius * np.arccos(np.clip(np.cos(a) ** 2 + np.sin(a) ** 2 * math.cos(theta), -1.0, 1.0))
-        return d / (t * chord)
-    if family == "hyperbolic":
-        if kappa is None or kappa >= 0:
-            raise InvalidParameterError("hyperbolic curve requires kappa < 0")
-        radius = 1.0 / math.sqrt(-kappa)
-        a = t / radius
-        d = radius * np.arccosh(np.clip(np.cosh(a) ** 2 - np.sinh(a) ** 2 * math.cos(theta), 1.0, None))
-        return d / (t * chord)
-    raise InvalidParameterError(f"unknown model family {family!r}")
+    if family not in ("sphere", "hyperbolic"):
+        raise InvalidParameterError(f"unknown model family {family!r}")
+    sign = 1.0 if family == "sphere" else -1.0
+    if kappa is None or sign * kappa <= 0:
+        raise InvalidParameterError(f"{family} curve requires kappa {'>' if sign > 0 else '<'} 0")
+    if sign > 0 and np.any(t >= math.pi / (2.0 * math.sqrt(kappa))):
+        raise InvalidParameterError("t outside the spherical chart")
+    sn, cs = _TRIG[sign]
+    radius = 1.0 / math.sqrt(abs(kappa))
+    a = t / radius
+    # cos (cosh) of the scaled distance, by the law of cosines of M_kappa at the apex
+    cos_d = cs(a) ** 2 + sign * sn(a) ** 2 * math.cos(theta)
+    arc = np.arccos(np.clip(cos_d, -1.0, 1.0)) if sign > 0 else np.arccosh(np.clip(cos_d, 1.0, None))
+    return radius * arc / (t * chord)

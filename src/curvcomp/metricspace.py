@@ -102,10 +102,6 @@ class FiniteMetricSpace:
     def diameter(self) -> float:
         return float(self.dist.max()) if self.n else 0.0
 
-    @property
-    def tau(self) -> float:
-        return metric_tolerance(self.diameter)
-
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
 
@@ -254,7 +250,7 @@ def validate_metric(
     return FiniteMetricSpace(d, lab, embedding)
 
 
-def from_graph(edges: Iterable[tuple], labels: Sequence[str] | None = None) -> FiniteMetricSpace:
+def from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
     """All-pairs shortest-path metric of a positive-weight undirected graph.
 
     Vertex ids may be arbitrary hashables; they are remapped to indices in
@@ -288,8 +284,7 @@ def from_graph(edges: Iterable[tuple], labels: Sequence[str] | None = None) -> F
         names = {v: k for k, v in index.items()}
         raise DisconnectedGraphError(names[i], names[j])
     d = np.minimum(d, d.T)  # enforce exact symmetry
-    lab = tuple(labels) if labels is not None else tuple(str(k) for k in index)
-    return validate_metric(d, labels=lab)
+    return validate_metric(d, labels=tuple(str(k) for k in index))
 
 
 # ---------------------------------------------------------------------------

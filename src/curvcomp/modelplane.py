@@ -89,10 +89,6 @@ class ComparisonTriangle:
     vertices: tuple[ModelPoint, ModelPoint, ModelPoint]
 
 
-def _minkowski(u, v) -> float:
-    return u[0] * v[0] + u[1] * v[1] - u[2] * v[2]
-
-
 def model_distance(p: ModelPoint, q: ModelPoint, kappa) -> float:
     """Geodesic distance between two model points in the chart matching kappa."""
     k = kappa_value(kappa)
@@ -101,13 +97,12 @@ def model_distance(p: ModelPoint, q: ModelPoint, kappa) -> float:
         raise ChartMismatchError(f"points in charts ({p.chart}, {q.chart}) do not match kappa={k}")
     if chart == "euclidean":
         return math.hypot(p.coords[0] - q.coords[0], p.coords[1] - q.coords[1])
-    if chart == "sphere":
-        radius = 1.0 / math.sqrt(k)
-        dot = sum(a * b for a, b in zip(p.coords, q.coords)) / radius**2
-        return radius * math.acos(max(-1.0, min(1.0, dot)))
-    radius = 1.0 / math.sqrt(-k)
-    dot = -_minkowski(p.coords, q.coords) / radius**2
-    return radius * math.acosh(max(1.0, dot))
+    # cs(d / R): the dot product on the sphere, minus the Minkowski product on the hyperboloid
+    sign = math.copysign(1.0, k)
+    radius = 1.0 / math.sqrt(abs(k))
+    u, v = p.coords, q.coords
+    cs = sign * ((u[0] * v[0] + u[1] * v[1]) + sign * (u[2] * v[2])) / radius**2
+    return radius * (math.acos(max(-1.0, min(1.0, cs))) if k > 0 else math.acosh(max(1.0, cs)))
 
 
 def _check_model_size(sides: SideLengths, k: float) -> None:

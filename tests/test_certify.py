@@ -24,6 +24,7 @@ from curvcomp import (
     from_graph,
     local_defect_map,
     midpoint_defect,
+    model_circumradius,
     sample_space,
     triangle_defect,
     validate_metric,
@@ -99,6 +100,26 @@ def test_triangle_defect_skips_large_spherical_triangle():
     m = random_metric_matrix(np.random.default_rng(1), 5, lo=2.0, hi=2.5)
     space = validate_metric(m)
     assert triangle_defect(space, Triple(0, 1, 2), kappa=1.0) is None  # perimeter >= 2*pi
+
+
+def test_triangle_defect_places_no_comparison_triangle(monkeypatch):
+    # r_model is the kernel on the three sides, bitwise model_circumradius's radius
+    space = validate_metric(random_metric_matrix(np.random.default_rng(3), 7, lo=0.5, hi=0.9))
+    triples = list(enumerate_triples(space, "with-degenerate-pairs"))
+    kappas = (0.0, 1.0, -1.0, 4.0, -0.3)
+    want = {
+        (kappa, t): model_circumradius(SideLengths.of_triple(space, t), kappa).radius
+        for kappa in kappas
+        for t in triples
+    }
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("placed a comparison triangle for a radius")
+
+    monkeypatch.setattr("curvcomp.modelplane.comparison_triangle", forbidden)
+    for kappa in kappas:
+        for t in triples:
+            assert triangle_defect(space, t, kappa=kappa).r_model == want[kappa, t], (kappa, t)
 
 
 def test_degenerate_pair_defect_is_midpoint_gap():

@@ -9,6 +9,7 @@ from scipy.spatial.distance import cdist
 
 from curvcomp import (
     CandidatePolicy,
+    Embedding,
     SideLengths,
     Triple,
     discrete_circumradius,
@@ -17,7 +18,7 @@ from curvcomp import (
     lp_circumradius,
     validate_metric,
 )
-from curvcomp.circumradius import EmptyCandidateSetError, InvalidPError
+from curvcomp.circumradius import EmptyCandidateSetError, InvalidPError, candidate_rows
 from oracles import brute_discrete_circumradius, minmax_grid_lp, random_metric_matrix
 
 STAR = validate_metric(
@@ -62,6 +63,29 @@ def test_triple_index_out_of_range():
 def test_augmented_policy_requires_embedding():
     with pytest.raises(ValueError):
         discrete_circumradius(STAR, Triple(1, 2, 3), CandidatePolicy.augmented([(0.0, 0.0)]))
+
+
+def test_candidate_policy_follows_the_field_that_is_set():
+    # the default: every point of the space
+    assert CandidatePolicy() == CandidatePolicy(subset=None, extra_points=None)
+    assert candidate_rows(STAR, CandidatePolicy()) is STAR.dist
+    # a subset: its rows in the order listed, the center reported as a space index
+    subset = CandidatePolicy.of_subset([3, 0])
+    assert np.array_equal(candidate_rows(STAR, subset), STAR.dist[[3, 0]])
+    assert discrete_circumradius(STAR, Triple(1, 2, 3), subset).center == 0
+    # augmented, even by no points, needs an embedding
+    with pytest.raises(ValueError, match="requires an embedded space"):
+        candidate_rows(STAR, CandidatePolicy.augmented([]))
+    # augmented points come after the space's own
+    pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
+    square = validate_metric(cdist(pts, pts), embedding=Embedding(pts, 2.0))
+    extra = CandidatePolicy.augmented([(1.0, 1.0), (5.0, 5.0)])
+    rows = candidate_rows(square, extra)
+    assert np.array_equal(rows[:4], square.dist)
+    assert np.array_equal(rows[4:], cdist(np.array(extra.extra_points), pts))
+    res = discrete_circumradius(square, Triple(0, 1, 3), extra)
+    assert res.center == 4 and res.radius == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    assert candidate_rows(square, CandidatePolicy.augmented([])) is square.dist
 
 
 def test_adding_candidates_never_increases_radius():
@@ -155,6 +179,8 @@ def test_lp_rejects_bad_inputs():
         lp_circumradius(pts, 1.0)
     with pytest.raises(InvalidPError):
         lp_circumradius(pts, 0.5)
+    with pytest.raises(InvalidPError):  # -inf is no norm exponent, unlike inf
+        lp_circumradius(pts, -math.inf)
     with pytest.raises(ValueError):
         lp_circumradius([(0.0, 0.0), (1.0, 0.0)], 2.0)
 

@@ -415,6 +415,16 @@ def test_counterexample_overflowing_p_exits_three(p, capsys):
     assert f"error: p={float(p)} is too large" in captured.err
 
 
+def test_negative_infinite_p_exits_three(tmp_path, capsys):
+    # -inf is no norm exponent: no sup-norm triangle, no Chebyshev matrix
+    out = tmp_path / "lp.csv"
+    assert main(["counterexample", "--p=-inf"]) == EXIT_USAGE
+    assert main(["sample", "lp_plane:p=-inf,n=4", "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.count("error: ") == 2
+
+
 def test_report_floats_serialized_at_full_precision():
     text = dumps_report({"x": 1.0 / 3.0, "y": [2.0 ** -52]})
     parsed = json.loads(text)

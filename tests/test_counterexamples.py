@@ -14,6 +14,7 @@ from curvcomp import (
     counterexample_space,
     counterexample_triangle,
     lp_circumradius,
+    model_circumradius,
 )
 from curvcomp import counterexamples
 from curvcomp.circumradius import InvalidPError
@@ -84,6 +85,11 @@ def test_invalid_p_rejected():
         counterexample_triangle(1.0)
     with pytest.raises(InvalidPError):
         check_counterexample(0.5)
+    # -inf is no norm exponent, unlike inf
+    with pytest.raises(InvalidPError):
+        check_counterexample(-math.inf)
+    with pytest.raises(InvalidPError):
+        counterexample_space(-math.inf)
     # p >= 1024 overflows the 2^p inside the l_p side length 2
     for p in (2000.0, 2100.0, 1e308):
         with pytest.raises(InvalidPError, match=re.escape(f"p={p} is too large")):
@@ -206,6 +212,18 @@ def test_sides_are_bitwise_cdist_and_comparison_radius_is_one():
         # miss 1 by an ulp; margin_error carries that miss
         assert abs(result.comparison_radius - 1.0) <= sys.float_info.epsilon, p
         assert result.margin_error >= abs(result.comparison_radius - 1.0), p
+
+
+def test_comparison_radius_places_no_comparison_triangle(monkeypatch):
+    # the radius is the plane kernel's on the three sides, bitwise model_circumradius's
+    want = {p: model_circumradius(check_counterexample(p).sides, 0.0).radius for p in GRID}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("placed a comparison triangle for a radius")
+
+    monkeypatch.setattr("curvcomp.modelplane.comparison_triangle", forbidden)
+    for p in GRID:
+        assert check_counterexample(p).comparison_radius == want[p], p
 
 
 def _axis_functions(p, verts):

@@ -109,8 +109,10 @@ def test_generator_parameter_checks():
         sample_space(GeneratorSpec(kind="sphere", kappa=-1.0, n=5))
     with pytest.raises(InvalidParameterError):
         sample_space(GeneratorSpec(kind="hyperbolic", kappa=1.0, n=5))
-    with pytest.raises(InvalidParameterError):
-        sample_space(GeneratorSpec(kind="lp_plane", p=1.0, n=5))
+    for p in (1.0, -math.inf, math.nan):  # p = inf is the sup norm, -inf no norm
+        with pytest.raises(InvalidParameterError, match="lp_plane needs n>=1 and p>1"):
+            sample_space(GeneratorSpec(kind="lp_plane", p=p, n=5))
+    assert sample_space(GeneratorSpec(kind="lp_plane", p=math.inf, n=5)).embedding.p == math.inf
     with pytest.raises(InvalidParameterError):
         sample_space(GeneratorSpec(kind="tree", n=1))
 
@@ -130,6 +132,36 @@ def test_comparison_curve_signs_and_small_t_limit():
     assert np.all(np.diff(sphere) < 0) and np.all(np.diff(hyper) > 0)
 
 
+def per_chart_comparison_curve(family, theta, t, kappa):
+    """The former per-family curve: arccos on the sphere, arccosh on the hyperboloid."""
+    chord = math.sqrt(2.0 - 2.0 * math.cos(theta))
+    if family == "sphere":
+        radius = 1.0 / math.sqrt(kappa)
+        a = t / radius
+        d = radius * np.arccos(np.clip(np.cos(a) ** 2 + np.sin(a) ** 2 * math.cos(theta), -1.0, 1.0))
+        return d / (t * chord)
+    radius = 1.0 / math.sqrt(-kappa)
+    a = t / radius
+    d = radius * np.arccosh(np.clip(np.cosh(a) ** 2 - np.sinh(a) ** 2 * math.cos(theta), 1.0, None))
+    return d / (t * chord)
+
+
+@pytest.mark.parametrize("kappa", (-4.0, -1.0, -0.3, 0.3, 1.0, 4.0))
+def test_one_curved_comparison_curve_is_bitwise_the_per_chart_formulas(kappa):
+    family = "sphere" if kappa > 0 else "hyperbolic"
+    # up to the spherical chart's edge pi / (2 sqrt kappa), and as far on the hyperboloid
+    edge = math.pi / (2.0 * math.sqrt(abs(kappa)))
+    grids = (
+        np.linspace(1e-6, math.nextafter(edge, 0.0), 2001),
+        edge * np.geomspace(1e-9, 1.0, 500, endpoint=False),
+        np.random.default_rng(53).uniform(0.0, edge, 2000) + 1e-12,
+    )
+    for theta in (1e-6, 0.3, 1.0, math.pi / 2, 2.5, math.pi - 1e-6):
+        for t in grids:
+            got = distance_comparison_curve(family, theta, t, kappa=kappa)
+            assert np.array_equal(got, per_chart_comparison_curve(family, theta, t, kappa)), (kappa, theta)
+
+
 def test_comparison_curve_domain_checks():
     with pytest.raises(InvalidParameterError):
         distance_comparison_curve("sphere", 1.0, [2.0], kappa=1.0)  # outside chart
@@ -139,3 +171,13 @@ def test_comparison_curve_domain_checks():
         distance_comparison_curve("hyperbolic", 1.0, [0.0], kappa=-1.0)
     with pytest.raises(InvalidParameterError):
         distance_comparison_curve("torus", 1.0, [0.5])
+    for family, kappa, message in (
+        ("sphere", None, "sphere curve requires kappa > 0"),
+        ("sphere", -1.0, "sphere curve requires kappa > 0"),
+        ("hyperbolic", None, "hyperbolic curve requires kappa < 0"),
+        ("hyperbolic", 0.0, "hyperbolic curve requires kappa < 0"),
+        ("sphere", 1.0, "t outside the spherical chart"),
+        ("torus", -1.0, "unknown model family 'torus'"),
+    ):
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            distance_comparison_curve(family, 1.0, [math.pi / 2], kappa=kappa)

@@ -60,6 +60,47 @@ def test_model_distance_symmetry_and_identity():
     assert model_distance(p, p, -1.0) == 0.0
 
 
+def per_chart_model_distance(p, q, k):
+    """The former per-chart distance: the sphere's dot product, the hyperboloid's Minkowski product."""
+    u, v = p.coords, q.coords
+    if k > 0:
+        radius = 1.0 / math.sqrt(k)
+        dot = sum(a * b for a, b in zip(u, v)) / radius**2
+        return radius * math.acos(max(-1.0, min(1.0, dot)))
+    radius = 1.0 / math.sqrt(-k)
+    dot = -(u[0] * v[0] + u[1] * v[1] - u[2] * v[2]) / radius**2
+    return radius * math.acosh(max(1.0, dot))
+
+
+def random_chart_points(rng, kappa, n):
+    """n points of the chart of kappa != 0: uniform on the sphere, or at exponential-chart
+    radius up to 3 on the hyperboloid."""
+    radius = 1.0 / math.sqrt(abs(kappa))
+    if kappa > 0:
+        x = rng.normal(size=(n, 3))
+        pts = radius * x / np.linalg.norm(x, axis=1, keepdims=True)
+    else:
+        rho, phi = rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 2.0 * math.pi, n)
+        pts = radius * np.stack([np.sinh(rho) * np.cos(phi), np.sinh(rho) * np.sin(phi), np.cosh(rho)], axis=1)
+    chart = chart_for(kappa)
+    return [ModelPoint(chart, tuple(float(c) for c in row)) for row in pts]
+
+
+def test_one_curved_model_distance_is_bitwise_the_per_chart_formulas():
+    rng = np.random.default_rng(47)
+    pairs = 0
+    for kappa in (-4.0, -1.0, -0.3, 0.3, 1.0, 4.0):
+        ps = random_chart_points(rng, kappa, 2000)
+        # each point with a random point, with itself, and on the sphere with its antipode
+        checked = list(zip(ps, random_chart_points(rng, kappa, 2000))) + [(p, p) for p in ps[:200]]
+        if kappa > 0:
+            checked += [(p, ModelPoint(p.chart, tuple(-c for c in p.coords))) for p in ps[:200]]
+        for p, q in checked:
+            assert model_distance(p, q, kappa) == per_chart_model_distance(p, q, kappa), (kappa, p, q)
+        pairs += len(checked)
+    assert pairs >= 10_000
+
+
 @pytest.mark.parametrize("kappa", KAPPAS)
 def test_comparison_triangle_side_roundtrip_bulk(kappa):
     """10^4 random side triples reproduce their sides through the placement."""

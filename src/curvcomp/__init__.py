@@ -1,5 +1,7 @@
 """Circumradius-comparison curvature bounds on finite metric spaces."""
 
+__version__ = "0.1.0"  # above the imports, so that report can import it
+
 from .certify import (
     CurvatureQuery,
     DefectReport,
@@ -45,12 +47,9 @@ from .metricspace import (
 )
 from .modelplane import (
     ComparisonTriangle,
-    Kappa,
     ModelPoint,
     comparison_triangle,
     euclidean_circumradius,
     model_circumradius,
     model_distance,
 )
-
-__version__ = "0.1.0"

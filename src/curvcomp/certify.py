@@ -121,18 +121,16 @@ class MidpointReport:
     argmax_pair: tuple[int, int] | None
 
 
-def enumerate_triples(space: FiniteMetricSpace, triple_policy: str = "distinct", beta: float = 0.0):
+def enumerate_triples(space: FiniteMetricSpace, degenerate_pairs: bool = False, beta: float = 0.0):
     """Canonical triples in lexicographic order, filtered by the beta rule.
 
-    `with-degenerate-pairs` additionally yields (i, i, j) for every pair; the
+    `degenerate_pairs` additionally yields (i, i, j) for every pair; the
     beta filter applies to distinct-index pairs only.
     """
-    if triple_policy not in ("distinct", "with-degenerate-pairs"):
-        raise ValueError(f"unknown triple policy {triple_policy!r}")
     d = space.dist
     n = space.n
     for i in range(n):
-        if triple_policy == "with-degenerate-pairs":
+        if degenerate_pairs:
             for j in range(i + 1, n):
                 if d[i, j] >= beta:
                     yield Triple(i, i, j)
@@ -142,13 +140,6 @@ def enumerate_triples(space: FiniteMetricSpace, triple_policy: str = "distinct",
             for k in range(j + 1, n):
                 if d[i, k] >= beta and d[j, k] >= beta:
                     yield Triple(i, j, k)
-
-
-def _perimeter_cap(kappa: float, max_perimeter: float | None) -> float:
-    if max_perimeter is not None and not 0 < max_perimeter < math.inf:
-        raise ValueError(f"max_perimeter must be positive and finite, got {max_perimeter}")
-    cap = model_perimeter_bound(kappa)
-    return cap if max_perimeter is None else min(cap, max_perimeter)
 
 
 def triangle_defect(
@@ -163,7 +154,7 @@ def triangle_defect(
     kernel on the three sides, with no comparison triangle placed."""
     k = kappa_value(kappa)
     sides = SideLengths.of_triple(space, t)
-    if sides.perimeter >= _perimeter_cap(k, max_perimeter):
+    if sides.perimeter >= model_perimeter_bound(k, max_perimeter):
         return None
     r_space = discrete_circumradius(space, t, policy).radius
     r_model = float(model_circumradius_batch(*([s] for s in sides.as_tuple()), k)[0])
@@ -257,7 +248,7 @@ def _scan_rows(space, kappa, policy, beta, degenerate, max_perimeter, worst=None
     pair table built, when the first row is asked for.
     """
     k = kappa_value(kappa)
-    cap = _perimeter_cap(k, max_perimeter)
+    cap = model_perimeter_bound(k, max_perimeter)
     cols = np.ascontiguousarray(candidate_rows(space, policy).T)
     table = _pair_table(cols)
     for i in range(space.n):

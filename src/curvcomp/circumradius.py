@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metricspace import FiniteMetricSpace, Triple
+from .metricspace import FiniteMetricSpace, InvalidPError, Triple, check_p  # noqa: F401  (InvalidPError: re-exported name)
 
 
 def __getattr__(name: str):
@@ -31,10 +31,6 @@ class EmptyCandidateSetError(ValueError):
     pass
 
 
-class InvalidPError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class CircumResult:
     """Result of a min-max circumradius computation.
@@ -45,7 +41,6 @@ class CircumResult:
 
     radius: float
     center: int | tuple[float, ...] | None
-    attained: bool
     evaluations: int
 
 
@@ -120,7 +115,6 @@ def discrete_circumradius(
     return CircumResult(
         radius=float(per_candidate[best]),
         center=center,
-        attained=True,
         evaluations=rows.shape[0],
     )
 
@@ -136,7 +130,7 @@ def linf_circumcenter(points) -> CircumResult:
     hi = pts.max(axis=0)
     center = (lo + hi) / 2.0
     radius = float((hi - lo).max()) / 2.0
-    return CircumResult(radius=radius, center=tuple(center), attained=True, evaluations=1)
+    return CircumResult(radius=radius, center=tuple(center), evaluations=1)
 
 
 def _lp_norm(u: np.ndarray, p: float) -> float:
@@ -176,10 +170,9 @@ def lp_circumradius(points, p: float, tol: float = 1e-8) -> CircumResult:
     carries a verified suboptimality bound below `tol` (duality-style
     certificate, see _certified_lower_bound).
     """
+    check_p(p)
     if p == math.inf:
         return linf_circumcenter(points)
-    if not p > 1.0:
-        raise InvalidPError(f"p must exceed 1 (or be inf), got {p}")
     pts = np.asarray(points, dtype=float)
     if pts.shape[0] != 3 or pts.ndim != 2:
         raise ValueError("expected exactly three coordinate points")
@@ -227,4 +220,4 @@ def lp_circumradius(points, p: float, tol: float = 1e-8) -> CircumResult:
         raise RuntimeError(
             f"l_p min-max certificate gap {radius - lower:.3e} exceeds tolerance {tol:.1e}"
         )
-    return CircumResult(radius=radius, center=tuple(center), attained=True, evaluations=evaluations)
+    return CircumResult(radius=radius, center=tuple(center), evaluations=evaluations)

@@ -13,18 +13,11 @@ import sys
 import time
 import traceback
 
-from .certify import CurvatureQuery, certify, defect_profile
+from .certify import CurvatureQuery, certify, check_threads, defect_profile
 from .counterexamples import check_counterexample
 from .generators import parse_generator_spec, sample_space
 from .hyperbolicity import check_allowance, delta_four_point, relaxed_npc_bound_check
-from .metricspace import (
-    DisconnectedGraphError,
-    InvalidParameterError,
-    MetricValidationError,
-    format_distance_matrix,
-    load_space,
-    violation_template,
-)
+from .metricspace import MetricValidationError, format_distance_matrix, load_space, violation_template
 from .report import base_report, dumps_report, verdict_fields, witness_entry
 
 EXIT_OK = 0
@@ -41,18 +34,12 @@ _CHUNK_LINES = 4096
 def resolve_threads(threads: int | None) -> int:
     """`--threads`, or CURV_THREADS (1 when unset) when it is None; the variable's one reader."""
     if threads is not None:
+        check_threads(threads)
         return threads
     env = os.environ.get("CURV_THREADS") or "1"
     if not env.strip().isdecimal() or int(env) < 1:
         raise ValueError(f"CURV_THREADS must be a positive integer, got {env!r}")
     return int(env)
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
 
 
 @functools.cache  # parse_args leaves the parser as it was, so one per process serves every call
@@ -61,11 +48,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="curvcomp",
         description="Circumradius-comparison curvature conditions on finite metric spaces.",
     )
-    parser.add_argument("--threads", type=_positive_int, default=None, help="worker threads of the four-point delta (default: CURV_THREADS or 1); the triple scan uses one")
+    parser.add_argument("--threads", type=int, default=None, help="worker threads of the four-point delta (default: CURV_THREADS or 1); the triple scan uses one")
     # accepted before or after the subcommand; SUPPRESS keeps a missing
     # trailing flag from clobbering a leading one
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=_positive_int, default=argparse.SUPPRESS)
+    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
 
     def add_input(p):
@@ -146,7 +133,7 @@ def main(argv=None) -> int:
                 block = idx[start : start + _CHUNK_LINES]
                 sys.stderr.write(line * len(block) % tuple(block.ravel().tolist()))
         return EXIT_INVALID_METRIC
-    except (OSError, ValueError, DisconnectedGraphError, InvalidParameterError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circumradius import CircumResult, InvalidPError, linf_circumcenter
+from .circumradius import CircumResult, linf_circumcenter
 from .circumradius import lp_circumradius  # noqa: F401  (re-exported name that bench/spans.py wraps)
 from .generators import lp_distances
-from .metricspace import Embedding, FiniteMetricSpace, SideLengths, validate_metric
+from .metricspace import Embedding, FiniteMetricSpace, InvalidPError, SideLengths, check_p, validate_metric
 from .modelplane import model_circumradius_batch
 
 
@@ -51,10 +51,9 @@ def counterexample_triangle(p: float) -> tuple[tuple[float, float], ...]:
     l_p unit sphere with r = 2^(-1/p), and A' = (r', r') solved so that the
     equal sides reach sqrt(2). InvalidPError for p <= 1 and for p >= 1024.
     """
+    check_p(p)
     if p == math.inf:
         return ((0.0, math.sqrt(2.0)), (-1.0, 0.0), (1.0, 0.0))
-    if not p > 1.0:
-        raise InvalidPError(f"p must exceed 1 (or be inf), got {p}")
     if p >= 1024.0:  # the side 2 = (2^p)^(1/p) needs 2^p, which overflows float64
         raise InvalidPError(f"p={p} is too large: 2^p overflows float64")
     if p >= 2.0:
@@ -141,7 +140,7 @@ def _axis_circumradius(p: float, verts) -> tuple[CircumResult, float]:
     radius = max(gc, hc)
     error = abs(gc - hc) + _ULPS * sys.float_info.epsilon * radius + apex_shift
     point = (0.0, center) if p >= 2.0 else (center, center)
-    return CircumResult(radius=radius, center=point, attained=True, evaluations=evaluations), error
+    return CircumResult(radius=radius, center=point, evaluations=evaluations), error
 
 
 def _lp_side(u, v, p: float) -> float:

@@ -66,6 +66,16 @@ class InvalidParameterError(ValueError):
     pass
 
 
+class InvalidPError(ValueError):
+    pass
+
+
+def check_p(p: float) -> None:
+    """InvalidPError unless p is an l_p norm exponent: p > 1, or p = inf."""
+    if p != math.inf and not p > 1.0:
+        raise InvalidPError(f"p must exceed 1 (or be inf), got {p}")
+
+
 @dataclass(frozen=True)
 class Embedding:
     """Ambient l_p coordinates for a space whose metric is an l_p norm metric.
@@ -76,6 +86,9 @@ class Embedding:
 
     coords: np.ndarray  # (n, d)
     p: float  # norm exponent, 1 < p <= inf
+
+    def __post_init__(self):
+        check_p(self.p)
 
     def distances_to_points(self, extra: np.ndarray) -> np.ndarray:
         """Distances from each row of `extra` to each embedded point, shape (m, n)."""

@@ -38,32 +38,28 @@ class TooLargeForModelError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Kappa:
-    """Curvature parameter with its model-plane diameter rule."""
-
-    value: float
-
-    @property
-    def diameter(self) -> float:
-        return math.pi / math.sqrt(self.value) if self.value > 0 else math.inf
-
-
 def kappa_value(kappa) -> float:
     """The float value of a curvature; raises ValueError unless it is finite."""
-    k = kappa.value if isinstance(kappa, Kappa) else float(kappa)
+    k = float(kappa)
     if not math.isfinite(k):
         raise ValueError(f"kappa must be finite, got {k}")
     return k
 
 
-def model_perimeter_bound(k: float) -> float:
+def model_perimeter_bound(k: float, max_perimeter: float | None = None) -> float:
     """Perimeter below which a triangle has a comparison triangle in M_k: the
-    great-circle length 2*pi/sqrt(k) less its metric tolerance; inf for k <= 0."""
+    great-circle length 2*pi/sqrt(k) less its metric tolerance; inf for k <= 0.
+
+    Given `max_perimeter`, which must be positive and finite, the lesser of the two.
+    """
+    if max_perimeter is not None and not 0 < max_perimeter < math.inf:
+        raise ValueError(f"max_perimeter must be positive and finite, got {max_perimeter}")
     if k <= 0:
-        return math.inf
-    bound = 2.0 * math.pi / math.sqrt(k)
-    return bound - metric_tolerance(bound)
+        bound = math.inf
+    else:
+        bound = 2.0 * math.pi / math.sqrt(k)
+        bound -= metric_tolerance(bound)
+    return bound if max_perimeter is None else min(bound, max_perimeter)
 
 
 def chart_for(kappa) -> str:
@@ -231,7 +227,7 @@ def model_circumradius(sides, kappa) -> CircumResult:
         a = sides.a
         x2, y2 = tri.vertices[2].coords
         cy = 0.0 if half[0] else (x2 * x2 + y2 * y2 - a * x2) / (2.0 * y2)
-        return CircumResult(radius=float(r[0]), center=(0.5 * a, cy), attained=True, evaluations=1)
+        return CircumResult(radius=float(r[0]), center=(0.5 * a, cy), evaluations=1)
     v0, v1, v2 = (np.array(v.coords) for v in tri.vertices)
     if half[0]:
         u = v0 + v1
@@ -242,4 +238,4 @@ def model_circumradius(sides, kappa) -> CircumResult:
     # scale onto the chart, on the sheet (hemisphere) with a positive last coordinate
     norm = math.sqrt(abs(u[0] * u[0] + u[1] * u[1] + math.copysign(1.0, k) * u[2] * u[2]))
     center = ModelPoint(chart_for(k), tuple(math.copysign(1.0 / (math.sqrt(abs(k)) * norm), u[2]) * u))
-    return CircumResult(radius=float(r[0]), center=center, attained=True, evaluations=1)
+    return CircumResult(radius=float(r[0]), center=center, evaluations=1)

@@ -9,10 +9,9 @@ from __future__ import annotations
 import json
 import math
 
+from . import __version__
 from .certify import TriangleDefect, Verdict
 from .metricspace import FiniteMetricSpace
-
-VERSION = "0.1.0"
 
 REPORT_FIELDS = (
     "version",
@@ -82,7 +81,7 @@ def witness_entry(space: FiniteMetricSpace, td: TriangleDefect) -> dict:
 
 def base_report(space: FiniteMetricSpace | None, query: dict | None = None) -> dict:
     report = {name: None for name in REPORT_FIELDS}
-    report["version"] = VERSION
+    report["version"] = __version__
     report["witnesses"] = []
     if space is not None:
         report["input_digest"] = space.digest()

@@ -46,11 +46,9 @@ def test_enumerate_triples_count_and_order():
 
 
 def test_enumerate_triples_degenerate_policy():
-    triples = [t.as_tuple() for t in enumerate_triples(PATH4, "with-degenerate-pairs")]
+    triples = [t.as_tuple() for t in enumerate_triples(PATH4, degenerate_pairs=True)]
     assert (0, 0, 1) in triples and (2, 3, 3) not in triples  # canonical order (i, i, j)
     assert len(triples) == 4 + 6
-    with pytest.raises(ValueError):
-        list(enumerate_triples(PATH4, "everything"))
 
 
 def test_enumerate_triples_beta_filters_short_sides():
@@ -105,7 +103,7 @@ def test_triangle_defect_skips_large_spherical_triangle():
 def test_triangle_defect_places_no_comparison_triangle(monkeypatch):
     # r_model is the kernel on the three sides, bitwise model_circumradius's radius
     space = validate_metric(random_metric_matrix(np.random.default_rng(3), 7, lo=0.5, hi=0.9))
-    triples = list(enumerate_triples(space, "with-degenerate-pairs"))
+    triples = list(enumerate_triples(space, degenerate_pairs=True))
     kappas = (0.0, 1.0, -1.0, 4.0, -0.3)
     want = {
         (kappa, t): model_circumradius(SideLengths.of_triple(space, t), kappa).radius
@@ -416,7 +414,7 @@ def test_defect_profile_histogram_bins_are_powers_of_two():
         hist = profile.histogram
         defects = [
             td.defect
-            for t in enumerate_triples(space, "with-degenerate-pairs" if degenerate else "distinct")
+            for t in enumerate_triples(space, degenerate_pairs=degenerate)
             if (td := triangle_defect(space, t, kappa=kappa)) is not None
         ]
         assert sum(hist.counts) == len(defects) == math.comb(n, 3) + degenerate * math.comb(n, 2) - profile.skipped

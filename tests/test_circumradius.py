@@ -35,7 +35,7 @@ STAR = validate_metric(
 
 def test_star_center_covers_leaves():
     res = discrete_circumradius(STAR, Triple(1, 2, 3))
-    assert res.radius == 1.0 and res.center == 0 and res.attained
+    assert res.radius == 1.0 and res.center == 0
 
 
 def test_tie_breaks_to_lowest_index():

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import curvcomp
 from curvcomp.certify import certify
 from curvcomp.cli import (
     _CHUNK_LINES,
@@ -176,15 +177,26 @@ def test_missing_file_exits_three(capsys):
     assert main(["validate", "/nonexistent/nowhere.csv"]) == EXIT_USAGE
 
 
-def test_bad_usage_exits_three(path4_file, capsys):
+def test_bad_usage_exits_three(path4_file, tmp_path, capsys):
     assert main(["certify"]) == EXIT_USAGE  # missing path
     assert main(["frobnicate", "x"]) == EXIT_USAGE
     capsys.readouterr()
-    for threads in ("0", "-3"):
-        assert main(["certify", path4_file, "--threads", threads]) == EXIT_USAGE
-        assert "error:" in capsys.readouterr().err
-        assert main(["--threads", threads, "certify", path4_file]) == EXIT_USAGE
-        assert "error:" in capsys.readouterr().err
+    out = tmp_path / "sampled.csv"
+    commands = (
+        ["validate", path4_file],
+        ["certify", path4_file],
+        ["defect", path4_file],
+        ["hyperbolicity", path4_file],
+        ["sample", "sphere:n=4", "--out", str(out)],
+        ["counterexample", "--p", "4"],
+    )
+    for command in commands:
+        for threads in ("0", "-3", "abc"):
+            for argv in (command + ["--threads", threads], ["--threads", threads] + command):
+                assert main(argv) == EXIT_USAGE, argv
+                captured = capsys.readouterr()
+                assert captured.out == "" and "error:" in captured.err, argv
+    assert not out.exists()
     # argparse names the float type, not a helper of this module
     assert main(["certify", path4_file, "--kappa", "abc"]) == EXIT_USAGE
     assert "invalid float value: 'abc'" in capsys.readouterr().err
@@ -311,7 +323,7 @@ def test_certify_json_report_fields(path4_file, tmp_path):
     main(["certify", path4_file, "--json", str(out)])
     report = json.loads(out.read_text())
     assert set(report) == set(REPORT_FIELDS)
-    assert report["version"] == "0.1.0"
+    assert report["version"] == "0.1.0" == curvcomp.__version__
     assert report["verdict"]["holds"] is False
     assert report["witnesses"][0]["triple"] == [0, 1, 3]
     assert report["query"]["direction"] == "upper"

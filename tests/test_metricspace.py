@@ -1,5 +1,6 @@
 """Validation, graph ingestion, triples, side lengths, and file formats."""
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,12 +14,16 @@ from curvcomp import (
     MetricValidationError,
     SideLengths,
     Triple,
+    counterexample_triangle,
     from_graph,
     load_space,
+    lp_circumradius,
     validate_metric,
 )
+from curvcomp import circumradius
 from curvcomp.metricspace import (
     DisconnectedGraphError,
+    InvalidPError,
     NonpositiveWeightError,
     Violation,
     format_distance_matrix,
@@ -294,6 +299,16 @@ def test_embedding_distances_match_direct_norms():
     assert np.allclose(got, want, atol=1e-15)
     emb_inf = Embedding(coords, math.inf)
     assert emb_inf.distances_to_points(extra)[0][2] == 2.0
+
+
+@pytest.mark.parametrize("p", (-math.inf, -1.0, 0.0, 0.5, 1.0, math.nan))
+def test_every_lp_entry_point_rejects_the_same_p(p):
+    # an Embedding once took any p: at -inf, distances_to_points measured l_inf
+    assert circumradius.InvalidPError is InvalidPError  # re-exported where tests import it
+    pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    for call in (lambda: Embedding(np.array(pts), p), lambda: lp_circumradius(pts, p), lambda: counterexample_triangle(p)):
+        with pytest.raises(InvalidPError, match=f"^{re.escape(f'p must exceed 1 (or be inf), got {p}')}$"):
+            call()
 
 
 def test_matrix_format_roundtrip_is_exact():

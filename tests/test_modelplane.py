@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvcomp import (
-    Kappa,
     ModelPoint,
     SideLengths,
     comparison_triangle,
@@ -15,11 +14,13 @@ from curvcomp import (
     model_circumradius,
     model_distance,
 )
+from curvcomp.metricspace import metric_tolerance
 from curvcomp.modelplane import (
     ChartMismatchError,
     TooLargeForModelError,
     chart_for,
     model_circumradius_batch,
+    model_perimeter_bound,
 )
 from oracles import law_of_sines_circumradius, minmax_grid_model
 
@@ -32,11 +33,17 @@ def random_sides(rng, scale):
     return SideLengths(d[0, 1], d[0, 2], d[1, 2])
 
 
-def test_kappa_diameter_rule():
-    assert Kappa(1.0).diameter == math.pi
-    assert Kappa(4.0).diameter == math.pi / 2
-    assert Kappa(0.0).diameter == math.inf
-    assert Kappa(-1.0).diameter == math.inf
+def test_model_perimeter_bound_takes_the_lesser_cap():
+    sphere = 2.0 * math.pi - metric_tolerance(2.0 * math.pi)
+    assert model_perimeter_bound(1.0) == sphere
+    assert model_perimeter_bound(0.0) == model_perimeter_bound(-1.0) == math.inf
+    assert model_perimeter_bound(1.0, 3.0) == 3.0
+    assert model_perimeter_bound(1.0, 7.0) == sphere
+    assert model_perimeter_bound(0.0, 7.0) == model_perimeter_bound(-1.0, 7.0) == 7.0
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        for k in (1.0, 0.0, -1.0):
+            with pytest.raises(ValueError, match=f"max_perimeter must be positive and finite, got {bad}"):
+                model_perimeter_bound(k, bad)
 
 
 def test_chart_selection():

@@ -20,6 +20,7 @@ from curvcomp import (
     Triple,
     certify,
     defect_profile,
+    delta_four_point,
     enumerate_triples,
     from_graph,
     local_defect_map,
@@ -318,35 +319,133 @@ def test_certify_thread_count_does_not_change_output():
             certify(space, CurvatureQuery(kappa=0.0, direction="upper"), threads=bad)
 
 
+def test_thread_count_must_be_an_integer():
+    for bad in (1.5, "2"):
+        with pytest.raises(ValueError, match="thread count must be a positive integer"):
+            certify(PATH4, CurvatureQuery(), threads=bad)
+        with pytest.raises(ValueError, match="thread count must be a positive integer"):
+            delta_four_point(PATH4, threads=bad)
+    assert certify(PATH4, CurvatureQuery(), threads=np.int64(2)) == certify(PATH4, CurvatureQuery())
+    assert delta_four_point(PATH4, threads=np.int64(2)) == delta_four_point(PATH4)
+
+
+def _row_triples(n, i, degenerate):
+    return math.comb(n - 1 - i, 2) + (n - 1 - i if degenerate else 0)
+
+
 def test_certify_scans_every_row_on_the_calling_thread(monkeypatch):
     space = validate_metric(random_metric_matrix(np.random.default_rng(5), 12))
-    scan_row = certify_module._scan_row
-    rows = []
+    n = space.n
+    scan_block = certify_module._scan_block
+    blocks = []
 
     def recorded(*args):
-        rows.append((args[-1], threading.get_ident()))
-        return scan_row(*args)
+        blocks.append((list(args[-1]), threading.get_ident()))
+        return scan_block(*args)
 
-    monkeypatch.setattr(certify_module, "_scan_row", recorded)
-    certify(space, CurvatureQuery(kappa=-1.0, direction="upper"), threads=4)
-    assert rows == [(i, threading.get_ident()) for i in range(space.n)]
+    monkeypatch.setattr(certify_module, "_scan_block", recorded)
+    for degenerate in (False, True):
+        blocks.clear()
+        certify(space, CurvatureQuery(kappa=-1.0, direction="upper", degenerate_pairs=degenerate), threads=4)
+        # consecutive whole rows, covering 0 .. n - 1 once and in order, on the calling thread
+        assert all(rows for rows, _ in blocks)
+        assert [i for rows, _ in blocks for i in rows] == list(range(n))
+        assert {thread for _, thread in blocks} == {threading.get_ident()}
+        # no block holds more triples than row 0, and some hold several rows
+        row0 = _row_triples(n, 0, degenerate)
+        assert all(sum(_row_triples(n, i, degenerate) for i in rows) <= row0 for rows, _ in blocks)
+        assert len(blocks) < n
 
 
-def test_scan_calls_the_model_kernel_once_per_row(monkeypatch):
+def test_scan_calls_the_model_kernel_once_per_block(monkeypatch):
     space = validate_metric(random_metric_matrix(np.random.default_rng(5), 12))
     batch = certify_module.model_circumradius_batch
-    sizes = []
+    scan_block = certify_module._scan_block
+    sizes, blocks = [], []
 
     def recorded(a, b, c, kappa):
         sizes.append(len(a))
         return batch(a, b, c, kappa)
 
+    def counted(*args):
+        blocks.append(args[-1])
+        return scan_block(*args)
+
     monkeypatch.setattr(certify_module, "model_circumradius_batch", recorded)
+    monkeypatch.setattr(certify_module, "_scan_block", counted)
     for kappa in (0.0, -1.0):
         sizes.clear()
+        blocks.clear()
         certify(space, CurvatureQuery(kappa=kappa, degenerate_pairs=True))
-        assert len(sizes) <= space.n
+        assert len(sizes) == len(blocks) < space.n
         assert sum(sizes) == math.comb(space.n, 3) + math.comb(space.n, 2)
+
+
+def _quarter_metric(rng, n):
+    """Distances in {0.5, 0.75, 1}: a metric, exact in binary, with many equal sides and tied defects."""
+    m = np.triu(rng.integers(2, 5, size=(n, n)) / 4.0, 1)
+    return validate_metric(m + m.T)
+
+
+def _oracle_arrays(space, defects):
+    """Triples (T, 3), defects, r_space, r_model and shortest distinct-pair side of TriangleDefects."""
+    tri = np.array([td.triple.as_tuple() for td in defects], dtype=np.intp).reshape(-1, 3)
+    values = np.array([(td.defect, td.r_space, td.r_model) for td in defects]).reshape(-1, 3).T
+    d = space.dist
+    i, j, k = tri.T
+    min_side = np.where(i == j, d[i, k], np.minimum(np.minimum(d[i, j], d[i, k]), d[j, k]))
+    return tri, *values, min_side
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 3, 5, 12, 40))
+def test_block_scan_matches_the_per_triple_oracle(n):
+    # n = 12 and 40 put several rows in one block; the perimeter cap at kappa = 1
+    # (sides are at most 1, so the model's own bound skips nothing) skips about a third
+    space = _quarter_metric(np.random.default_rng(n), n)
+    every = list(enumerate_triples(space, degenerate_pairs=True))
+    grid = [0.0, 0.75, 1.0]
+    for kappa, max_perimeter in ((0.0, None), (1.0, None), (-1.0, None), (1.0, 2.5)):
+        oracle = {t: triangle_defect(space, t, kappa=kappa, max_perimeter=max_perimeter) for t in every}
+        for degenerate, beta in itertools.product((False, True), (0.0, 0.75)):
+            triples = list(enumerate_triples(space, degenerate_pairs=degenerate, beta=beta))
+            kept = [oracle[t] for t in triples if oracle[t] is not None]
+            skipped = len(triples) - len(kept)
+            tri, defect, r_space, r_model, min_side = _oracle_arrays(space, kept)
+            scan = list(certify_module._scan_rows(space, kappa, CandidatePolicy(), beta, degenerate, max_perimeter))
+            got = [[x for _, _, block in scan for x in block[c].tolist()] for c in range(6)]
+            assert got == [*tri.T.tolist(), defect.tolist(), r_space.tolist(), r_model.tolist()]
+            assert sum(block_skipped for block_skipped, _, _ in scan) == skipped
+            for direction, sign in (("upper", 1.0), ("lower", -1.0)):
+                eps = (sign * defect).max(initial=0.0)
+                first = kept[int(np.argmax(sign * defect == eps))] if eps > 0 else None
+                v = certify(space, CurvatureQuery(
+                    kappa=kappa, direction=direction, beta=beta, degenerate_pairs=degenerate,
+                    max_perimeter=max_perimeter,
+                ))
+                assert (v.epsilon_needed, v.skipped, v.holds) == (eps, skipped, eps <= TAU_DEFECT)
+                assert v.witness == (None if v.holds else first)
+            if beta:
+                continue
+            profile = defect_profile(
+                space, kappa=kappa, beta_grid=grid, degenerate_pairs=degenerate, max_perimeter=max_perimeter
+            )
+            for eps, worst, sign in (
+                (profile.epsilon_star_upper, profile.worst_upper, 1.0),
+                (profile.epsilon_star_lower, profile.worst_lower, -1.0),
+            ):
+                assert eps == (sign * defect).max(initial=0.0)
+                assert worst == (kept[int(np.argmax(sign * defect == eps))] if eps > 0 else None)
+            assert profile.skipped == skipped
+            edges, counts = profile.histogram.bin_edges, profile.histogram.counts
+            assert sum(counts) == len(kept)
+            assert list(counts) == [int(((lo <= defect) & (defect < hi)).sum()) for lo, hi in zip(edges, edges[1:])]
+            assert profile.beta_curve == tuple((b, defect[min_side >= b].max(initial=0.0)) for b in grid)
+        if max_perimeter is None:
+            tri, defect, *_ = _oracle_arrays(space, [oracle[t] for t in enumerate_triples(space)])
+            for radius in (0.5, 0.75, 1.0):
+                inside = (space.dist <= radius)[:, tri].all(axis=2)
+                want = np.where(inside, defect, 0.0).max(axis=1, initial=0.0)
+                assert local_defect_map(space, radius, kappa=kappa).tolist() == want.tolist()
 
 
 def test_certify_counts_skipped_large_triangles():

@@ -57,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_input(p):
         p.add_argument("path", help="distance matrix (.csv) or edge list (.tsv/.edges)")
-        p.add_argument("--format", choices=["matrix", "edges"], default=None)
 
     p = sub.add_parser("validate", help="validate a metric input file")
     add_input(p)
@@ -145,12 +144,12 @@ def main(argv=None) -> int:
 
 def _dispatch(args, threads: int, started: float) -> int:
     if args.command == "validate":
-        load_space(args.path, fmt=args.format, pseudo_ok=args.pseudo_ok)
+        load_space(args.path, pseudo_ok=args.pseudo_ok)
         print("valid")
         return EXIT_OK
 
     if args.command == "certify":
-        space = load_space(args.path, fmt=args.format)
+        space = load_space(args.path)
         query = CurvatureQuery(
             kappa=args.kappa,
             direction=args.direction,
@@ -172,7 +171,7 @@ def _dispatch(args, threads: int, started: float) -> int:
         return EXIT_FAILS
 
     if args.command == "defect":
-        space = load_space(args.path, fmt=args.format)
+        space = load_space(args.path)
         grid = [float(x) for x in args.beta_grid.split(",") if x.strip()] if args.beta_grid else []
         profile = defect_profile(
             space,
@@ -206,7 +205,7 @@ def _dispatch(args, threads: int, started: float) -> int:
         return EXIT_OK
 
     if args.command == "hyperbolicity":
-        space = load_space(args.path, fmt=args.format)
+        space = load_space(args.path)
         check_allowance(args.allowance)
         result = delta_four_point(space, threads=threads)
         bound = relaxed_npc_bound_check(space, args.allowance, delta=result)

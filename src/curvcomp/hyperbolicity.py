@@ -15,7 +15,7 @@ from itertools import chain
 import numpy as np
 
 from .certify import _BLOCK, CurvatureQuery, certify, check_threads
-from .metricspace import FiniteMetricSpace
+from .metricspace import FiniteMetricSpace, _triangle_rows
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,7 @@ def _twice_pair_values(d, xs, ys, d_xy, zs, ws, d_zw) -> np.ndarray:
 
 def _triangle_slack(d: np.ndarray) -> float:
     """Largest d(i, j) - d(i, k) - d(k, j), at least 0: how far d is from the triangle inequality."""
-    # row i against rows j > i: d is symmetric, so d(k, j) = d(j, k)
-    return max(float((row[i + 1 :] - (d[i + 1 :] + row).min(axis=1)).max(initial=0.0)) for i, row in enumerate(d))
+    return max((float((tail - sums.min(axis=1)).max(initial=0.0)) for _, tail, sums in _triangle_rows(d)), default=0.0)
 
 
 def _candidate_bases(d: np.ndarray, delta_0: float) -> tuple[list[int], int]:

@@ -187,40 +187,39 @@ class SideLengths:
         return (self.a, self.b, self.c)
 
 
-def _flags_a_triangle(d: np.ndarray, tau: float) -> bool:
-    """Whether some i < j has d(i, j) > min over every k of d(i, k) + d(k, j),
-    plus tau: one min-plus pass per row i, stopping at the first row flagged.
+def _triangle_rows(d: np.ndarray):
+    """For each row i < n - 1: i, d[i, i+1:] and the two-step sums S with
+    S[j - i - 1, k] = d(k, j) + d(i, k), over every k.
 
-    It never misses a violation of `_triangle_violations`: adding tau rounds
-    monotonically, so fl(min_k s_k + tau) = min_k fl(s_k + tau) for the sums
-    s_k the enumeration compares against. The min also takes k = i and k = j;
-    with a zero diagonal and tau >= 0 those never flag, so the answer is then
-    exactly whether a violation exists.
+    The triangle inequality for the pairs (i, j > i) compares d[i, i+1:]
+    with the rows of S; the metric check and the delta's triangle slack
+    both read it here. S lives in one buffer that the next row overwrites.
     """
-    for i in range(d.shape[0] - 1):
-        row = d[i]
-        if np.any(row[i + 1 :] > (row[:, None] + d[:, i + 1 :]).min(axis=0) + tau):
-            return True
-    return False
+    n = len(d)
+    dt = d if np.array_equal(d, d.T) else np.ascontiguousarray(d.T)  # a symmetric d needs no copy
+    buf = np.empty(n * (n - 1))
+    for i in range(n - 1):
+        sums = buf[: (n - 1 - i) * n].reshape(n - 1 - i, n)
+        yield i, d[i, i + 1 :], np.add(dt[i + 1 :], d[i], out=sums)
 
 
 def _triangle_violations(d: np.ndarray, tau: float) -> np.ndarray:
     """Rows (i, j, k) with i < j, k apart from both and d(i, j) > d(i, k) +
-    d(k, j) + tau, ordered by k, then i, then j.
-
-    The per-k enumeration, n passes over the whole matrix, runs only when the
-    min-plus screen `_flags_a_triangle` finds a row to flag.
-    """
-    if not _flags_a_triangle(d, tau):
-        return np.empty((0, 3), dtype=np.intp)
-    found = [np.empty((0, 3), dtype=np.intp)]
-    for k in range(d.shape[0]):
-        bad = d > d[:, [k]] + d[[k], :] + tau
-        bad[:, k] = bad[k, :] = False
-        ij = np.argwhere(np.triu(bad, 1))
-        if ij.size:
-            found.append(np.column_stack([ij, np.full(len(ij), k)]))
-    return np.concatenate(found)
+    d(k, j) + tau, ordered by k, then i, then j: one pass over the rows i,
+    whose hits a stable sort on k puts in that order."""
+    n = len(d)
+    small = np.min_scalar_type(n)
+    found = [np.empty((3, 0), dtype=small)]
+    for i, tail, sums in _triangle_rows(d):
+        sums += tau
+        bad = tail[:, None] > sums
+        bad[:, i] = False
+        bad.ravel()[i + 1 :: n + 1] = False  # k = j
+        if bad.any():
+            j, k = np.nonzero(bad)
+            found.append(np.array([np.full(j.size, i), j + (i + 1), k], dtype=small))
+    ijk = np.concatenate(found, axis=1)
+    return ijk[:, np.argsort(ijk[2], kind="stable")].T.astype(np.intp, order="C")
 
 
 def validate_metric(
@@ -233,9 +232,8 @@ def validate_metric(
 
     Raises MetricValidationError carrying every violation; each names the
     offending index, pair or triple (i, j, k: d(i, j) > d(i, k) + d(k, j)),
-    ordered by kind and then by k, i, j. Accepting a matrix costs one
-    min-plus pass over its rows; the triangles are enumerated only when that
-    pass finds one.
+    ordered by kind and then by k, i, j. The triangles are found in one pass
+    over the rows, which compares each d(i, j > i) with every d(i, k) + d(k, j).
     """
     d = np.array(matrix, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -312,6 +310,8 @@ def parse_distance_matrix(text: str) -> np.ndarray:
     if not lines:
         raise ValueError("empty matrix file")
     n = int(lines[0])
+    if n < 0:
+        raise ValueError(f"matrix size must not be negative, got {n}")
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")
     rows = []
@@ -320,7 +320,7 @@ def parse_distance_matrix(text: str) -> np.ndarray:
         if len(row) != n:
             raise ValueError(f"expected {n} entries per row, found {len(row)}")
         rows.append(row)
-    return np.array(rows, dtype=float)
+    return np.array(rows, dtype=float).reshape(n, n)
 
 
 def format_distance_matrix(dist: np.ndarray) -> str:
@@ -345,14 +345,10 @@ def parse_edge_list(text: str) -> list[tuple]:
     return edges
 
 
-def load_space(path: str, fmt: str | None = None, pseudo_ok: bool = False) -> FiniteMetricSpace:
-    """Load a space from a file; format auto-detected by extension unless given."""
+def load_space(path: str, pseudo_ok: bool = False) -> FiniteMetricSpace:
+    """Load a space from a file: an edge list if it ends in .tsv or .edges, else a distance matrix."""
     with open(path, "r") as fh:
         text = fh.read()
-    if fmt is None:
-        fmt = "edges" if path.endswith((".tsv", ".edges")) else "matrix"
-    if fmt == "matrix":
-        return validate_metric(parse_distance_matrix(text), pseudo_ok=pseudo_ok)
-    if fmt == "edges":
+    if path.endswith((".tsv", ".edges")):
         return from_graph(parse_edge_list(text))
-    raise ValueError(f"unknown format {fmt!r}")
+    return validate_metric(parse_distance_matrix(text), pseudo_ok=pseudo_ok)

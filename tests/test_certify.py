@@ -615,6 +615,26 @@ def test_profile_and_local_map_memory_stays_quadratic():
         assert peak < 2_000_000
 
 
+def test_scan_memory_stays_within_a_row_zero_block():
+    # blocks of whole rows hold at most row 0's triples, and the peak follows
+    # that cap: about 170-210 bytes per row-0 triple here, against 280-360 when
+    # blocks may hold twice row 0's triples
+    n = 160
+    space = validate_metric(random_metric_matrix(np.random.default_rng(14), n))
+    row0_triples = (n - 1) * (n - 2) // 2
+    for run in (
+        lambda: defect_profile(space, kappa=0.0, beta_grid=[0.0, 1.2, 1.5], degenerate_pairs=True),
+        lambda: certify(space, CurvatureQuery(kappa=0.0, direction="upper")),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 250 * row0_triples
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=40, deadline=None)
 def test_upper_and_lower_never_both_fail_strictly_on_same_triple(seed):

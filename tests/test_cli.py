@@ -173,6 +173,23 @@ def test_commands_import_only_the_scipy_modules_they_call(path4_file, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_validate_reads_a_zero_point_file_and_refuses_a_negative_size(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(format_distance_matrix(np.zeros((0, 0))))
+    assert main(["validate", str(empty)]) == EXIT_OK
+    assert capsys.readouterr().out == "valid\n"
+    negative = tmp_path / "negative.csv"
+    negative.write_text("-1\n")
+    assert main(["validate", str(negative)]) == EXIT_USAGE
+    assert "matrix size must not be negative, got -1" in capsys.readouterr().err
+
+
+def test_format_option_is_gone(path4_file, capsys):
+    # the file's extension alone decides between a distance matrix and an edge list
+    assert main(["validate", path4_file, "--format", "matrix"]) == EXIT_USAGE
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
 def test_missing_file_exits_three(capsys):
     assert main(["validate", "/nonexistent/nowhere.csv"]) == EXIT_USAGE
 

@@ -265,6 +265,18 @@ def test_delta_scales_linearly():
     assert scaled.witness == base.witness
 
 
+@pytest.mark.parametrize("n", (0, 1, 2, 5, 9, 13))
+def test_triangle_slack_matches_brute_force(n):
+    # the slack is the largest gap d(i, j) - (d(i, k) + d(k, j)) over all triples, at least 0
+    rng = np.random.default_rng(n)
+    m = random_metric_matrix(rng, n)
+    for i, j in rng.integers(0, max(n, 1), size=(3, 2)):
+        if i != j:
+            m[i, j] = m[j, i] = rng.uniform(1.5, 3.5)
+    want = max((m[i, j] - (m[i, k] + m[k, j]) for i in range(n) for j in range(n) for k in range(n)), default=0.0)
+    assert hyperbolicity_module._triangle_slack(m) == max(want, 0.0)
+
+
 def test_relaxed_bound_on_trees_has_nonnegative_slack():
     for seed in (1, 2, 3):
         space = sample_space(GeneratorSpec(kind="tree", n=12, seed=seed))

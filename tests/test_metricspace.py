@@ -31,7 +31,6 @@ from curvcomp.metricspace import (
     parse_distance_matrix,
     parse_edge_list,
 )
-from curvcomp.metricspace import _flags_a_triangle
 from oracles import random_metric_matrix, triangle_violations
 
 PATH4 = np.array(
@@ -137,14 +136,11 @@ def test_rejection_builds_no_violation_objects_until_read():
 
 
 def _assert_validation_matches_enumeration(m):
-    """validate_metric's triangle group and message against the unscreened
-    enumeration; with a zero diagonal the screen must flag exactly the
-    matrices that have a triangle violation."""
+    """validate_metric's triangle group and message against the per-k
+    enumeration of the oracle."""
     d = np.array(m, dtype=float)
-    tau = metric_tolerance(float(d.max()))
+    tau = metric_tolerance(float(d.max()) if d.size else 0.0)
     want = triangle_violations(d, tau)
-    if not np.any(np.diag(d)):
-        assert _flags_a_triangle(d, tau) == bool(len(want))
     try:
         validate_metric(d)
     except MetricValidationError as exc:
@@ -178,10 +174,27 @@ def test_triangle_screen_matches_enumeration_on_perturbed_metrics(seed):
     a = rng.uniform(1.0, 2.6, size=(n, n))
     np.fill_diagonal(a, 0.0)
     _assert_validation_matches_enumeration(a)
-    # a negative diagonal makes the screen's k = i term flag rows with no violation
+    # a negative diagonal: the k = i and k = j terms go below d(i, j) and must be skipped
     a[n - 1, n - 1] = -rng.uniform(0.1, 1.0)
     _assert_validation_matches_enumeration(a)
     _assert_validation_matches_enumeration(-a)
+
+
+def test_triangle_check_matches_enumeration_on_tiny_and_negative_diagonal_matrices():
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 2):
+        _assert_validation_matches_enumeration(random_metric_matrix(rng, n))
+        _assert_validation_matches_enumeration(rng.uniform(-1.0, 3.0, size=(n, n)))
+    # negative diagonal entries inside the matrix and one-sided entries: only the
+    # k = i and k = j terms, which the check must skip, go below d(i, j)
+    for n in (3, 6, 11):
+        a = random_metric_matrix(rng, n)
+        a[1, 2] = 1.25
+        a[n - 1, 0] = 1.75
+        for i in range(0, n, 2):
+            a[i, i] = -rng.uniform(0.1, 0.5)
+        _assert_validation_matches_enumeration(a)
+        _assert_validation_matches_enumeration(a.T)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -313,10 +326,11 @@ def test_every_lp_entry_point_rejects_the_same_p(p):
 
 def test_matrix_format_roundtrip_is_exact():
     rng = np.random.default_rng(0)
-    m = random_metric_matrix(rng, 7)
-    text = format_distance_matrix(m)
-    back = parse_distance_matrix(text)
-    assert np.array_equal(m, back)
+    for n in (0, 1, 7):
+        m = random_metric_matrix(rng, n)
+        back = parse_distance_matrix(format_distance_matrix(m))
+        assert back.shape == (n, n)
+        assert np.array_equal(m, back)
 
 
 def test_parse_matrix_rejects_bad_shapes():
@@ -326,6 +340,8 @@ def test_parse_matrix_rejects_bad_shapes():
         parse_distance_matrix("2\n0,1\n")
     with pytest.raises(ValueError):
         parse_distance_matrix("2\n0,1,2\n1,0,2\n")
+    with pytest.raises(ValueError, match="^matrix size must not be negative, got -1$"):
+        parse_distance_matrix("-1\n")
 
 
 def test_parse_edge_list_skips_comments():
@@ -342,8 +358,6 @@ def test_load_space_detects_format(tmp_path):
     edg = tmp_path / "g.edges"
     edg.write_text("0 1 1\n1 2 1\n")
     assert load_space(str(edg)).n == 3
-    with pytest.raises(ValueError):
-        load_space(str(mat), fmt="nope")
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=3, max_value=12))

@@ -31,11 +31,11 @@ block. The floor never exceeds epsilon*, so triples whose upper bound is
 below it cannot be the witness and are dropped; `Verdict.gathered` counts
 the triples whose min-max was evaluated.
 
-The scan runs on the calling thread, so `threads` here is only checked.
-`certify` upper/lower takes 0.07-0.10/0.05-0.06 s at n=150, kappa=0;
-0.96-1.11/0.58-0.72 s at n=300, kappa=-1; and 2.7/1.15-1.19 s at n=400,
-kappa=0 (2-core x86 VM, random metric). `defect_profile` gathers about 80%
-of a random metric's triples and takes 8.3-8.6 s at n=400.
+The scan runs on the calling thread. `certify` upper/lower takes
+0.07-0.10/0.05-0.06 s at n=150, kappa=0; 0.96-1.11/0.58-0.72 s at n=300,
+kappa=-1; and 2.7/1.15-1.19 s at n=400, kappa=0 (2-core x86 VM, random
+metric). `defect_profile` gathers about 80% of a random metric's triples
+and takes 8.3-8.6 s at n=400.
 """
 from __future__ import annotations
 
@@ -366,6 +366,9 @@ def certify(space: FiniteMetricSpace, query: CurvatureQuery, threads: int | None
     Upper direction holds iff r_space <= r_model + epsilon (+ tolerance) for
     every triple; lower direction with the roles reversed. epsilon_needed is
     the exact worst deficiency, 0 when the strict condition already holds.
+
+    The scan runs on the calling thread, so `threads` is only checked; the
+    parameter stays because `bench/worker.py` passes `threads=1`.
     """
     check_threads(threads)
     worst, skipped, gathered = _Worst(query.direction), 0, 0

@@ -27,10 +27,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class EmptyCandidateSetError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class CircumResult:
     """Result of a min-max circumradius computation.
@@ -48,21 +44,12 @@ class CircumResult:
 class CandidatePolicy:
     """Which points may serve as circumcenter candidates.
 
-    By default every point of the space. `subset` (see `of_subset`): the
-    listed indices only. `extra_points` (see `augmented`): every point plus
-    extra coordinate points, which requires the space to carry an l_p
-    embedding.
+    By default every point of the space. `extra_points` (see `augmented`):
+    every point plus extra coordinate points, which requires the space to
+    carry an l_p embedding.
     """
 
-    subset: tuple[int, ...] | None = None
     extra_points: tuple[tuple[float, ...], ...] | None = None
-
-    @classmethod
-    def of_subset(cls, indices) -> "CandidatePolicy":
-        indices = tuple(int(i) for i in indices)
-        if not indices:
-            raise EmptyCandidateSetError("subset policy requires a nonempty index list")
-        return cls(subset=indices)
 
     @classmethod
     def augmented(cls, points) -> "CandidatePolicy":
@@ -76,11 +63,6 @@ def candidate_rows(space: FiniteMetricSpace, policy: CandidatePolicy) -> np.ndar
     in the order given; ties in later min-max scans therefore resolve to the
     lowest candidate index.
     """
-    if policy.subset is not None:
-        bad = [i for i in policy.subset if not 0 <= i < space.n]
-        if bad:
-            raise IndexError(f"candidate indices out of range: {bad}")
-        return space.dist[np.asarray(policy.subset, dtype=int)]
     if policy.extra_points is None:
         return space.dist
     if space.embedding is None:
@@ -106,15 +88,11 @@ def discrete_circumradius(
         if not 0 <= idx < space.n:
             raise IndexError(f"triple index {idx} out of range for n={space.n}")
     rows = candidate_rows(space, policy)
-    if rows.shape[0] == 0:
-        raise EmptyCandidateSetError("no candidates available")
     per_candidate = np.maximum(np.maximum(rows[:, t.i], rows[:, t.j]), rows[:, t.k])
     best = int(np.argmin(per_candidate))
-    # report the space index, not the row position
-    center = best if policy.subset is None else int(policy.subset[best])
     return CircumResult(
         radius=float(per_candidate[best]),
-        center=center,
+        center=best,
         evaluations=rows.shape[0],
     )
 

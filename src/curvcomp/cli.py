@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 import time
 import traceback
@@ -31,36 +30,23 @@ EXIT_INTERNAL = 4
 _CHUNK_LINES = 4096
 
 
-def resolve_threads(threads: int | None) -> int:
-    """`--threads`, or CURV_THREADS (1 when unset) when it is None; the variable's one reader."""
-    if threads is not None:
-        check_threads(threads)
-        return threads
-    env = os.environ.get("CURV_THREADS") or "1"
-    if not env.strip().isdecimal() or int(env) < 1:
-        raise ValueError(f"CURV_THREADS must be a positive integer, got {env!r}")
-    return int(env)
-
-
 @functools.cache  # parse_args leaves the parser as it was, so one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvcomp",
         description="Circumradius-comparison curvature conditions on finite metric spaces.",
     )
-    parser.add_argument("--threads", type=int, default=None, help="worker threads of the four-point delta (default: CURV_THREADS or 1); the triple scan uses one")
-    # accepted before or after the subcommand; SUPPRESS keeps a missing
-    # trailing flag from clobbering a leading one
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
+    parser.add_argument(
+        "--threads", type=int, default=1,
+        help="worker threads of the hyperbolicity four-point delta, given before the subcommand (default: 1)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add_input(p):
         p.add_argument("path", help="distance matrix (.csv) or edge list (.tsv/.edges)")
 
     p = sub.add_parser("validate", help="validate a metric input file")
     add_input(p)
-    p.add_argument("--pseudo-ok", action="store_true", help="admit zero distances between distinct points")
 
     p = sub.add_parser("certify", help="test Curv <= kappa or Curv >= kappa")
     add_input(p)
@@ -123,8 +109,8 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     started = time.perf_counter()
     try:
-        threads = resolve_threads(args.threads)
-        return _dispatch(args, threads, started)
+        check_threads(args.threads)
+        return _dispatch(args, started)
     except MetricValidationError as exc:
         for kind, idx in exc.groups:
             line = f"violation: {violation_template(kind, idx.shape[1])}\n"
@@ -142,9 +128,9 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
-def _dispatch(args, threads: int, started: float) -> int:
+def _dispatch(args, started: float) -> int:
     if args.command == "validate":
-        load_space(args.path, pseudo_ok=args.pseudo_ok)
+        load_space(args.path)
         print("valid")
         return EXIT_OK
 
@@ -158,7 +144,7 @@ def _dispatch(args, threads: int, started: float) -> int:
             degenerate_pairs=args.degenerate,
             max_perimeter=args.max_perimeter,
         )
-        verdict = certify(space, query, threads=threads)
+        verdict = certify(space, query)
         report = base_report(space, _query_echo(query))
         report.update(verdict_fields(space, verdict))
         _write_json(args.json_out, report, started)
@@ -207,7 +193,7 @@ def _dispatch(args, threads: int, started: float) -> int:
     if args.command == "hyperbolicity":
         space = load_space(args.path)
         check_allowance(args.allowance)
-        result = delta_four_point(space, threads=threads)
+        result = delta_four_point(space, threads=args.threads)
         bound = relaxed_npc_bound_check(space, args.allowance, delta=result)
         report = base_report(space, {"allowance": args.allowance})
         report["delta"] = result.delta

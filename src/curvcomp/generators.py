@@ -44,19 +44,30 @@ class GeneratorSpec:
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(GeneratorSpec)}
+# the parameters each kind reads in sample_space
+_KIND_PARAMS = {
+    "euclidean": ("n", "seed", "dim", "box"),
+    "sphere": ("n", "seed", "kappa"),
+    "hyperbolic": ("n", "seed", "kappa", "chart_radius"),
+    "lp_plane": ("n", "seed", "p", "box"),
+    "tree": ("n", "seed", "subdivision", "edge_length"),
+    "grid": ("width", "height"),
+    "random_graph": ("n", "seed", "edge_prob", "weight_min", "weight_max"),
+}
 
 
 def parse_generator_spec(text: str) -> GeneratorSpec:
     """Parse a `kind:key=value,key=value` string, e.g. `sphere:kappa=1,n=40,seed=7`."""
     kind, _, rest = text.partition(":")
     kind = kind.strip()
+    known = _KIND_PARAMS.get(kind, _FIELD_TYPES)  # sample_space names an unknown kind
     kwargs = {}
     if rest.strip():
         for item in rest.split(","):
             key, _, value = item.partition("=")
             key = key.strip()
-            if key not in _FIELD_TYPES or key == "kind":
-                raise InvalidParameterError(f"unknown generator parameter {key!r}")
+            if key not in known or key == "kind":
+                raise InvalidParameterError(f"unknown generator parameter {key!r} for kind {kind!r}")
             if _FIELD_TYPES[key] == "int":
                 kwargs[key] = int(value)
             else:

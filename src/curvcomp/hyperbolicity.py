@@ -199,20 +199,15 @@ def check_allowance(h: float) -> None:
         raise ValueError("discretization allowance must be finite and nonnegative")
 
 
-def relaxed_npc_bound_check(
-    space: FiniteMetricSpace, h: float, *, delta: DeltaResult | None = None
-) -> RelaxedBoundReport:
+def relaxed_npc_bound_check(space: FiniteMetricSpace, h: float, *, delta: DeltaResult) -> RelaxedBoundReport:
     """Compare the worst upper defect against 2*delta + h.
 
     h is a caller-supplied discretization allowance (e.g. the maximum edge
     length of a graph metric); the result is a diagnostic, not an assertion.
-    `delta` is the space's delta_four_point result if the caller already has
-    it; without it the delta is scanned with one worker.
+    `delta` is the space's delta_four_point result.
     """
     check_allowance(h)
     verdict = certify(space, CurvatureQuery(kappa=0.0, direction="upper"))
-    if delta is None:
-        delta = delta_four_point(space)
     eps = verdict.epsilon_needed
     return RelaxedBoundReport(
         epsilon_star_upper=eps,

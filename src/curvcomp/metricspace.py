@@ -175,8 +175,14 @@ class SideLengths:
 
     @classmethod
     def of_triple(cls, space: FiniteMetricSpace, t: Triple) -> "SideLengths":
+        """The triple's sides, sorted but not checked again: the space met the
+        triangle inequality within the tolerance of its diameter, which may
+        exceed the tolerance of the triple's longest side."""
         d = space.dist
-        return cls(d[t.i, t.j], d[t.i, t.k], d[t.j, t.k])
+        sides = object.__new__(cls)  # skips __post_init__
+        for name, side in zip("abc", sorted(map(float, (d[t.i, t.j], d[t.i, t.k], d[t.j, t.k])), reverse=True)):
+            object.__setattr__(sides, name, side)
+        return sides
 
     @property
     def perimeter(self) -> float:
@@ -314,13 +320,12 @@ def parse_distance_matrix(text: str) -> np.ndarray:
         raise ValueError(f"matrix size must not be negative, got {n}")
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")
-    rows = []
     for ln in lines[1:]:
-        row = [float(x) for x in ln.split(",")]
-        if len(row) != n:
-            raise ValueError(f"expected {n} entries per row, found {len(row)}")
-        rows.append(row)
-    return np.array(rows, dtype=float).reshape(n, n)
+        if ln.count(",") != n - 1:
+            raise ValueError(f"expected {n} entries per row, found {ln.count(',') + 1}")
+    if n == 0:
+        return np.empty((0, 0))  # loadtxt warns on no lines
+    return np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
 
 
 def format_distance_matrix(dist: np.ndarray) -> str:
@@ -345,10 +350,10 @@ def parse_edge_list(text: str) -> list[tuple]:
     return edges
 
 
-def load_space(path: str, pseudo_ok: bool = False) -> FiniteMetricSpace:
+def load_space(path: str) -> FiniteMetricSpace:
     """Load a space from a file: an edge list if it ends in .tsv or .edges, else a distance matrix."""
     with open(path, "r") as fh:
         text = fh.read()
     if path.endswith((".tsv", ".edges")):
         return from_graph(parse_edge_list(text))
-    return validate_metric(parse_distance_matrix(text), pseudo_ok=pseudo_ok)
+    return validate_metric(parse_distance_matrix(text))

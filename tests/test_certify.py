@@ -251,14 +251,20 @@ def test_certify_witness_matches_defect_profile_across_policies():
     cells = rng.choice(16, size=10, replace=False)
     pts = np.stack([cells % 4, cells // 4], axis=1) / 4.0
     plane = validate_metric(lp_distances(pts, 2.0), embedding=Embedding(pts, 2.0))
-    spaces = [_integer_tree(rng, 10).rescale(0.25), _integer_graph(rng, 10).rescale(0.25), plane]
-    policies = [CandidatePolicy(), CandidatePolicy.of_subset(range(0, 10, 2))]
+    square = validate_metric(lp_distances(pts, math.inf), embedding=Embedding(pts, math.inf))
+    spaces = [_integer_tree(rng, 10).rescale(0.25), _integer_graph(rng, 10).rescale(0.25), plane, square]
     witnesses = 0
     for space in spaces:
-        extra = [CandidatePolicy.augmented([(0.125, 0.375), (0.5, 0.25)])] if space.embedding else []
+        # on the l_2 and l_inf planes also m = n + 2 and m = n + 9 candidates:
+        # two extra points, then the centres of nine of the grid's cells
+        centres = [(x, y) for x in (0.125, 0.375, 0.625) for y in (0.125, 0.375, 0.625)]
+        extra = [
+            CandidatePolicy.augmented([(0.125, 0.375), (0.5, 0.25)]),
+            CandidatePolicy.augmented(centres),
+        ] if space.embedding else []
         perimeters = sorted(SideLengths.of_triple(space, t).perimeter for t in enumerate_triples(space))
         for policy, kappa, degenerate, max_perimeter in itertools.product(
-            policies + extra, (0.0, 1.0, -1.0), (False, True), (None, perimeters[len(perimeters) // 2])
+            [CandidatePolicy()] + extra, (0.0, 1.0, -1.0), (False, True), (None, perimeters[len(perimeters) // 2])
         ):
             profile = defect_profile(
                 space, kappa=kappa, degenerate_pairs=degenerate, candidates=policy, max_perimeter=max_perimeter

@@ -18,7 +18,7 @@ from curvcomp import (
     lp_circumradius,
     validate_metric,
 )
-from curvcomp.circumradius import EmptyCandidateSetError, InvalidPError, candidate_rows
+from curvcomp.circumradius import InvalidPError, candidate_rows
 from oracles import brute_discrete_circumradius, minmax_grid_lp, random_metric_matrix
 
 STAR = validate_metric(
@@ -46,15 +46,6 @@ def test_tie_breaks_to_lowest_index():
     assert res.center == 0
 
 
-def test_subset_policy_restricts_candidates():
-    res = discrete_circumradius(STAR, Triple(1, 2, 3), CandidatePolicy.of_subset([1, 2, 3]))
-    assert res.radius == 2.0 and res.center == 1
-    with pytest.raises(IndexError):
-        discrete_circumradius(STAR, Triple(1, 2, 3), CandidatePolicy.of_subset([9]))
-    with pytest.raises(EmptyCandidateSetError):
-        CandidatePolicy.of_subset([])
-
-
 def test_triple_index_out_of_range():
     with pytest.raises(IndexError):
         discrete_circumradius(STAR, Triple(0, 1, 7))
@@ -67,12 +58,8 @@ def test_augmented_policy_requires_embedding():
 
 def test_candidate_policy_follows_the_field_that_is_set():
     # the default: every point of the space
-    assert CandidatePolicy() == CandidatePolicy(subset=None, extra_points=None)
+    assert CandidatePolicy() == CandidatePolicy(extra_points=None)
     assert candidate_rows(STAR, CandidatePolicy()) is STAR.dist
-    # a subset: its rows in the order listed, the center reported as a space index
-    subset = CandidatePolicy.of_subset([3, 0])
-    assert np.array_equal(candidate_rows(STAR, subset), STAR.dist[[3, 0]])
-    assert discrete_circumradius(STAR, Triple(1, 2, 3), subset).center == 0
     # augmented, even by no points, needs an embedding
     with pytest.raises(ValueError, match="requires an embedded space"):
         candidate_rows(STAR, CandidatePolicy.augmented([]))
@@ -91,12 +78,12 @@ def test_candidate_policy_follows_the_field_that_is_set():
 def test_adding_candidates_never_increases_radius():
     rng = np.random.default_rng(5)
     for _ in range(50):
-        m = random_metric_matrix(rng, 9)
-        space = validate_metric(m)
+        pts = rng.uniform(0.0, 1.0, size=(9, 2))
+        space = validate_metric(cdist(pts, pts), embedding=Embedding(pts, 2.0))
         t = Triple(*rng.choice(9, size=3, replace=False))
-        sub = discrete_circumradius(space, t, CandidatePolicy.of_subset(range(5))).radius
-        full = discrete_circumradius(space, t).radius
-        assert full <= sub + 1e-15
+        own = discrete_circumradius(space, t).radius
+        more = discrete_circumradius(space, t, CandidatePolicy.augmented(rng.uniform(0.0, 1.0, size=(5, 2)))).radius
+        assert more <= own
 
 
 def test_matches_brute_force_scan():

@@ -350,7 +350,7 @@ def test_certify_json_report_fields(path4_file, tmp_path):
 def test_certify_json_byte_identical_except_timing(random_file, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["certify", random_file, "--json", str(a)])
-    main(["certify", random_file, "--json", str(b), "--threads", "4"])
+    main(["--threads", "4", "certify", random_file, "--json", str(b)])
     ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
     ra.pop("timing_ms"), rb.pop("timing_ms")
     assert dumps_report(ra) == dumps_report(rb)
@@ -400,6 +400,14 @@ def test_sample_roundtrips_through_validate(tmp_path, capsys):
 def test_sample_bad_spec_exits_three(tmp_path):
     out = tmp_path / "x.csv"
     assert main(["sample", "euclidean:warp=9", "--out", str(out)]) == EXIT_USAGE
+
+
+def test_sample_rejects_a_parameter_the_kind_never_reads(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["sample", "sphere:kappa=1,n=5,box=3", "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'box' for kind 'sphere'" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("p,code", [(4.0, EXIT_OK), (1.5, EXIT_OK), (2.0, EXIT_OK)])
@@ -488,29 +496,50 @@ def test_console_script_entry_point(path4_file):
     assert "fails" in proc.stdout
 
 
-def test_threads_env_default(monkeypatch, path4_file, capsys):
-    monkeypatch.setenv("CURV_THREADS", "2")
-    assert main(["certify", path4_file, "--epsilon", "0.5"]) == EXIT_OK
-    for bad in ("two", "0", "-1"):
-        monkeypatch.setenv("CURV_THREADS", bad)
-        assert main(["certify", path4_file, "--epsilon", "0.5"]) == EXIT_USAGE
-        assert "error: CURV_THREADS" in capsys.readouterr().err
-
-
 def test_parser_is_built_once_and_keeps_no_state(monkeypatch, path4_file, capsys):
     assert build_parser() is build_parser()
     seen = []
 
-    def recording(space, query, threads):
+    def recording(space, threads):
         seen.append(threads)
-        return certify(space, query, threads=threads)
+        return delta_four_point(space, threads=threads)
 
-    monkeypatch.setattr("curvcomp.cli.certify", recording)
-    monkeypatch.delenv("CURV_THREADS", raising=False)
+    monkeypatch.setattr("curvcomp.cli.delta_four_point", recording)
+    assert main(["--threads", "2", "hyperbolicity", path4_file]) == EXIT_OK
+    assert main(["hyperbolicity", path4_file]) == EXIT_OK
+    assert seen == [2, 1]
+
+
+def test_threads_is_given_once_before_the_subcommand(monkeypatch, path4_file, capsys):
+    # certify scans on the calling thread and is never handed a thread count
+    monkeypatch.setattr("curvcomp.cli.certify", lambda space, query: certify(space, query))
     assert main(["--threads", "2", "certify", path4_file, "--epsilon", "0.5"]) == EXIT_OK
-    assert main(["certify", path4_file, "--epsilon", "0.5"]) == EXIT_OK
-    monkeypatch.setenv("CURV_THREADS", "3")
-    assert main(["certify", path4_file, "--epsilon", "0.5"]) == EXIT_OK
-    assert main(["certify", path4_file, "--epsilon", "0.5", "--threads", "2"]) == EXIT_OK
-    assert main(["certify", path4_file, "--epsilon", "0.5"]) == EXIT_OK
-    assert seen == [2, 1, 3, 2, 3]
+    capsys.readouterr()
+    assert main(["certify", path4_file, "--threads", "2"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --threads 2" in captured.err
+
+
+def test_validate_accepts_what_every_other_command_accepts(tmp_path, capsys):
+    # no --pseudo-ok: a zero distance between distinct points is rejected everywhere
+    f = tmp_path / "pseudo.csv"
+    f.write_text("2\n0,0\n0,0\n")
+    assert main(["validate", str(f), "--pseudo-ok"]) == EXIT_USAGE
+    assert "unrecognized arguments: --pseudo-ok" in capsys.readouterr().err
+    for argv in (["validate", str(f)], ["certify", str(f)], ["defect", str(f)], ["hyperbolicity", str(f)]):
+        assert main(argv) == EXIT_INVALID_METRIC, argv
+        assert capsys.readouterr().err == "violation: zero_off_diagonal(0, 1)\n"
+
+
+def test_commands_accept_a_triangle_validated_within_the_diameter_tolerance(tmp_path, capsys):
+    # d(0, 1) exceeds d(0, 2) + d(2, 1) by 2e-8: inside the tolerance of the
+    # diameter 1000 (about 1e-6), outside that of the longest side 1 (2e-9)
+    a = 0.5 - 1e-8
+    m = [[0, 1, a, 1000], [1, 0, a, 1000], [a, a, 0, 1000], [1000, 1000, 1000, 0]]
+    f = tmp_path / "near.csv"
+    f.write_text(format_distance_matrix(np.array(m, dtype=float)))
+    assert main(["validate", str(f)]) == EXIT_OK
+    assert main(["certify", str(f), "--direction", "lower"]) == EXIT_FAILS
+    assert "witness=0,1,2" in capsys.readouterr().out
+    assert main(["defect", str(f)]) == EXIT_OK
+    assert capsys.readouterr().err == ""

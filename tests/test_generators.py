@@ -11,6 +11,7 @@ from curvcomp import (
     parse_generator_spec,
     sample_space,
 )
+from curvcomp.generators import _KIND_PARAMS
 from curvcomp.metricspace import InvalidParameterError
 
 
@@ -24,6 +25,46 @@ def test_parse_generator_spec_rejects_unknown_keys():
         parse_generator_spec("sphere:radius=2")
     with pytest.raises(InvalidParameterError):
         sample_space(parse_generator_spec("wormhole:n=3"))
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ("sphere:kappa=1,n=5,box=3,dim=7,edge_prob=0.9", "box"),
+        ("grid:n=400,width=2,height=2", "n"),
+        ("grid:width=2,height=2,seed=1", "seed"),
+        ("euclidean:n=5,kappa=1", "kappa"),
+        ("tree:n=5,edge_prob=0.5", "edge_prob"),
+    ],
+)
+def test_parse_generator_spec_rejects_parameters_the_kind_never_reads(text, key):
+    kind = text.partition(":")[0]
+    with pytest.raises(InvalidParameterError, match=f"^unknown generator parameter '{key}' for kind '{kind}'$"):
+        parse_generator_spec(text)
+
+
+def test_every_parameter_a_kind_takes_changes_its_space():
+    base = {
+        "euclidean": "n=5",
+        "sphere": "kappa=1,n=5",
+        "hyperbolic": "kappa=-1,n=5",
+        "lp_plane": "p=3,n=5",
+        "tree": "n=5",
+        "grid": "width=2,height=3",
+        "random_graph": "n=6,edge_prob=0.5",
+    }
+    other = {
+        "n": "7", "seed": "1", "dim": "3", "box": "2", "chart_radius": "1", "p": "4",
+        "subdivision": "1", "edge_length": "2", "width": "3", "height": "2",
+        "edge_prob": "0.9", "weight_min": "0.2", "weight_max": "3",
+    }
+    assert set(base) == set(_KIND_PARAMS)
+    for kind, params in _KIND_PARAMS.items():
+        dist = sample_space(parse_generator_spec(f"{kind}:{base[kind]}")).dist
+        for key in params:
+            value = ("2" if kind == "sphere" else "-2") if key == "kappa" else other[key]
+            changed = sample_space(parse_generator_spec(f"{kind}:{base[kind]},{key}={value}")).dist
+            assert changed.shape != dist.shape or not np.array_equal(changed, dist), (kind, key)
 
 
 @pytest.mark.parametrize(

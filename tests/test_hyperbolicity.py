@@ -2,6 +2,7 @@
 import math
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,14 +90,6 @@ def test_delta_thread_invariance():
     for bad in (0, -2):
         with pytest.raises(ValueError):
             delta_four_point(space, threads=bad)
-
-
-def test_delta_does_not_read_curv_threads(monkeypatch):
-    # only the CLI reads the variable; the library's default is one worker
-    m = random_metric_matrix(np.random.default_rng(7), 8)
-    monkeypatch.setenv("CURV_THREADS", "abc")
-    res = delta_four_point(validate_metric(m))
-    assert (res.delta, res.witness) == brute_delta(m)
 
 
 @pytest.mark.parametrize("threads", (1, 2))
@@ -280,7 +273,7 @@ def test_triangle_slack_matches_brute_force(n):
 def test_relaxed_bound_on_trees_has_nonnegative_slack():
     for seed in (1, 2, 3):
         space = sample_space(GeneratorSpec(kind="tree", n=12, seed=seed))
-        report = relaxed_npc_bound_check(space, h=1.0)
+        report = relaxed_npc_bound_check(space, h=1.0, delta=delta_four_point(space))
         assert report.delta == 0.0
         assert report.epsilon_star_upper <= 0.5 + 1e-12
         assert report.slack >= 0.0
@@ -289,15 +282,20 @@ def test_relaxed_bound_on_trees_has_nonnegative_slack():
 def test_relaxed_bound_rejects_negative_allowance():
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            relaxed_npc_bound_check(PATH4, h=bad)
+            relaxed_npc_bound_check(PATH4, h=bad, delta=delta_four_point(PATH4))
 
 
 def test_relaxed_bound_reuses_a_given_delta():
     space = validate_metric(random_metric_matrix(np.random.default_rng(8), 9))
     result = delta_four_point(space)
     given_delta = relaxed_npc_bound_check(space, h=0.5, delta=result)
-    assert given_delta == relaxed_npc_bound_check(space, h=0.5)
     assert given_delta.delta == result.delta
+    assert given_delta.slack == 2.0 * result.delta + 0.5 - given_delta.epsilon_star_upper
+    # the delta is the caller's: the check never scans it
+    other = replace(result, delta=result.delta + 1.0)
+    assert relaxed_npc_bound_check(space, h=0.5, delta=other).delta == result.delta + 1.0
+    with pytest.raises(TypeError):
+        relaxed_npc_bound_check(space, h=0.5)
 
 
 @given(st.integers(min_value=0, max_value=10_000))

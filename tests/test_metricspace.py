@@ -287,6 +287,19 @@ def test_side_lengths_rejects_bad_triangles():
     assert SideLengths(2.0, 1.0, 1.0).c == 1.0
 
 
+def test_side_lengths_of_a_validated_triple_are_not_checked_again():
+    # the space passes within its diameter's tolerance (about 1e-6); the longest
+    # side's own tolerance (2e-9) is smaller than the 2e-8 excess
+    a = 0.5 - 1e-8
+    space = validate_metric([[0, 1, a, 1000], [1, 0, a, 1000], [a, a, 0, 1000], [1000, 1000, 1000, 0]])
+    sides = SideLengths.of_triple(space, Triple(2, 0, 1))
+    assert sides.as_tuple() == (1.0, a, a) and sides.perimeter == a + a + 1.0
+    with pytest.raises(ValueError, match="triangle inequality violated"):
+        SideLengths(1.0, a, a)
+    with pytest.raises(ValueError, match="triangle inequality violated"):
+        SideLengths(3.0, 1.0, 1.0)
+
+
 def test_digest_depends_on_entries_only():
     a = validate_metric(PATH4)
     b = validate_metric(PATH4.copy(), labels=("p", "q", "r", "s"))
@@ -331,6 +344,28 @@ def test_matrix_format_roundtrip_is_exact():
         back = parse_distance_matrix(format_distance_matrix(m))
         assert back.shape == (n, n)
         assert np.array_equal(m, back)
+
+
+def test_parse_matrix_reads_every_float_spelling_as_float_does():
+    rng = np.random.default_rng(1)
+    n = 9
+    values = rng.standard_normal(n * n) * 10.0 ** rng.integers(-300, 300, n * n)
+    for spell in (*(f"{{:{fmt}}}".format for fmt in (".15g", ".16g", ".17g", ".20g", ".25e")), repr):
+        words = [spell(float(v)) for v in values]
+        words[:6] = ["-0", "1e-400", " 7 ", "Infinity", "+.5", "1E5"]
+        rows = [",".join(words[i * n : (i + 1) * n]) for i in range(n)]
+        got = parse_distance_matrix("\n".join([str(n), *rows]))
+        want = np.array([float(w) for w in words]).reshape(n, n)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_parse_matrix_rejects_digit_grouping_and_ragged_rows():
+    with pytest.raises(ValueError, match="1_0"):
+        parse_distance_matrix("1\n1_0\n")
+    with pytest.raises(ValueError, match="^expected 2 entries per row, found 1$"):
+        parse_distance_matrix("2\n0,1\n1\n")
+    with pytest.raises(ValueError, match="^expected 2 matrix rows, found 1$"):
+        parse_distance_matrix("2\n0,1\n")
 
 
 def test_parse_matrix_rejects_bad_shapes():

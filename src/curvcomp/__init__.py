@@ -25,7 +25,6 @@ from .circumradius import (
 from .counterexamples import check_counterexample, counterexample_space, counterexample_triangle
 from .generators import (
     GeneratorSpec,
-    distance_comparison_curve,
     parse_generator_spec,
     sample_space,
 )
@@ -49,6 +48,7 @@ from .modelplane import (
     ComparisonTriangle,
     ModelPoint,
     comparison_triangle,
+    distance_comparison_curve,
     euclidean_circumradius,
     model_circumradius,
     model_distance,

@@ -55,11 +55,9 @@ _BLOCK = 1 << 14  # candidate x triple entries per min-max block of the scan
 _BINS = 40  # histogram bins of defect_profile
 
 
-def check_threads(threads: int | None) -> None:
-    """ValueError unless `threads` is None or a positive integer: a value that
-    `operator.index` takes, so a numpy integer passes and 1.5 or "2" does not."""
-    if threads is None:
-        return
+def check_threads(threads: int) -> None:
+    """ValueError unless `threads` is a positive integer: a value that
+    `operator.index` takes, so a numpy integer passes and None, 1.5 or "2" do not."""
     try:
         positive = operator.index(threads) >= 1
     except TypeError:
@@ -308,7 +306,7 @@ def _scan_rows(space, kappa, policy, beta, degenerate, max_perimeter, worst=None
     """
     k = kappa_value(kappa)
     cap = model_perimeter_bound(k, max_perimeter)
-    cols = np.ascontiguousarray(candidate_rows(space, policy).T)
+    cols = candidate_rows(space, policy)
     table = _pair_table(cols)
     n = space.n
     P, C = table
@@ -360,7 +358,7 @@ class _Worst:
         return TriangleDefect(t, SideLengths.of_triple(space, t), *self.record[3:])
 
 
-def certify(space: FiniteMetricSpace, query: CurvatureQuery, threads: int | None = None) -> Verdict:
+def certify(space: FiniteMetricSpace, query: CurvatureQuery, threads: int = 1) -> Verdict:
     """Decide the comparison condition of the query over all admissible triples.
 
     Upper direction holds iff r_space <= r_model + epsilon (+ tolerance) for
@@ -425,8 +423,6 @@ def defect_profile(
     kappa: float = 0.0,
     beta_grid=(),
     degenerate_pairs: bool = False,
-    candidates: CandidatePolicy = CandidatePolicy(),
-    max_perimeter: float | None = None,
 ) -> DefectReport:
     """Full defect scan with the scale curve epsilon*(beta) and a histogram.
 
@@ -439,7 +435,7 @@ def defect_profile(
     curve = np.zeros(betas.size)
     counter = _BinCounter(space.diameter)
     upper, lower, skipped = _Worst("upper"), _Worst("lower"), 0
-    for block_skipped, _, block in _scan_rows(space, kappa, candidates, 0.0, degenerate_pairs, max_perimeter):
+    for block_skipped, _, block in _scan_rows(space, kappa, CandidatePolicy(), 0.0, degenerate_pairs, None):
         skipped += block_skipped
         defect, min_side = block[3], block[6]
         upper.add(block)
@@ -468,7 +464,7 @@ def midpoint_defect(space: FiniteMetricSpace) -> MidpointReport:
     zero exactly when a true midpoint exists among the points.
     """
     n = space.n
-    defects = _pair_table(np.ascontiguousarray(space.dist.T))[0] - space.dist / 2.0
+    defects = _pair_table(space.dist)[0] - space.dist / 2.0
     np.fill_diagonal(defects, 0.0)
     if n < 2:
         return MidpointReport(defects, 0.0, None)

@@ -57,11 +57,13 @@ class CandidatePolicy:
 
 
 def candidate_rows(space: FiniteMetricSpace, policy: CandidatePolicy) -> np.ndarray:
-    """Distance rows (m, n) from each candidate to every point of the space.
+    """Distances (n, m) from every point of the space to each candidate: row v
+    holds point v's distances, the layout the triple scan reads.
 
     Space points come first in index order, then any augmented extra points
     in the order given; ties in later min-max scans therefore resolve to the
-    lowest candidate index.
+    lowest candidate index. The default policy returns `space.dist` itself,
+    which validation made exactly symmetric.
     """
     if policy.extra_points is None:
         return space.dist
@@ -70,7 +72,7 @@ def candidate_rows(space: FiniteMetricSpace, policy: CandidatePolicy) -> np.ndar
     if not policy.extra_points:
         return space.dist
     extra = space.embedding.distances_to_points(np.asarray(policy.extra_points, dtype=float))
-    return np.vstack([space.dist, extra])
+    return np.hstack([space.dist, extra.T])
 
 
 def discrete_circumradius(
@@ -87,13 +89,13 @@ def discrete_circumradius(
     for idx in t.as_tuple():
         if not 0 <= idx < space.n:
             raise IndexError(f"triple index {idx} out of range for n={space.n}")
-    rows = candidate_rows(space, policy)
-    per_candidate = np.maximum(np.maximum(rows[:, t.i], rows[:, t.j]), rows[:, t.k])
+    cols = candidate_rows(space, policy)
+    per_candidate = np.maximum(np.maximum(cols[t.i], cols[t.j]), cols[t.k])
     best = int(np.argmin(per_candidate))
     return CircumResult(
         radius=float(per_candidate[best]),
         center=best,
-        evaluations=rows.shape[0],
+        evaluations=cols.shape[1],
     )
 
 

@@ -199,7 +199,7 @@ def _dispatch(args, started: float) -> int:
         report["delta"] = result.delta
         report["epsilon_star_upper"] = bound.epsilon_star_upper
         report["verdict"] = {
-            "two_delta_plus_h": 2.0 * bound.delta + bound.discretization,
+            "two_delta_plus_h": 2.0 * result.delta + args.allowance,
             "slack": bound.slack,
         }
         if result.witness is not None:

@@ -38,10 +38,6 @@ class CounterexampleResult:
     margin: float  # space radius minus comparison radius
     margin_error: float  # bound on |margin - exact margin| of the exact triangle
 
-    @property
-    def violates_upper_bound(self) -> bool:
-        return self.margin > 0.0
-
 
 def counterexample_triangle(p: float) -> tuple[tuple[float, float], ...]:
     """Vertices (A', B, C) of the isosceles l_p triangle with sides sqrt(2), sqrt(2), 2.

@@ -1,4 +1,4 @@
-"""Seeded synthetic metric spaces and model-plane distance comparison curves."""
+"""Seeded synthetic metric spaces."""
 from __future__ import annotations
 
 import dataclasses
@@ -14,7 +14,6 @@ from .metricspace import (
     from_graph,
     validate_metric,
 )
-from .modelplane import _TRIG
 
 
 @dataclass(frozen=True)
@@ -68,6 +67,8 @@ def parse_generator_spec(text: str) -> GeneratorSpec:
             key = key.strip()
             if key not in known or key == "kind":
                 raise InvalidParameterError(f"unknown generator parameter {key!r} for kind {kind!r}")
+            if key in kwargs:
+                raise InvalidParameterError(f"generator parameter {key!r} given twice")
             if _FIELD_TYPES[key] == "int":
                 kwargs[key] = int(value)
             else:
@@ -149,26 +150,41 @@ def _subdivide(edges: list[tuple], steps: int) -> list[tuple]:
 
 
 def sample_space(spec: GeneratorSpec) -> FiniteMetricSpace:
-    """Generate a finite metric space; deterministic in the spec's seed."""
-    rng = np.random.default_rng(spec.seed)
-    kind = spec.kind
+    """Generate a finite metric space; deterministic in the spec's seed.
 
+    Each float parameter the kind reads must be finite (p may be inf), and an
+    arithmetic step that leaves the float64 range raises InvalidParameterError.
+    """
+    kind = spec.kind
+    for name in _KIND_PARAMS.get(kind, ()):
+        value = getattr(spec, name)
+        if name != "p" and not math.isfinite(value):
+            raise InvalidParameterError(f"{kind} parameter {name} must be finite, got {value}")
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _sample(spec, np.random.default_rng(spec.seed))
+    except (FloatingPointError, OverflowError) as exc:
+        raise InvalidParameterError(f"{kind} sample leaves the float64 range: {exc}") from None
+
+
+def _sample(spec: GeneratorSpec, rng: np.random.Generator) -> FiniteMetricSpace:
+    kind = spec.kind
     if kind == "euclidean":
         _require(spec.n >= 1 and spec.dim >= 1 and spec.box > 0, "euclidean needs n>=1, dim>=1, box>0")
         pts = rng.uniform(0.0, spec.box, size=(spec.n, spec.dim))
-        return validate_metric(lp_distances(pts, 2.0), pseudo_ok=True, embedding=Embedding(pts, 2.0))
+        return validate_metric(lp_distances(pts, 2.0), embedding=Embedding(pts, 2.0))
     if kind == "sphere":
         _require(spec.n >= 1, "sphere needs n >= 1")
         pts = sphere_points(spec.kappa, spec.n, rng)
-        return validate_metric(sphere_distances(pts, spec.kappa), pseudo_ok=True)
+        return validate_metric(sphere_distances(pts, spec.kappa))
     if kind == "hyperbolic":
         _require(spec.n >= 1, "hyperbolic needs n >= 1")
         pts = hyperboloid_points(spec.kappa, spec.n, rng, spec.chart_radius)
-        return validate_metric(hyperboloid_distances(pts, spec.kappa), pseudo_ok=True)
+        return validate_metric(hyperboloid_distances(pts, spec.kappa))
     if kind == "lp_plane":
         _require(spec.n >= 1 and spec.p > 1, "lp_plane needs n>=1 and p>1")
         pts = rng.uniform(0.0, spec.box, size=(spec.n, 2))
-        return validate_metric(lp_distances(pts, spec.p), pseudo_ok=True, embedding=Embedding(pts, spec.p))
+        return validate_metric(lp_distances(pts, spec.p), embedding=Embedding(pts, spec.p))
     if kind == "tree":
         _require(spec.n >= 2 and spec.edge_length > 0 and spec.subdivision >= 0, "tree needs n>=2, edge_length>0")
         edges = _subdivide(_random_tree_edges(spec.n, rng, spec.edge_length), spec.subdivision)
@@ -207,37 +223,3 @@ def _w(rng: np.random.Generator, spec: GeneratorSpec) -> float:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise InvalidParameterError(message)
-
-
-def distance_comparison_curve(
-    family: str, theta: float, t_grid, kappa: float | None = None
-) -> np.ndarray:
-    """Normalized divergence of two unit-speed rays at angle theta.
-
-    Returns g(t) = d(exp(tX), exp(tY)) / (t * |X - Y|) for each t in t_grid,
-    computed by the closed-form model distance; g - 1 has the opposite sign
-    of the curvature for small t.
-    """
-    if not 0.0 < theta < math.pi:
-        raise InvalidParameterError("theta must lie in (0, pi)")
-    t = np.asarray(t_grid, dtype=float)
-    if np.any(t <= 0.0):
-        raise InvalidParameterError("t values must be positive")
-    chord = math.sqrt(2.0 - 2.0 * math.cos(theta))
-
-    if family == "euclidean":
-        return np.ones_like(t)
-    if family not in ("sphere", "hyperbolic"):
-        raise InvalidParameterError(f"unknown model family {family!r}")
-    sign = 1.0 if family == "sphere" else -1.0
-    if kappa is None or sign * kappa <= 0:
-        raise InvalidParameterError(f"{family} curve requires kappa {'>' if sign > 0 else '<'} 0")
-    if sign > 0 and np.any(t >= math.pi / (2.0 * math.sqrt(kappa))):
-        raise InvalidParameterError("t outside the spherical chart")
-    sn, cs = _TRIG[sign]
-    radius = 1.0 / math.sqrt(abs(kappa))
-    a = t / radius
-    # cos (cosh) of the scaled distance, by the law of cosines of M_kappa at the apex
-    cos_d = cs(a) ** 2 + sign * sn(a) ** 2 * math.cos(theta)
-    arc = np.arccos(np.clip(cos_d, -1.0, 1.0)) if sign > 0 else np.arccosh(np.clip(cos_d, 1.0, None))
-    return radius * arc / (t * chord)

@@ -31,8 +31,6 @@ class DeltaResult:
 @dataclass(frozen=True)
 class RelaxedBoundReport:
     epsilon_star_upper: float
-    delta: float
-    discretization: float
     slack: float  # 2*delta + h - epsilon_star_upper
 
 
@@ -51,12 +49,13 @@ def _per_base_max(d: np.ndarray, w: int) -> tuple[float, int, int, int]:
     n = len(d)
     g = (d[:, [w]] + d[[w], :] - d) / 2.0
     # value(x, y) = max_z min((x|z)_w, (z|y)_w) - (x|y)_w, floored at 0, taken over
-    # blocks of x rows whose (x, z, y) products hold at most _BLOCK entries (one row at least)
+    # blocks of x rows whose (x, z, y) products hold at most _BLOCK entries (one row at least);
+    # g is symmetric bit for bit, as d is and IEEE addition commutes, so g[z] holds (z|y)_w
     vals = np.empty_like(g)
     step = max(1, _BLOCK // (n * n))
     for start in range(0, n, step):
         xs = slice(start, start + step)
-        vals[xs] = np.minimum(g[xs, :, None], g.T[None, :, :]).max(axis=1) - g[xs]
+        vals[xs] = np.minimum(g[xs, :, None], g[None, :, :]).max(axis=1) - g[xs]
     x, y = divmod(int(np.argmax(vals)), n)
     z = int(np.argmax(np.minimum(g[x], g[:, y]) - g[x, y]))
     return float(vals[x, y]), x, y, z
@@ -158,7 +157,7 @@ def _candidate_bases(d: np.ndarray, delta_0: float) -> tuple[list[int], int]:
     return np.flatnonzero(point_best >= best - tol).tolist(), quadruples
 
 
-def delta_four_point(space: FiniteMetricSpace, threads: int | None = None) -> DeltaResult:
+def delta_four_point(space: FiniteMetricSpace, threads: int = 1) -> DeltaResult:
     """Four-point delta: the largest value over all ordered quadruples.
 
     delta = max over (x, y, z, w) of min((x|z)_w, (z|y)_w) - (x|y)_w, floored
@@ -175,10 +174,9 @@ def delta_four_point(space: FiniteMetricSpace, threads: int | None = None) -> De
 
     This is the package's one pooled scan: each base point is a run of numpy
     (max, min) products over bounded blocks, which release the GIL, so up to
-    `threads` base points run at once; None means one.
+    `threads` base points run at once.
     """
     check_threads(threads)
-    threads = threads or 1
     if space.n == 0:
         return DeltaResult(0.0, None)
     scan = partial(_per_base_max, space.dist)
@@ -211,7 +209,5 @@ def relaxed_npc_bound_check(space: FiniteMetricSpace, h: float, *, delta: DeltaR
     eps = verdict.epsilon_needed
     return RelaxedBoundReport(
         epsilon_star_upper=eps,
-        delta=delta.delta,
-        discretization=h,
         slack=2.0 * delta.delta + h - eps,
     )

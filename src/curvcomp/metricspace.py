@@ -230,7 +230,6 @@ def _triangle_violations(d: np.ndarray, tau: float) -> np.ndarray:
 
 def validate_metric(
     matrix,
-    pseudo_ok: bool = False,
     labels: Sequence[str] | None = None,
     embedding: Embedding | None = None,
 ) -> FiniteMetricSpace:
@@ -251,11 +250,9 @@ def validate_metric(
         ("nonzero_diagonal", np.nonzero(np.diag(d) != 0.0)[0][:, None]),
         ("asymmetry", np.argwhere(np.triu(d != d.T, 1))),
         ("negative_entry", np.argwhere(np.triu(d < 0.0, 1))),
+        ("zero_off_diagonal", np.argwhere(np.triu(d == 0.0, 1))),
+        ("triangle", _triangle_violations(d, metric_tolerance(float(d.max()) if n else 0.0))),
     ]
-    if not pseudo_ok:
-        groups.append(("zero_off_diagonal", np.argwhere(np.triu(d == 0.0, 1))))
-
-    groups.append(("triangle", _triangle_violations(d, metric_tolerance(float(d.max()) if n else 0.0))))
     groups = [(kind, idx) for kind, idx in groups if len(idx)]
     if groups:
         raise MetricValidationError(groups)

@@ -1,7 +1,8 @@
 """Geometry of the constant-curvature model planes.
 
-Comparison-triangle placement, model distances, and the circumradius of three
-model points (the right-hand side of the comparison inequality).
+Comparison-triangle placement, model distances, distance comparison curves,
+and the circumradius of three model points (the right-hand side of the
+comparison inequality).
 
 One circumradius kernel serves every kappa, the plane being its kappa = 0 row;
 it needs no rule for thin triangles, and raises ValueError naming kappa where
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circumradius import CircumResult
-from .metricspace import SideLengths, metric_tolerance
+from .metricspace import InvalidParameterError, SideLengths, metric_tolerance
 
 _OBTUSE_REL = 1e-12  # b^2 + c^2 - a^2 below this (times a^2) routes to the half-side branch
 # (sn, cs) of the model plane by the sign of kappa, at unit curvature radius
@@ -99,6 +100,34 @@ def model_distance(p: ModelPoint, q: ModelPoint, kappa) -> float:
     u, v = p.coords, q.coords
     cs = sign * ((u[0] * v[0] + u[1] * v[1]) + sign * (u[2] * v[2])) / radius**2
     return radius * (math.acos(max(-1.0, min(1.0, cs))) if k > 0 else math.acosh(max(1.0, cs)))
+
+
+def distance_comparison_curve(theta: float, t_grid, kappa=0.0) -> np.ndarray:
+    """Normalized divergence of two unit-speed rays at angle theta in M_kappa.
+
+    Returns g(t) = d(exp(tX), exp(tY)) / (t * |X - Y|) for each t in t_grid,
+    computed by the closed-form model distance: 1 in the plane, and on the
+    sphere (kappa > 0) or the hyperboloid (kappa < 0) g - 1 has the opposite
+    sign of kappa for small t.
+    """
+    k = kappa_value(kappa)
+    if not 0.0 < theta < math.pi:
+        raise InvalidParameterError("theta must lie in (0, pi)")
+    t = np.asarray(t_grid, dtype=float)
+    if np.any(t <= 0.0):
+        raise InvalidParameterError("t values must be positive")
+    if k == 0:
+        return np.ones_like(t)
+    if k > 0 and np.any(t >= math.pi / (2.0 * math.sqrt(k))):
+        raise InvalidParameterError("t outside the spherical chart")
+    sign = math.copysign(1.0, k)
+    sn, cs = _TRIG[sign]
+    radius = 1.0 / math.sqrt(abs(k))
+    a = t / radius
+    # cos (cosh) of the scaled distance, by the law of cosines of M_kappa at the apex
+    cos_d = cs(a) ** 2 + sign * sn(a) ** 2 * math.cos(theta)
+    arc = np.arccos(np.clip(cos_d, -1.0, 1.0)) if k > 0 else np.arccosh(np.clip(cos_d, 1.0, None))
+    return radius * arc / (t * math.sqrt(2.0 - 2.0 * math.cos(theta)))
 
 
 def _check_model_size(sides: SideLengths, k: float) -> None:

@@ -79,7 +79,6 @@ def test_scan_and_triangle_defect_sum_the_perimeter_alike():
     assert a + b + c < cap == c + b + a
     space = validate_metric(np.array([[0.0, a, b], [a, 0.0, c], [b, c, 0.0]]))
     assert certify(space, CurvatureQuery(max_perimeter=cap)).skipped == 1
-    assert defect_profile(space, max_perimeter=cap).skipped == 1
     assert triangle_defect(space, Triple(0, 1, 2), max_perimeter=cap) is None
     assert triangle_defect(space, Triple(0, 1, 2), max_perimeter=math.nextafter(cap, math.inf)) is not None
 
@@ -91,8 +90,6 @@ def test_max_perimeter_must_be_positive_and_finite():
             triangle_defect(PATH4, Triple(0, 1, 2), max_perimeter=bad)
         with pytest.raises(ValueError, match="max_perimeter"):
             certify(space, CurvatureQuery(max_perimeter=bad))
-        with pytest.raises(ValueError, match="max_perimeter"):
-            defect_profile(space, max_perimeter=bad)
 
 
 def test_triangle_defect_skips_large_spherical_triangle():
@@ -244,9 +241,23 @@ def test_certify_matches_brute_force_with_beta_and_degenerate(monkeypatch):
     assert witnesses >= 150
 
 
+def _oracle_verdicts(space, kappa, degenerate, policy=CandidatePolicy(), max_perimeter=None):
+    """{direction: (epsilon*, first witness or None)} and the skipped count, from
+    `triangle_defect` on every triple in lexicographic order."""
+    triples = list(enumerate_triples(space, degenerate_pairs=degenerate))
+    kept = [td for t in triples if (td := triangle_defect(space, t, kappa, policy, max_perimeter)) is not None]
+    defect = np.array([td.defect for td in kept])
+    worst = {}
+    for direction, sign in (("upper", 1.0), ("lower", -1.0)):
+        eps = (sign * defect).max(initial=0.0)
+        worst[direction] = (eps, kept[int(np.argmax(sign * defect == eps))] if eps > 0 else None)
+    return worst, len(triples) - len(kept)
+
+
 def test_certify_witness_matches_defect_profile_across_policies():
-    # defect_profile computes every defect; certify may skip triples below its
-    # floor, but never the witness, so both report the same TriangleDefect
+    # the per-triple oracle and defect_profile compute every defect; certify may
+    # skip triples below its floor, but never the witness, so all report the
+    # same TriangleDefect
     rng = np.random.default_rng(22)
     cells = rng.choice(16, size=10, replace=False)
     pts = np.stack([cells % 4, cells // 4], axis=1) / 4.0
@@ -266,21 +277,21 @@ def test_certify_witness_matches_defect_profile_across_policies():
         for policy, kappa, degenerate, max_perimeter in itertools.product(
             [CandidatePolicy()] + extra, (0.0, 1.0, -1.0), (False, True), (None, perimeters[len(perimeters) // 2])
         ):
-            profile = defect_profile(
-                space, kappa=kappa, degenerate_pairs=degenerate, candidates=policy, max_perimeter=max_perimeter
-            )
-            for direction, eps, worst in (
-                ("upper", profile.epsilon_star_upper, profile.worst_upper),
-                ("lower", profile.epsilon_star_lower, profile.worst_lower),
-            ):
+            oracle, skipped = _oracle_verdicts(space, kappa, degenerate, policy, max_perimeter)
+            for direction, (eps, worst) in oracle.items():
                 v = certify(space, CurvatureQuery(
                     kappa=kappa, direction=direction, degenerate_pairs=degenerate,
                     candidates=policy, max_perimeter=max_perimeter,
                 ))
-                assert (v.epsilon_needed, v.skipped) == (eps, profile.skipped)
+                assert (v.epsilon_needed, v.skipped) == (eps, skipped)
                 if not v.holds:
                     assert v.witness == worst
                     witnesses += 1
+            if policy == CandidatePolicy() and max_perimeter is None:
+                profile = defect_profile(space, kappa=kappa, degenerate_pairs=degenerate)
+                assert (profile.epsilon_star_upper, profile.worst_upper) == oracle["upper"]
+                assert (profile.epsilon_star_lower, profile.worst_lower) == oracle["lower"]
+                assert profile.skipped == skipped
     assert witnesses >= 100
 
 
@@ -326,7 +337,7 @@ def test_certify_thread_count_does_not_change_output():
 
 
 def test_thread_count_must_be_an_integer():
-    for bad in (1.5, "2"):
+    for bad in (None, 1.5, "2"):
         with pytest.raises(ValueError, match="thread count must be a positive integer"):
             certify(PATH4, CurvatureQuery(), threads=bad)
         with pytest.raises(ValueError, match="thread count must be a positive integer"):
@@ -405,19 +416,30 @@ def _oracle_arrays(space, defects):
 
 @pytest.mark.parametrize("n", (0, 1, 2, 3, 5, 12, 40))
 def test_block_scan_matches_the_per_triple_oracle(n):
-    # n = 12 and 40 put several rows in one block; the perimeter cap at kappa = 1
-    # (sides are at most 1, so the model's own bound skips nothing) skips about a third
-    space = _quarter_metric(np.random.default_rng(n), n)
-    every = list(enumerate_triples(space, degenerate_pairs=True))
+    # n = 12 and 40 put several rows in one block. At kappa = 1 no side exceeds 1.25, so
+    # the model's own bound skips nothing; the cap skips about a third of the quarter
+    # metric's triples and about 60% of the grid's. On the embedded grid points the
+    # candidates are the n points and six cell centres (m = n + 6 columns).
+    rng = np.random.default_rng(n)
+    quarter = _quarter_metric(rng, n)
+    cells = rng.choice(64, size=n, replace=False)
+    pts = np.stack([cells % 8, cells // 8], axis=1) / 8.0
+    plane = validate_metric(lp_distances(pts, 2.0), embedding=Embedding(pts, 2.0))
+    centres = CandidatePolicy.augmented([((x + 0.5) / 8.0, (y + 0.5) / 8.0) for x in (1, 3, 5) for y in (2, 6)])
     grid = [0.0, 0.75, 1.0]
-    for kappa, max_perimeter in ((0.0, None), (1.0, None), (-1.0, None), (1.0, 2.5)):
-        oracle = {t: triangle_defect(space, t, kappa=kappa, max_perimeter=max_perimeter) for t in every}
+    for space, policy, kappa, max_perimeter in (
+        *((quarter, CandidatePolicy(), kappa, cap) for kappa, cap in ((0.0, None), (1.0, None), (-1.0, None), (1.0, 2.5))),
+        (plane, centres, 0.0, None),
+        (plane, centres, 1.0, 1.5),
+    ):
+        every = list(enumerate_triples(space, degenerate_pairs=True))
+        oracle = {t: triangle_defect(space, t, kappa, policy, max_perimeter) for t in every}
         for degenerate, beta in itertools.product((False, True), (0.0, 0.75)):
             triples = list(enumerate_triples(space, degenerate_pairs=degenerate, beta=beta))
             kept = [oracle[t] for t in triples if oracle[t] is not None]
             skipped = len(triples) - len(kept)
             tri, defect, r_space, r_model, min_side = _oracle_arrays(space, kept)
-            scan = list(certify_module._scan_rows(space, kappa, CandidatePolicy(), beta, degenerate, max_perimeter))
+            scan = list(certify_module._scan_rows(space, kappa, policy, beta, degenerate, max_perimeter))
             got = [[x for _, _, block in scan for x in block[c].tolist()] for c in range(6)]
             assert got == [*tri.T.tolist(), defect.tolist(), r_space.tolist(), r_model.tolist()]
             assert sum(block_skipped for block_skipped, _, _ in scan) == skipped
@@ -426,15 +448,13 @@ def test_block_scan_matches_the_per_triple_oracle(n):
                 first = kept[int(np.argmax(sign * defect == eps))] if eps > 0 else None
                 v = certify(space, CurvatureQuery(
                     kappa=kappa, direction=direction, beta=beta, degenerate_pairs=degenerate,
-                    max_perimeter=max_perimeter,
+                    candidates=policy, max_perimeter=max_perimeter,
                 ))
                 assert (v.epsilon_needed, v.skipped, v.holds) == (eps, skipped, eps <= TAU_DEFECT)
                 assert v.witness == (None if v.holds else first)
-            if beta:
+            if beta or policy != CandidatePolicy() or max_perimeter is not None:
                 continue
-            profile = defect_profile(
-                space, kappa=kappa, beta_grid=grid, degenerate_pairs=degenerate, max_perimeter=max_perimeter
-            )
+            profile = defect_profile(space, kappa=kappa, beta_grid=grid, degenerate_pairs=degenerate)
             for eps, worst, sign in (
                 (profile.epsilon_star_upper, profile.worst_upper, 1.0),
                 (profile.epsilon_star_lower, profile.worst_lower, -1.0),
@@ -446,7 +466,7 @@ def test_block_scan_matches_the_per_triple_oracle(n):
             assert sum(counts) == len(kept)
             assert list(counts) == [int(((lo <= defect) & (defect < hi)).sum()) for lo, hi in zip(edges, edges[1:])]
             assert profile.beta_curve == tuple((b, defect[min_side >= b].max(initial=0.0)) for b in grid)
-        if max_perimeter is None:
+        if policy == CandidatePolicy() and max_perimeter is None:
             tri, defect, *_ = _oracle_arrays(space, [oracle[t] for t in enumerate_triples(space)])
             for radius in (0.5, 0.75, 1.0):
                 inside = (space.dist <= radius)[:, tri].all(axis=2)
@@ -471,29 +491,29 @@ def test_defect_profile_consistent_with_certify():
     witnesses = 0
     for kappa in (0.0, 1.0, -1.0):
         for degenerate in (False, True):
-            for max_perimeter in (None, cap):
-                profile = defect_profile(
-                    space, kappa=kappa, beta_grid=[0.0, 1.0, 1.2, 1.5],
-                    degenerate_pairs=degenerate, max_perimeter=max_perimeter,
-                )
-                for direction, eps, worst in (
-                    ("upper", profile.epsilon_star_upper, profile.worst_upper),
-                    ("lower", profile.epsilon_star_lower, profile.worst_lower),
-                ):
+            profile = defect_profile(space, kappa=kappa, beta_grid=[0.0, 1.0, 1.2, 1.5], degenerate_pairs=degenerate)
+            capped, capped_skipped = _oracle_verdicts(space, kappa, degenerate, max_perimeter=cap)
+            for direction, eps, worst in (
+                ("upper", profile.epsilon_star_upper, profile.worst_upper),
+                ("lower", profile.epsilon_star_lower, profile.worst_lower),
+            ):
+                # the capped scan skips all of row 5; defect_profile takes no cap, so the oracle stands in
+                runs = ((None, eps, worst, profile.skipped), (cap, *capped[direction], capped_skipped))
+                for max_perimeter, want_eps, want_witness, want_skipped in runs:
                     v = certify(space, CurvatureQuery(
                         kappa=kappa, direction=direction, degenerate_pairs=degenerate, max_perimeter=max_perimeter,
                     ))
-                    assert (v.epsilon_needed, v.skipped) == (eps, profile.skipped)
+                    assert (v.epsilon_needed, v.skipped) == (want_eps, want_skipped)
                     if not v.holds:
                         # TriangleDefect equality compares triple, sides, r_space and r_model exactly
-                        assert v.witness == worst
+                        assert v.witness == want_witness
                         witnesses += 1
-                triples = math.comb(n, 3) + (math.comb(n, 2) if degenerate else 0)
-                assert sum(profile.histogram.counts) + profile.skipped == triples
-                # scale curve starts at the global upper defect and never increases
-                curve = [eps for _, eps in profile.beta_curve]
-                assert curve[0] == profile.epsilon_star_upper
-                assert all(x >= y for x, y in zip(curve, curve[1:]))
+            triples = math.comb(n, 3) + (math.comb(n, 2) if degenerate else 0)
+            assert sum(profile.histogram.counts) + profile.skipped == triples
+            # scale curve starts at the global upper defect and never increases
+            curve = [eps for _, eps in profile.beta_curve]
+            assert curve[0] == profile.epsilon_star_upper
+            assert all(x >= y for x, y in zip(curve, curve[1:]))
     assert witnesses >= 12
 
 

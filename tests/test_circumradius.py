@@ -63,13 +63,14 @@ def test_candidate_policy_follows_the_field_that_is_set():
     # augmented, even by no points, needs an embedding
     with pytest.raises(ValueError, match="requires an embedded space"):
         candidate_rows(STAR, CandidatePolicy.augmented([]))
-    # augmented points come after the space's own
+    # one row per point, one column per candidate: augmented points come after the space's own
     pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
     square = validate_metric(cdist(pts, pts), embedding=Embedding(pts, 2.0))
     extra = CandidatePolicy.augmented([(1.0, 1.0), (5.0, 5.0)])
-    rows = candidate_rows(square, extra)
-    assert np.array_equal(rows[:4], square.dist)
-    assert np.array_equal(rows[4:], cdist(np.array(extra.extra_points), pts))
+    cols = candidate_rows(square, extra)
+    assert cols.shape == (4, 6)
+    assert np.array_equal(cols[:, :4], square.dist)
+    assert np.array_equal(cols[:, 4:], cdist(pts, np.array(extra.extra_points)))
     res = discrete_circumradius(square, Triple(0, 1, 3), extra)
     assert res.center == 4 and res.radius == pytest.approx(math.sqrt(2.0), abs=1e-15)
     assert candidate_rows(square, CandidatePolicy.augmented([])) is square.dist

@@ -381,7 +381,7 @@ def test_hyperbolicity_reports_delta_and_slack(path4_file, tmp_path, capsys):
 def test_hyperbolicity_computes_delta_once(monkeypatch, path4_file, capsys):
     calls = []
 
-    def counted(space, threads=None):
+    def counted(space, threads=1):
         calls.append(space.n)
         return delta_four_point(space, threads=threads)
 
@@ -407,6 +407,53 @@ def test_sample_rejects_a_parameter_the_kind_never_reads(tmp_path, capsys):
     assert main(["sample", "sphere:kappa=1,n=5,box=3", "--out", str(out)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == "" and "'box' for kind 'sphere'" in captured.err
+    assert not out.exists()
+
+
+def test_sample_rejects_a_repeated_parameter(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["sample", "sphere:kappa=1,n=3,n=5", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: generator parameter 'n' given twice\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ("euclidean:n=3,box=inf", "euclidean parameter box must be finite, got inf"),
+        ("euclidean:n=3,box=nan", "euclidean parameter box must be finite, got nan"),
+        ("random_graph:n=3,weight_min=1,weight_max=inf", "random_graph parameter weight_max must be finite"),
+        ("tree:n=3,edge_length=inf", "tree parameter edge_length must be finite"),
+        ("hyperbolic:n=3,kappa=-inf", "hyperbolic parameter kappa must be finite"),
+        # 1 / sqrt|kappa| is finite, its square is not
+        ("sphere:n=3,kappa=1e-320", "sphere sample leaves the float64 range"),
+        ("hyperbolic:n=3,kappa=-1e-320", "hyperbolic sample leaves the float64 range"),
+        # sinh(1000) overflows
+        ("hyperbolic:n=3,kappa=-1,chart_radius=1000", "hyperbolic sample leaves the float64 range"),
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_sample_out_of_range_float_parameter_exits_three(spec, message, tmp_path, capsys):
+    # some exited 4 (an OverflowError inside the sampler), others printed numpy warnings first
+    out = tmp_path / "x.csv"
+    assert main(["sample", spec, "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+def test_sample_whose_distances_vanish_exits_two(tmp_path, capsys):
+    # box 1e-200: the squared coordinate differences underflow, so every distance
+    # is 0; the sample is refused as validate refuses the matrix, and nothing is written
+    out = tmp_path / "z.csv"
+    assert main(["sample", "euclidean:n=4,box=1e-200", "--out", str(out)]) == EXIT_INVALID_METRIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"violation: zero_off_diagonal({i}, {j})" for i in range(4) for j in range(i + 1, 4)
+    ]
     assert not out.exists()
 
 

@@ -40,7 +40,7 @@ def test_comparison_radius_is_exactly_one(p):
 @pytest.mark.parametrize("p", (1.2, 1.5, 3.0, 4.0, 5.0))
 def test_strict_violation_away_from_p_two(p):
     result = check_counterexample(p)
-    assert result.violates_upper_bound
+    assert result.margin > result.margin_error
     assert result.margin >= 1e-3
 
 

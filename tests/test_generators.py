@@ -43,27 +43,36 @@ def test_parse_generator_spec_rejects_parameters_the_kind_never_reads(text, key)
         parse_generator_spec(text)
 
 
+def test_parse_generator_spec_rejects_a_repeated_parameter():
+    # the last value used to win without a word
+    with pytest.raises(InvalidParameterError, match="^generator parameter 'n' given twice$"):
+        parse_generator_spec("sphere:kappa=1,n=3,n=5")
+
+
 def test_every_parameter_a_kind_takes_changes_its_space():
     base = {
-        "euclidean": "n=5",
-        "sphere": "kappa=1,n=5",
-        "hyperbolic": "kappa=-1,n=5",
-        "lp_plane": "p=3,n=5",
-        "tree": "n=5",
-        "grid": "width=2,height=3",
-        "random_graph": "n=6,edge_prob=0.5",
+        "euclidean": {"n": "5"},
+        "sphere": {"kappa": "1", "n": "5"},
+        "hyperbolic": {"kappa": "-1", "n": "5"},
+        "lp_plane": {"p": "3", "n": "5"},
+        "tree": {"n": "5"},
+        "grid": {"width": "2", "height": "3"},
+        "random_graph": {"n": "6", "edge_prob": "0.5"},
     }
     other = {
         "n": "7", "seed": "1", "dim": "3", "box": "2", "chart_radius": "1", "p": "4",
         "subdivision": "1", "edge_length": "2", "width": "3", "height": "2",
         "edge_prob": "0.9", "weight_min": "0.2", "weight_max": "3",
     }
+    def spec(kind, params):
+        return parse_generator_spec(f"{kind}:" + ",".join(f"{key}={value}" for key, value in params.items()))
+
     assert set(base) == set(_KIND_PARAMS)
     for kind, params in _KIND_PARAMS.items():
-        dist = sample_space(parse_generator_spec(f"{kind}:{base[kind]}")).dist
+        dist = sample_space(spec(kind, base[kind])).dist
         for key in params:
             value = ("2" if kind == "sphere" else "-2") if key == "kappa" else other[key]
-            changed = sample_space(parse_generator_spec(f"{kind}:{base[kind]},{key}={value}")).dist
+            changed = sample_space(spec(kind, {**base[kind], key: value})).dist
             assert changed.shape != dist.shape or not np.array_equal(changed, dist), (kind, key)
 
 
@@ -160,23 +169,24 @@ def test_generator_parameter_checks():
 
 def test_comparison_curve_flat_is_one():
     t = np.linspace(0.1, 2.0, 20)
-    assert np.array_equal(distance_comparison_curve("euclidean", 1.0, t), np.ones(20))
+    assert np.array_equal(distance_comparison_curve(1.0, t), np.ones(20))
+    assert np.array_equal(distance_comparison_curve(1.0, t, kappa=-0.0), np.ones(20))
 
 
 def test_comparison_curve_signs_and_small_t_limit():
     t = np.array([1e-3, 0.2, 0.5, 1.0])
-    sphere = distance_comparison_curve("sphere", 1.2, t, kappa=1.0)
-    hyper = distance_comparison_curve("hyperbolic", 1.2, t, kappa=-1.0)
+    sphere = distance_comparison_curve(1.2, t, kappa=1.0)
+    hyper = distance_comparison_curve(1.2, t, kappa=-1.0)
     assert np.all(sphere[1:] < 1.0) and np.all(hyper[1:] > 1.0)
     assert abs(sphere[0] - 1.0) < 1e-6 and abs(hyper[0] - 1.0) < 1e-6
     # divergence is monotone in t for fixed angle
     assert np.all(np.diff(sphere) < 0) and np.all(np.diff(hyper) > 0)
 
 
-def per_chart_comparison_curve(family, theta, t, kappa):
+def per_chart_comparison_curve(theta, t, kappa):
     """The former per-family curve: arccos on the sphere, arccosh on the hyperboloid."""
     chord = math.sqrt(2.0 - 2.0 * math.cos(theta))
-    if family == "sphere":
+    if kappa > 0:
         radius = 1.0 / math.sqrt(kappa)
         a = t / radius
         d = radius * np.arccos(np.clip(np.cos(a) ** 2 + np.sin(a) ** 2 * math.cos(theta), -1.0, 1.0))
@@ -189,7 +199,6 @@ def per_chart_comparison_curve(family, theta, t, kappa):
 
 @pytest.mark.parametrize("kappa", (-4.0, -1.0, -0.3, 0.3, 1.0, 4.0))
 def test_one_curved_comparison_curve_is_bitwise_the_per_chart_formulas(kappa):
-    family = "sphere" if kappa > 0 else "hyperbolic"
     # up to the spherical chart's edge pi / (2 sqrt kappa), and as far on the hyperboloid
     edge = math.pi / (2.0 * math.sqrt(abs(kappa)))
     grids = (
@@ -199,26 +208,21 @@ def test_one_curved_comparison_curve_is_bitwise_the_per_chart_formulas(kappa):
     )
     for theta in (1e-6, 0.3, 1.0, math.pi / 2, 2.5, math.pi - 1e-6):
         for t in grids:
-            got = distance_comparison_curve(family, theta, t, kappa=kappa)
-            assert np.array_equal(got, per_chart_comparison_curve(family, theta, t, kappa)), (kappa, theta)
+            got = distance_comparison_curve(theta, t, kappa=kappa)
+            assert np.array_equal(got, per_chart_comparison_curve(theta, t, kappa)), (kappa, theta)
 
 
 def test_comparison_curve_domain_checks():
-    with pytest.raises(InvalidParameterError):
-        distance_comparison_curve("sphere", 1.0, [2.0], kappa=1.0)  # outside chart
-    with pytest.raises(InvalidParameterError):
-        distance_comparison_curve("sphere", 0.0, [0.5], kappa=1.0)
-    with pytest.raises(InvalidParameterError):
-        distance_comparison_curve("hyperbolic", 1.0, [0.0], kappa=-1.0)
-    with pytest.raises(InvalidParameterError):
-        distance_comparison_curve("torus", 1.0, [0.5])
-    for family, kappa, message in (
-        ("sphere", None, "sphere curve requires kappa > 0"),
-        ("sphere", -1.0, "sphere curve requires kappa > 0"),
-        ("hyperbolic", None, "hyperbolic curve requires kappa < 0"),
-        ("hyperbolic", 0.0, "hyperbolic curve requires kappa < 0"),
-        ("sphere", 1.0, "t outside the spherical chart"),
-        ("torus", -1.0, "unknown model family 'torus'"),
+    for theta, t, kappa, message in (
+        (1.0, [math.pi / 2], 1.0, "t outside the spherical chart"),
+        (1.0, [2.0], 1.0, "t outside the spherical chart"),
+        (0.0, [0.5], 1.0, r"theta must lie in \(0, pi\)"),
+        (math.pi, [0.5], 0.0, r"theta must lie in \(0, pi\)"),
+        (1.0, [0.0], -1.0, "t values must be positive"),
+        (1.0, [0.5, -1.0], 0.0, "t values must be positive"),
     ):
         with pytest.raises(InvalidParameterError, match=f"^{message}$"):
-            distance_comparison_curve(family, 1.0, [math.pi / 2], kappa=kappa)
+            distance_comparison_curve(theta, t, kappa=kappa)
+    for kappa in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            distance_comparison_curve(1.0, [0.5], kappa=kappa)

@@ -273,8 +273,9 @@ def test_triangle_slack_matches_brute_force(n):
 def test_relaxed_bound_on_trees_has_nonnegative_slack():
     for seed in (1, 2, 3):
         space = sample_space(GeneratorSpec(kind="tree", n=12, seed=seed))
-        report = relaxed_npc_bound_check(space, h=1.0, delta=delta_four_point(space))
-        assert report.delta == 0.0
+        delta = delta_four_point(space)
+        report = relaxed_npc_bound_check(space, h=1.0, delta=delta)
+        assert delta.delta == 0.0
         assert report.epsilon_star_upper <= 0.5 + 1e-12
         assert report.slack >= 0.0
 
@@ -289,11 +290,11 @@ def test_relaxed_bound_reuses_a_given_delta():
     space = validate_metric(random_metric_matrix(np.random.default_rng(8), 9))
     result = delta_four_point(space)
     given_delta = relaxed_npc_bound_check(space, h=0.5, delta=result)
-    assert given_delta.delta == result.delta
-    assert given_delta.slack == 2.0 * result.delta + 0.5 - given_delta.epsilon_star_upper
+    eps = given_delta.epsilon_star_upper
+    assert given_delta.slack == 2.0 * result.delta + 0.5 - eps
     # the delta is the caller's: the check never scans it
     other = replace(result, delta=result.delta + 1.0)
-    assert relaxed_npc_bound_check(space, h=0.5, delta=other).delta == result.delta + 1.0
+    assert relaxed_npc_bound_check(space, h=0.5, delta=other).slack == 2.0 * (result.delta + 1.0) + 0.5 - eps
     with pytest.raises(TypeError):
         relaxed_npc_bound_check(space, h=0.5)
 

@@ -220,14 +220,6 @@ def test_triangle_screen_is_exact_at_the_tolerance(seed):
             assert bool(len(triangle_violations(d, tau))) == (entry > bound)
 
 
-def test_pseudo_ok_admits_zero_off_diagonal():
-    m = np.array([[0.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(MetricValidationError):
-        validate_metric(m)
-    space = validate_metric(m, pseudo_ok=True)
-    assert space.n == 2
-
-
 def test_validate_rejects_nonsquare_and_nonfinite():
     with pytest.raises(ValueError):
         validate_metric(np.zeros((2, 3)))

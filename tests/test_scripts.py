@@ -35,12 +35,17 @@ def test_lp_margin_sweep_reports_the_margin_error(tmp_path):
 
 
 def _run(argv):
+    """Run a script under the runtime's debug checks, with a RuntimeWarning as an
+    error as in the tier-1 tests; a clean exit must leave stderr empty."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::RuntimeWarning", str(ROOT / "scripts" / argv[0]), *argv[1:]],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+    if proc.returncode == 0:
+        assert proc.stderr == ""
+    return proc

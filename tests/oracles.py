@@ -292,3 +292,22 @@ def triangle_violations(d, tau):
         if ij.size:
             found.append(np.column_stack([ij, np.full(len(ij), k)]))
     return np.concatenate(found)
+
+
+def dijkstra_path_metric(edges):
+    """(vertices, d): scipy's float Dijkstra from every vertex of an edge list,
+    d[s, v] the left-to-right sum along a shortest path from s to v, inf where
+    there is none, not made symmetric. Vertices are indexed in order of first
+    appearance; a parallel edge keeps its least weight and a loop is dropped."""
+    from scipy.sparse.csgraph import shortest_path
+
+    index = {}
+    for u, v, _ in edges:
+        index.setdefault(u, len(index))
+        index.setdefault(v, len(index))
+    w = np.zeros((len(index), len(index)))  # 0: no edge
+    for u, v, c in edges:
+        i, j = index[u], index[v]
+        if i != j and not 0.0 < w[i, j] <= c:
+            w[i, j] = w[j, i] = c
+    return list(index), shortest_path(w, method="D", directed=False)

@@ -119,8 +119,8 @@ def test_edge_weight_that_is_not_positive_and_finite_exits_three(weight, tmp_pat
         assert "edge ('b', 'c') has weight" in captured.err
 
 
-# Runs in a fresh interpreter: the commands that never call scipy must not
-# import it, and each one that does imports only the submodule it calls.
+# Runs in a fresh interpreter: no command imports scipy, matrix inputs do not
+# load the graph kernel, and the general l_p solver reads scipy.optimize on first use.
 _COLD_START = textwrap.dedent(
     """
     import sys
@@ -141,10 +141,11 @@ _COLD_START = textwrap.dedent(
         main(["counterexample", "--p", "1.5"]),
     ]
     assert codes == [1, 0, 0, 2, 0, 0, 0], codes
-    assert not scipy_modules(), sorted(scipy_modules())
+    assert "curvcomp.pathsums" not in sys.modules
+    # shortest paths of an edge list and of a graph sampler
     assert main(["hyperbolicity", edges, "--allowance", "1.0"]) == 0
-    assert "scipy.sparse.csgraph" in sys.modules
-    assert "scipy.optimize" not in sys.modules, sorted(scipy_modules())
+    assert main(["sample", "tree:n=8,seed=1", "--out", out]) == 0
+    assert not scipy_modules(), sorted(scipy_modules())
 
     import curvcomp.circumradius
     import scipy.optimize

@@ -1,6 +1,7 @@
 """Validation, graph ingestion, triples, side lengths, and file formats."""
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from curvcomp import (
     lp_circumradius,
     validate_metric,
 )
-from curvcomp import circumradius
+from curvcomp import circumradius, generators
 from curvcomp.metricspace import (
     DisconnectedGraphError,
     InvalidPError,
@@ -31,7 +32,8 @@ from curvcomp.metricspace import (
     parse_distance_matrix,
     parse_edge_list,
 )
-from oracles import random_metric_matrix, triangle_violations
+from curvcomp.generators import parse_generator_spec, sample_space
+from oracles import dijkstra_path_metric, random_metric_matrix, triangle_violations
 
 PATH4 = np.array(
     [
@@ -256,6 +258,152 @@ def test_from_graph_matrix_exactly_symmetric():
     edges += [(i, (i + 7) % 30, float(rng.uniform(0.5, 1.5))) for i in range(0, 30, 3)]
     space = from_graph(edges)
     assert np.array_equal(space.dist, space.dist.T)
+
+
+def _assert_dijkstra_bits(edges):
+    vertices, d = dijkstra_path_metric(edges)
+    space = from_graph(edges)
+    assert space.labels == tuple(map(str, vertices))
+    assert np.array_equal(space.dist.view(np.int64), np.minimum(d, d.T).view(np.int64))
+
+
+def _tree_plus_edges(rng, n, p=0.04):
+    # the benchmark's weighted graph: a random recursive tree plus extra edges
+    pairs = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+    iu, ju = np.triu_indices(n, 1)
+    extra = rng.uniform(size=iu.size) < p
+    pairs = sorted(pairs | set(zip(iu[extra].tolist(), ju[extra].tolist())))
+    return [(f"v{u}", f"v{v}", float(c)) for (u, v), c in zip(pairs, rng.uniform(0.5, 1.5, len(pairs)))]
+
+
+def _subdivided_tree(rng, nodes, steps):
+    # the benchmark's tree: a random recursive tree, each edge cut into unit edges
+    edges, fresh = [], nodes
+    for v in range(1, nodes):
+        chain = [int(rng.integers(0, v)), *range(fresh, fresh + steps - 1), v]
+        fresh += steps - 1
+        edges += [(f"v{a}", f"v{b}", 1.0) for a, b in zip(chain, chain[1:])]
+    return edges
+
+
+def _acceptance_random_graph(seed):
+    # the random graphs of tests/test_acceptance.py's corpus, seeds 500-519
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 26))
+    edges = [(int(rng.integers(0, i)), i, float(rng.uniform(0.5, 1.5))) for i in range(1, n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.uniform() < 0.25:
+                edges.append((i, j, float(rng.uniform(0.5, 1.5))))
+    return edges
+
+
+def _grid(side, weights):
+    # edges to the right and lower neighbours, 2 * side * (side - 1) of them
+    n = side * side
+    pairs = [(v, v + s) for v in range(n) for s in (1, side) if v + s < n and (s == side or (v + 1) % side)]
+    return [(u, v, float(c)) for (u, v), c in zip(pairs, weights, strict=True)]
+
+
+def _tenths_graph(rng, n):
+    # weights k * 0.1: equal real lengths whose float sums differ by the order of addition
+    edges = [(int(rng.integers(0, v)), v, 0.1 * int(rng.integers(1, 8))) for v in range(1, n)]
+    edges += [(int(a), int(b), 0.1 * int(rng.integers(1, 8))) for a, b in rng.integers(0, n, (2 * n, 2)) if a != b]
+    return edges
+
+
+_ORACLE_GRAPHS = {
+    **{f"bench-graph-{s}": lambda s=s: _tree_plus_edges(np.random.default_rng([s, 2]), 123) for s in range(6)},
+    **{f"bench-tree-{s}": lambda s=s: _subdivided_tree(np.random.default_rng([s, 2]), 31, 4) for s in range(6)},
+    **{f"acceptance-{s}": lambda s=s: _acceptance_random_graph(s) for s in range(500, 520)},
+    **{f"cycle-{n}": lambda n=n: [(i, (i + 1) % n, 1.0) for i in range(n)] for n in (4, 9, 16, 30)},
+    "tenths-grid": lambda: _grid(8, 0.1 * np.random.default_rng(7).integers(1, 4, 112)),
+    **{f"tenths-{s}": lambda s=s: _tenths_graph(np.random.default_rng(s), 40) for s in range(4)},
+    "duplicate-edges": lambda: [
+        ("a", "b", 3.0), ("b", "c", 1.0), ("a", "b", 1.5), ("c", "a", 2.75), ("a", "c", 2.5), ("b", "c", 4.0)
+    ],
+    "loop": lambda: [("a", "a", 2.0), ("a", "b", 1.0), ("b", "b", 0.5)],
+    "single-edge": lambda: [("x", "y", 0.3)],
+}
+
+
+@pytest.mark.parametrize("name", _ORACLE_GRAPHS)
+def test_from_graph_is_bitwise_scipy_dijkstra(name):
+    _assert_dijkstra_bits(_ORACLE_GRAPHS[name]())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        *("tree:n=10,seed=1", "tree:n=25,seed=2", "tree:n=40,seed=3", "tree:n=9,seed=5,subdivision=1"),
+        *("grid:width=2,height=2", "grid:width=4,height=5", "grid:width=6,height=6", "random_graph:n=20,seed=8"),
+    ],
+)
+def test_graph_samplers_are_bitwise_scipy_dijkstra(spec, monkeypatch):
+    # the acceptance corpus's trees and grids: check the edges each sampler hands to from_graph
+    seen = []
+
+    def record(edges):
+        seen.append(list(edges))
+        return from_graph(seen[-1])
+
+    monkeypatch.setattr(generators, "from_graph", record)
+    sample_space(parse_generator_spec(spec))
+    [edges] = seen
+    _assert_dijkstra_bits(edges)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 1, 1.0), (2, 3, 1.0)],
+        [(5, 6, 1.0), (7, 8, 1.0), (5, 9, 2.0), (8, 10, 0.5)],
+        [("a", "b", 1.0), ("c", "c", 1.0)],
+        [(v, v + 2, 1.0) for v in range(28)],  # the even and the odd vertices
+        # a sum past the float64 range is inf, so it is reported like a missing path
+        [("a", "b", 1e308), ("b", "c", 1e308)],
+    ],
+)
+def test_from_graph_names_the_first_pair_dijkstra_leaves_at_inf(edges):
+    vertices, d = dijkstra_path_metric(edges)
+    i, j = np.argwhere(~np.isfinite(d))[0]
+    with pytest.raises(DisconnectedGraphError) as exc:
+        from_graph(edges)
+    assert exc.value.pair == (vertices[i], vertices[j])
+
+
+def _hostile_shape(shape):
+    rng = np.random.default_rng(19)
+    if shape == "path":  # vertex 0 at one end: 399 hops in one direction
+        return [(v, v + 1, float(rng.uniform(0.5, 1.5))) for v in range(399)]
+    if shape == "grid":
+        return _grid(20, rng.uniform(0.5, 1.5, 760))
+    if shape == "complete":
+        return [(u, v, float(rng.uniform(0.01, 1.0))) for u in range(250) for v in range(u + 1, 250)]
+    if shape == "bipartite":  # one side is one level of 200 vertices with 200 edges each
+        return [(u, v, float(rng.uniform(0.5, 1.5))) for u in range(200) for v in range(200, 400)]
+    # zigzag: a light path, and a heavy edge from vertex 0 to every vertex, so that one
+    # hop from vertex 0 reaches all 400 vertices
+    return [(v, v + 1, 1.0 + 1e-3 * float(rng.uniform())) for v in range(399)] + [(0, v, 1000.0) for v in range(1, 400)]
+
+
+@pytest.mark.parametrize("shape", ["path", "grid", "complete", "bipartite", "zigzag"])
+def test_from_graph_on_hostile_shapes_is_exact_fast_and_small(shape):
+    edges = _hostile_shape(shape)
+    _assert_dijkstra_bits(edges)
+    best = math.inf
+    for _ in range(2):
+        start = time.perf_counter()
+        from_graph(edges)
+        best = min(best, time.perf_counter() - start)
+    assert best <= 1.0, best
+    tracemalloc.start()
+    try:
+        from_graph(edges)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
 
 
 def test_triple_is_canonically_sorted():

@@ -31,11 +31,35 @@ block. The floor never exceeds epsilon*, so triples whose upper bound is
 below it cannot be the witness and are dropped; `Verdict.gathered` counts
 the triples whose min-max was evaluated.
 
-The scan runs on the calling thread. `certify` upper/lower takes
-0.07-0.10/0.05-0.06 s at n=150, kappa=0; 0.96-1.11/0.58-0.72 s at n=300,
-kappa=-1; and 2.7/1.15-1.19 s at n=400, kappa=0 (2-core x86 VM, random
-metric). `defect_profile` gathers about 80% of a random metric's triples
-and takes 8.3-8.6 s at n=400.
+Bound first, compute last: once the floor is positive, a block bounds r_model
+before it runs the model kernel. In M_kappa a triangle with longest side a has
+a / 2 <= r_model <= rho_kappa(a), the circumradius of the equilateral triangle
+with side a (Jung's theorem in the model planes; Dekster, Acta Math. Hungar.
+1995), and widened by BRACKET_MARGIN at both ends the bracket holds the kernel's
+radius. The defect bound ub - a (1 - 2^-40) / 2 (upper) or
+rho_kappa(a) (1 + 2^-40) - lb (lower) is at least the kernel's, so the triples
+it puts below the floor are dropped before the kernel, and only the survivors
+are sorted and modelled: outputs stay bitwise, `gathered` included, and
+`Verdict.modelled` counts the triangles the kernel saw. The bracket is open past
+sqrt(-kappa) a = 8 for kappa < 0 and within 2^-20 of the great circle for
+kappa > 0, where the kernel's error nears the margin.
+
+The lower direction also prunes pairs: g(a, b) = rho_kappa(d(a, b)) (1 + 2^-40)
+- P[a, b] bounds the lower defect of every triple whose longest side is (a, b),
+since r_space >= P[a, b]. Once the floor is positive and no perimeter reaches
+the cap, the scan builds only the triples that hold a pair whose g reaches the
+floor, one kernel call covers consecutive blocks, and each block still raises
+the floor and drops triples as it would alone. A holding input keeps its floor
+at 0 and scans every triple.
+
+The scan runs on the calling thread. On a 2-core x86 VM, random metric, best
+of 2: `certify` upper/lower takes 0.07/0.01 s at n=150, kappa=0 (0.06-0.09/0.04
+before the bracket); 0.69-0.75/0.03-0.05 s at n=300, kappa=-1 (0.87-0.99/0.45-0.48);
+and 1.80-1.89/0.06-0.07 s at n=400, kappa=0 (1.81-1.98/0.83-0.94). A random
+metric's upper direction gathers about 16% of its triples, and that min-max, not
+the kernel, takes most of its time. `defect_profile` needs every defect and keeps
+the full path: it gathers about 80% of a random metric's triples and takes
+8.3-8.6 s at n=400.
 """
 from __future__ import annotations
 
@@ -48,9 +72,17 @@ import numpy as np
 
 from .circumradius import CandidatePolicy, candidate_rows, discrete_circumradius
 from .metricspace import FiniteMetricSpace, SideLengths, Triple
-from .modelplane import kappa_value, model_circumradius_batch, model_perimeter_bound
+from .modelplane import kappa_value, model_circumradius_batch, model_equilateral_radius, model_perimeter_bound
 
 TAU_DEFECT = 1e-12  # absolute verdict tolerance on defects
+BRACKET_MARGIN = 2.0**-40  # relative slack of the bracket over the kernel's rounding
+# sqrt|kappa| * longest side from which the bracket is not used: on random triangles the
+# hyperbolic kernel's relative error against mpmath is at most 1.4e-13 below 8, 8.6e-13
+# below 10 and 1e-10 below 16
+_HYPERBOLIC_SIDE = 8.0
+# on the sphere three sides stay this far (relative) below the great circle: within 1e-9 of it
+# the kernel's error on near-equilateral triangles reaches 1.3e-12, past the margin
+_SPHERE_SLACK = 2.0**-20
 _BLOCK = 1 << 14  # candidate x triple entries per min-max block of the scan
 _BINS = 40  # histogram bins of defect_profile
 
@@ -109,6 +141,7 @@ class Verdict:
     epsilon_needed: float
     skipped: int
     gathered: int  # triples whose candidate min-max was evaluated; not reported
+    modelled: int  # triangles the model kernel evaluated; not reported
 
 
 @dataclass(frozen=True)
@@ -240,53 +273,97 @@ def _row_blocks(counts):
         yield range(first, len(counts))
 
 
-def _scan_block(space, cols, table, pairs, starts, kappa, beta, degenerate, cap, worst, rows):
-    """Skipped count, gathered count and the triples of `rows`, consecutive whole rows,
-    as arrays (I, J, K, defect, r_space, r_model, min_side) in lexicographic order.
+def _radius_bracket(long, k: float, end: str) -> np.ndarray:
+    """The `end` ("lower" or "upper") of long / 2 <= r_model <= rho_k(long) for triangles
+    with longest side `long` at curvature k, widened by BRACKET_MARGIN.
 
-    `pairs` is the pair-major layout: the pairs (j, k), j < k, in lexicographic
-    order with their d, P and C. Row i is the suffix of it from `starts[i]`, the
-    pair (i + 1, i + 2), or (i, i + 1) with degenerate pairs, where (i, k) stands
-    for the triple (i, i, k): the triangle (a, a, 0), whose model radius is
-    exactly a / 2. One row takes views of the layout, more rows a copy.
-    `cols[v]` holds the distances from point v to every candidate and `table` is
-    `_pair_table(cols)`. r_space is ub where the bounds meet, and the candidate
-    min-max is gathered only for the rest. Given a `_Worst`, the block keeps only
-    the triples whose defect bound reaches its floor.
+    The bracket is open, -inf or inf, from the longest side at which the kernel may
+    leave the margin on: sqrt(-k) long = _HYPERBOLIC_SIDE for k < 0, and three sides
+    _SPHERE_SLACK short of the great circle for k > 0.
     """
-    d = space.dist
-    if len(rows) == 1:
-        J, K, d_jk, p_jk, c_jk = (v[starts[rows[0]] :] for v in pairs)
-        I = np.broadcast_to(J.dtype.type(rows[0]), J.shape)
+    if k < 0:
+        limit = _HYPERBOLIC_SIDE / math.sqrt(-k)
+    elif k > 0:
+        limit = (1.0 - _SPHERE_SLACK) * 2.0 * math.pi / (3.0 * math.sqrt(k))
     else:
-        J, K, d_jk, p_jk, c_jk = (np.concatenate([v[starts[i] :] for i in rows]) for v in pairs)
-        lengths = pairs[0].size - starts[rows.start : rows.stop]
-        I = np.repeat(np.arange(rows.start, rows.stop, dtype=J.dtype), lengths)
-    base = I * space.n
-    ij, ik = base + J, base + K
-    del base
-    short, mid, long = _sorted_sides(d.take(ij), d.take(ik), d_jk)
-    del d_jk
-    # beta filters distinct pairs only: a degenerate triple's one distinct pair is its mid side
-    min_side = np.where(J == I, mid, short) if degenerate else short
-    small = short + mid + long < cap
-    admissible = min_side >= beta
-    skipped = int(np.count_nonzero(admissible & ~small))
-    keep = admissible & small
-    if not keep.all():
-        keep = np.flatnonzero(keep)
-        I, J, K, ij, ik, p_jk, c_jk, short, mid, long, min_side = (
-            v.take(keep) for v in (I, J, K, ij, ik, p_jk, c_jk, short, mid, long, min_side)
-        )
-    rm = model_circumradius_batch(long, mid, short, kappa)
-    del short, mid, long  # block-sized; freed early to keep the block's peak memory down
-    lb, ub = _radius_bounds(cols, table, I, J, K, ij, ik, p_jk, c_jk)
-    del ij, ik, p_jk, c_jk
-    if worst is not None:
-        keep = np.flatnonzero(worst.reachable(lb, ub, rm))
-        I, J, K, min_side, rm, lb, ub = (v.take(keep) for v in (I, J, K, min_side, rm, lb, ub))
-    rs = ub
-    gather = np.flatnonzero(ub != lb)
+        limit = math.inf
+    if end == "lower":
+        bound = (0.5 - 0.5 * BRACKET_MARGIN) * long
+    else:
+        bound = model_equilateral_radius(np.minimum(long, limit), k)
+        bound *= 1.0 + BRACKET_MARGIN
+    if limit < math.inf:
+        bound[long >= limit] = -math.inf if end == "lower" else math.inf
+    return bound
+
+
+def _pair_offset(a, n):
+    """Layout position of the pair (a, a + 1): the n - 1 + ... + n - a pairs of smaller first index."""
+    return a * (2 * n - 1 - a) // 2
+
+
+def _ranges(first, lengths):
+    """The ranges first[t], ..., first[t] + lengths[t] - 1, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.repeat(first - ends + lengths, lengths) + np.arange(ends[-1] if ends.size else 0)
+
+
+def _hot_triples(hot, pairs, starts, rows, n):
+    """Row and layout position, in lexicographic order, of each triple of `rows` that holds
+    a hot pair, `hot` being a mask over the pair-major layout `pairs`.
+
+    Row i's triples are the layout pairs (j, k) from starts[i] on. One holds a hot pair
+    if (j, k) is hot, or if (i, x) is hot for x = j, the run of pairs (x, k > x), or for
+    x = k, the pairs (j, x) with i < j < x. With degenerate pairs the row's own pair
+    (i, x) stands for the triple (i, i, x) and is hot itself. One mask over the rows'
+    triples marks them all; row i's pair p is its entry p + shift[i - rows.start].
+    """
+    size = pairs[0].size
+    first = starts[rows.start : rows.stop]
+    ends = np.cumsum(size - first)
+    shift = ends - size
+    mark = np.concatenate([hot[p:] for p in first.tolist()])
+    offset = _pair_offset(np.arange(n + 1), n)
+    own = np.flatnonzero(hot[offset[rows.start] : offset[rows.stop]]) + offset[rows.start]
+    i, x = (v.take(own).astype(np.intp) for v in pairs[:2])
+    at = shift[i - rows.start]
+    for a, b in zip((offset[x] + at).tolist(), (offset[x + 1] + at).tolist()):
+        mark[a:b] = True
+    # the pair (j, x), j < x, sits at offset[j] - j - 1 + x
+    j = _ranges(i + 1, x - i - 1)
+    mark[offset[j] - j - 1 + np.repeat(x + at, x - i - 1)] = True
+    del i, x, at, j
+    found = np.flatnonzero(mark)
+    del mark
+    row = np.searchsorted(ends, found, side="right")
+    return rows.start + row, found - shift[row]
+
+
+def _pruned_end(blocks, b, hot, offset, starts, counts):
+    """End of the blocks, from blocks[b] on, whose triples with a hot pair one `_hot_triples`
+    call builds: while their rows hold at most 8 times row 0's triples, for its mask, and
+    at most row 0's triples with a hot pair, by a bound that counts each row's hot pairs
+    (j, k) and n - 2 - i triples for each hot pair (i, x)."""
+    n = len(starts)
+    below = np.concatenate(([0], np.cumsum(hot)))  # hot pairs before each layout position
+    met = below[-1] - below[starts] + (below[offset[1:]] - below[offset[:-1]]) * (n - 2 - np.arange(n))
+    met, triples = (np.concatenate(([0], np.cumsum(v))) for v in (met, counts))
+    first, end = blocks[b].start, b + 1
+    while end < len(blocks) and (
+        met[blocks[end].stop] - met[first] <= counts[0] and triples[blocks[end].stop] - triples[first] <= 8 * counts[0]
+    ):
+        end += 1
+    return end
+
+
+def _finish(cols, block):
+    """Gathered count and the triples (I, J, K, defect, r_space, r_model, min_side) of `block`,
+    the list (I, J, K, min_side, r_model, lb, ub), which is emptied so that lb is freed before
+    the gather. r_space is ub where the bounds meet, and the candidate min-max, row by row in
+    chunks of _BLOCK entries, for the rest."""
+    I, J, K, min_side, rm, lb, rs = block
+    block.clear()
+    gather = np.flatnonzero(rs != lb)
     del lb
     step = max(1, _BLOCK // cols.shape[1])
     for i, a, b in _runs(I[gather]):
@@ -294,29 +371,133 @@ def _scan_block(space, cols, table, pairs, starts, kappa, beta, degenerate, cap,
         for start in range(a, b, step):
             t = gather[start : min(start + step, b)]
             rs[t] = np.maximum(pair[J[t]], cols[K[t]]).min(axis=1)
-    return skipped, int(gather.size), (I, J, K, rs - rm, rs, rm, min_side)
+    return int(gather.size), (I, J, K, rs - rm, rs, rm, min_side)
+
+
+def _scan_block(space, cols, table, pairs, starts, kappa, beta, degenerate, cap, worst, hot, blocks):
+    """For each of `blocks`, consecutive ranges of whole rows, yield its skipped, gathered
+    and modelled counts and its triples as arrays (I, J, K, defect, r_space, r_model,
+    min_side) in lexicographic order.
+
+    `pairs` is the pair-major layout: the pairs (j, k), j < k, in lexicographic
+    order with their d, P and C. Row i is the suffix of it from `starts[i]`, the
+    pair (i + 1, i + 2), or (i, i + 1) with degenerate pairs, where (i, k) stands
+    for the triple (i, i, k): the triangle (a, a, 0), whose model radius is
+    exactly a / 2. One row takes views of the layout, more rows a copy, and a
+    `hot` mask over the layout only the triples that `_hot_triples` finds.
+    `cols[v]` holds the distances from point v to every candidate and `table` is
+    `_pair_table(cols)`.
+
+    Given a `_Worst` whose floor is positive, the rows first drop the triples whose
+    bracketed defect bound is below the floor, and the model kernel runs on the rest.
+    Then each block in turn keeps the triples whose defect bound from the kernel
+    reaches the floor, which it raises first, as the block would alone.
+    """
+    d, n = space.dist, space.n
+    rows = range(blocks[0].start, blocks[-1].stop)
+    if hot is not None:
+        I, at = _hot_triples(hot, pairs, starts, rows, n)
+        J, K, d_jk, p_jk, c_jk = (v.take(at) for v in pairs)
+        I = I.astype(J.dtype)
+        del at
+    elif len(rows) == 1:
+        J, K, d_jk, p_jk, c_jk = (v[starts[rows[0]] :] for v in pairs)
+        I = np.broadcast_to(J.dtype.type(rows[0]), J.shape)
+    else:
+        J, K, d_jk, p_jk, c_jk = (np.concatenate([v[starts[i] :] for i in rows]) for v in pairs)
+        lengths = pairs[0].size - starts[rows.start : rows.stop]
+        I = np.repeat(np.arange(rows.start, rows.stop, dtype=J.dtype), lengths)
+    base = I * n
+    ij, ik = base + J, base + K
+    del base
+    sides = [d.take(ij), d.take(ik), d_jk]
+    del d_jk
+    skipped, ordered = 0, False
+    if beta > 0 or cap < math.inf:
+        sides, ordered = list(_sorted_sides(*sides)), True
+        short, mid, long = sides
+        # beta filters distinct pairs only: a degenerate triple's one distinct pair is its mid side
+        min_side = np.where(J == I, mid, short) if degenerate else short
+        small = short + mid + long < cap
+        admissible = min_side >= beta
+        skipped = int(np.count_nonzero(admissible & ~small))
+        keep = admissible & small
+        del short, mid, long, min_side, small, admissible
+        if not keep.all():
+            keep = np.flatnonzero(keep)
+            I, J, K, ij, ik, p_jk, c_jk, *sides = (v.take(keep) for v in (I, J, K, ij, ik, p_jk, c_jk, *sides))
+        del keep
+    # with a positive floor the bounds and the longest side come first, and only the
+    # bracket's survivors are sorted and modelled; otherwise the bounds come after the
+    # kernel, as the block's peak memory allows
+    bracket = worst is not None and worst.floor > 0
+    if bracket:
+        lb, ub = _radius_bounds(cols, table, I, J, K, ij, ik, p_jk, c_jk)
+        del ij, ik, p_jk, c_jk
+        long = sides[2] if ordered else np.maximum(np.maximum(sides[0], sides[1]), sides[2])
+        keep = np.flatnonzero(worst.bracket(lb, ub, long))
+        del long
+        I, J, K, lb, ub, *sides = (v.take(keep) for v in (I, J, K, lb, ub, *sides))
+        del keep
+    short, mid, long = sides if ordered else _sorted_sides(*sides)
+    del sides
+    min_side = np.where(J == I, mid, short) if degenerate else short
+    rm = model_circumradius_batch(long, mid, short, kappa)
+    del short, mid, long  # block-sized; freed early to keep the block's peak memory down
+    if not bracket:
+        lb, ub = _radius_bounds(cols, table, I, J, K, ij, ik, p_jk, c_jk)
+        del ij, ik, p_jk, c_jk
+    modelled = rm.size
+    group = [I, J, K, min_side, rm, lb, ub]
+    del I, J, K, min_side, rm, lb, ub
+    if worst is None:
+        gathered, block = _finish(cols, group)
+        yield skipped, gathered, modelled, block
+        return
+    cuts = np.searchsorted(group[0], [block.stop for block in blocks]).tolist()
+    for t, (start, stop) in enumerate(zip([0, *cuts], cuts)):
+        part = worst.reachable([v[start:stop] for v in group])
+        if t == len(cuts) - 1:
+            group.clear()  # the last gather shares no memory with the rows' arrays
+        gathered, block = _finish(cols, part)
+        yield skipped, gathered, modelled, block
+        skipped = modelled = 0
 
 
 def _scan_rows(space, kappa, policy, beta, degenerate, max_perimeter, worst=None):
-    """(skipped, gathered, block) for blocks of consecutive whole rows, in index order,
-    from `_scan_block`; row i holds the triples with smallest index i.
+    """(skipped, gathered, modelled, block) for blocks of consecutive whole rows, in index
+    order, from `_scan_block`; row i holds the triples with smallest index i.
+
+    Consecutive whole rows form a block while it holds no more triples than row 0.
+    Once the worst's pair prune applies, one `_scan_block` call takes the blocks
+    that `_pruned_end` gives.
 
     kappa and the perimeter cap are checked, and the candidate columns, their pair
-    table and the pair-major layout built, when the first block is asked for.
+    table, the pair-major layout and the worst's bracket built, when the first
+    block is asked for.
     """
     k = kappa_value(kappa)
     cap = model_perimeter_bound(k, max_perimeter)
+    if cap > 3.0 * space.diameter:
+        cap = math.inf  # no perimeter reaches it, and with beta = 0 every triple is admissible
     cols = candidate_rows(space, policy)
     table = _pair_table(cols)
     n = space.n
     P, C = table
     J, K = (v.astype(C.dtype) for v in np.triu_indices(n, 1))
     pairs = (J, K, space.dist[J, K], P[J, K], C[J, K])
-    # the pair (a, a + 1) sits after the n - 1 + ... + n - a pairs of smaller first index
-    first = np.arange(n) + (not degenerate)
-    starts = first * (2 * n - 1 - first) // 2
-    for rows in _row_blocks((pairs[0].size - starts).tolist()):
-        yield _scan_block(space, cols, table, pairs, starts, k, beta, degenerate, cap, worst, rows)
+    if worst is not None:
+        worst.prepare(pairs, k, cap)
+    offset = _pair_offset(np.arange(n + 1), n)
+    starts = offset[np.arange(n) + (not degenerate)]
+    counts = pairs[0].size - starts
+    blocks = list(_row_blocks(counts.tolist()))
+    b = 0
+    while b < len(blocks):
+        hot = None if worst is None else worst.hot()
+        end = b + 1 if hot is None else _pruned_end(blocks, b, hot, offset, starts, counts)
+        yield from _scan_block(space, cols, table, pairs, starts, k, beta, degenerate, cap, worst, hot, blocks[b:end])
+        b = end
 
 
 class _Worst:
@@ -335,12 +516,45 @@ class _Worst:
         self.sign, self.pick = (1.0, np.argmax) if direction == "upper" else (-1.0, np.argmin)
         self.epsilon, self.record = 0.0, None  # record: (i, j, k, r_space, r_model)
         self.floor = 0.0
+        self.k, self.pairs, self.gap = 0.0, None, None
 
-    def reachable(self, lb, ub, rm) -> np.ndarray:
-        """Mask of the triples, with r_space in [lb, ub], whose defect can reach the floor."""
+    def prepare(self, pairs, k: float, cap: float) -> None:
+        """The curvature of one scan and, for lower without a perimeter cap, the layout
+        `pairs` that the prune reads."""
+        self.k = k
+        if self.sign < 0 and cap == math.inf:
+            self.pairs = pairs
+
+    def hot(self) -> np.ndarray | None:
+        """Mask of the layout pairs whose g reaches a positive floor, or None where the
+        prune does not apply. g = rho_hi(d) - P bounds the lower defect of every triple
+        whose longest side is the pair, because r_space >= P of each pair; it is built
+        when the floor first turns positive, so a holding input never builds it."""
+        if self.pairs is None or self.floor <= 0:
+            return None
+        if self.gap is None:
+            _, _, d_jk, p_jk, _ = self.pairs
+            self.gap = _radius_bracket(d_jk, self.k, "upper")
+            self.gap -= p_jk
+        return self.gap >= self.floor
+
+    def bracket(self, lb, ub, long) -> np.ndarray:
+        """Mask of the triples, with r_space in [lb, ub] and longest side `long`, whose defect
+        bound from `_radius_bracket` reaches the floor. The kernel's r_model lies inside
+        the bracket, so the mask keeps every triple that `reachable` keeps."""
+        if self.sign > 0:
+            return ub - _radius_bracket(long, self.k, "lower") >= self.floor
+        return _radius_bracket(long, self.k, "upper") - lb >= self.floor
+
+    def reachable(self, block):
+        """The triples of `block`, arrays (I, J, K, min_side, r_model, lb, ub) with r_space in
+        [lb, ub], whose defect can reach the floor, which their bounds raise first."""
+        rm, lb, ub = block[4:]
         low, high = (lb - rm, ub - rm) if self.sign > 0 else (rm - ub, rm - lb)
         self.floor = max(self.epsilon, float(low.max(initial=self.floor)))
-        return high >= self.floor
+        keep = np.flatnonzero(high >= self.floor)
+        del low, high
+        return [v.take(keep) for v in block]
 
     def add(self, block) -> None:
         I, J, K, defect, rs, rm, _ = block
@@ -350,6 +564,7 @@ class _Worst:
         if self.sign * defect[t] > self.epsilon:
             self.epsilon = float(self.sign * defect[t])
             self.record = (int(I[t]), int(J[t]), int(K[t]), float(rs[t]), float(rm[t]))
+            self.floor = max(self.floor, self.epsilon)
 
     def witness(self, space: FiniteMetricSpace) -> TriangleDefect | None:
         if self.record is None:
@@ -369,17 +584,25 @@ def certify(space: FiniteMetricSpace, query: CurvatureQuery, threads: int = 1) -
     parameter stays because `bench/worker.py` passes `threads=1`.
     """
     check_threads(threads)
-    worst, skipped, gathered = _Worst(query.direction), 0, 0
+    worst, skipped, gathered, modelled = _Worst(query.direction), 0, 0, 0
     blocks = _scan_rows(
         space, query.kappa, query.candidates, query.beta, query.degenerate_pairs, query.max_perimeter, worst
     )
-    for block_skipped, block_gathered, block in blocks:
+    for block_skipped, block_gathered, block_modelled, block in blocks:
         skipped += block_skipped
         gathered += block_gathered
+        modelled += block_modelled
         worst.add(block)
     holds = worst.epsilon <= query.epsilon + TAU_DEFECT
     witness = None if holds else worst.witness(space)
-    return Verdict(holds=holds, witness=witness, epsilon_needed=worst.epsilon, skipped=skipped, gathered=gathered)
+    return Verdict(
+        holds=holds,
+        witness=witness,
+        epsilon_needed=worst.epsilon,
+        skipped=skipped,
+        gathered=gathered,
+        modelled=modelled,
+    )
 
 
 class _BinCounter:
@@ -435,7 +658,7 @@ def defect_profile(
     curve = np.zeros(betas.size)
     counter = _BinCounter(space.diameter)
     upper, lower, skipped = _Worst("upper"), _Worst("lower"), 0
-    for block_skipped, _, block in _scan_rows(space, kappa, CandidatePolicy(), 0.0, degenerate_pairs, None):
+    for block_skipped, _, _, block in _scan_rows(space, kappa, CandidatePolicy(), 0.0, degenerate_pairs, None):
         skipped += block_skipped
         defect, min_side = block[3], block[6]
         upper.add(block)
@@ -487,7 +710,7 @@ def local_defect_map(
         raise ValueError("ball radius must be positive and finite")
     within = space.dist <= ball_radius
     out = np.zeros(space.n)
-    for _, _, (I, J, K, defect, *_) in _scan_rows(space, kappa, CandidatePolicy(), 0.0, False, None):
+    for *_, (I, J, K, defect, *_) in _scan_rows(space, kappa, CandidatePolicy(), 0.0, False, None):
         for i, a, b in _runs(I):
             # every ball holding a triple of row i holds i
             for x in np.flatnonzero(within[i]):

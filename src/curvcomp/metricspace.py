@@ -286,6 +286,10 @@ def from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
     graphs 6-7. Memory is O(n^2): the n x n table, the padded slots, and one
     pull of at most max(2^18, n^2) entries. The result is then made exactly
     symmetric with min(d, d^T).
+
+    A graph whose edges leave two vertices unlinked raises DisconnectedGraphError
+    naming the first such pair; a connected one whose path sum passes the float64
+    range raises ValueError naming the first pair whose sum does.
     """
     from .pathsums import path_sums  # loaded by graph inputs only
 
@@ -308,12 +312,19 @@ def from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
         if weight < w[i, j]:
             w[i, j] = w[j, i] = weight
 
-    with np.errstate(over="ignore"):  # a path sum past the float64 range is inf, reported as no path
+    with np.errstate(over="ignore"):  # a path sum past the float64 range is inf
         d = path_sums(w)
     if not np.all(np.isfinite(d)):
-        i, j = map(int, np.argwhere(~np.isfinite(d))[0])
         names = {v: k for k, v in index.items()}
-        raise DisconnectedGraphError(names[i], names[j])
+        hops = path_sums(np.where(np.isfinite(w), 1.0, np.inf))  # edge counts, which never overflow
+        if not np.all(np.isfinite(hops)):
+            i, j = map(int, np.argwhere(~np.isfinite(hops))[0])
+            raise DisconnectedGraphError(names[i], names[j])
+        i, j = map(int, np.argwhere(~np.isfinite(d))[0])
+        raise ValueError(
+            f"shortest path between {names[i]!r} and {names[j]!r} exceeds the float64 range "
+            f"(largest float {np.finfo(float).max:.6g})"
+        )
     d = np.minimum(d, d.T)  # enforce exact symmetry
     return validate_metric(d, labels=tuple(str(k) for k in index))
 

@@ -230,6 +230,24 @@ def model_circumradius_batch(a, b, c, kappa):
     return _model_circumradius_batch(*(np.asarray(v, dtype=float) for v in (a, b, c)), k)[0]
 
 
+def model_equilateral_radius(a, kappa):
+    """rho_kappa(a), the circumradius of the equilateral triangle with side a in M_kappa,
+    for an array of sides: sn(sqrt|kappa| a / 2) = sn(sqrt|kappa| rho) sqrt(3) / 2, and
+    a / sqrt(3) in the plane. On the sphere 3a must stay below the great circle 2 pi / sqrt(kappa).
+
+    Every triangle of M_kappa with longest side a has a circumradius between a / 2 and
+    rho_kappa(a): Jung's theorem in the model planes (Dekster, The Jung theorem for
+    spherical and hyperbolic spaces, Acta Math. Hungar. 1995).
+    """
+    k = kappa_value(kappa)
+    a = np.asarray(a, dtype=float)
+    if k == 0:
+        return a / math.sqrt(3.0)
+    scale = math.sqrt(abs(k))
+    sn, arc = (np.sin, np.arcsin) if k > 0 else (np.sinh, np.arcsinh)
+    return arc(sn(0.5 * scale * a) * (2.0 / math.sqrt(3.0))) / scale
+
+
 def euclidean_circumradius(sides) -> CircumResult:
     """model_circumradius(sides, 0), whose center witness is a point (x, y) in
     the canonical placement of comparison_triangle(sides, 0)."""

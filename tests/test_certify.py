@@ -1,4 +1,5 @@
 """Triangle enumeration, defect scans, verdicts, and the derived profiles."""
+import dataclasses
 import importlib
 import itertools
 import math
@@ -307,6 +308,95 @@ def test_certify_counts_the_triples_it_gathers():
     assert 0 < upper.gathered < math.comb(60, 3)
 
 
+def _near_right_plane(rng, n):
+    """Points on the unit circle in nearly antipodal pairs: every triple holding a pair
+    is nearly right-angled, with its model radius within a few ulps of half its long side."""
+    angles = np.repeat(rng.uniform(0.0, math.pi, n // 2), 2) + np.tile([0.0, math.pi], n // 2)
+    angles += rng.normal(scale=1e-12, size=angles.size)
+    pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return validate_metric(lp_distances(pts, 2.0))
+
+
+def _near_equilateral_plane(rng, n):
+    """Unit equilateral triangles, moved by 1e-9 and set 2 apart, each with a point 0.5 from
+    its three vertices, in the shortest-path metric: triples whose model radius is within a
+    few ulps of rho(1), and lower defects near rho(1) - 1/2."""
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
+    pts = np.concatenate([tri + 2.0 * t + rng.normal(scale=1e-9, size=(3, 2)) for t in range(n // 3)])
+    d = lp_distances(pts, 2.0)
+    m = len(pts)
+    edges = [(a, b, float(d[a, b])) for a, b in itertools.combinations(range(m), 2)]
+    edges += [(m + t, 3 * t + v, 0.5) for t in range(m // 3) for v in range(3)]
+    return from_graph(edges)
+
+
+BRACKET_SPACES = {
+    "quarter": lambda rng: _quarter_metric(rng, 30),
+    "random": lambda rng: validate_metric(random_metric_matrix(rng, 40)),
+    "near-right": lambda rng: _near_right_plane(rng, 30),
+    "near-equilateral": lambda rng: _near_equilateral_plane(rng, 24),
+    # sqrt|kappa| times the longest side passes the bracket's limit of 8 at kappa = -4
+    "hyperbolic-past-limit": lambda rng: validate_metric(random_metric_matrix(rng, 24, lo=3.0, hi=6.0)),
+    "tree": lambda rng: _integer_tree(rng, 30).rescale(0.25),
+}
+
+
+def _unbracketed(patch):
+    """certify as before the model-radius bracket and the pair prune: every triple is
+    modelled, and `reachable` alone drops triples."""
+    patch.setattr(certify_module._Worst, "hot", lambda self: None)
+    patch.setattr(certify_module._Worst, "bracket", lambda self, lb, ub, long: np.ones(lb.shape, dtype=bool))
+
+
+@pytest.mark.parametrize("case", sorted(BRACKET_SPACES))
+def test_bracket_and_prune_change_no_result(case, monkeypatch):
+    # every verdict, witness and skipped and gathered count is the unbracketed scan's,
+    # and at kappa = 0 brute force's; the bracket and the prune only skip model radii
+    space = BRACKET_SPACES[case](np.random.default_rng(len(case)))
+    fewer = 0
+    for kappa, direction, beta, degenerate in itertools.product(
+        (0.0, 1.0, -1.0, 4.0, -4.0), ("upper", "lower"), (0.0, 0.9), (False, True)
+    ):
+        query = CurvatureQuery(kappa=kappa, direction=direction, beta=beta, degenerate_pairs=degenerate)
+        v = certify(space, query)
+        with monkeypatch.context() as patch:
+            _unbracketed(patch)
+            full = certify(space, query)
+        assert dataclasses.replace(v, modelled=0) == dataclasses.replace(full, modelled=0)
+        assert v.modelled <= full.modelled
+        fewer += v.modelled < full.modelled
+        if kappa == 0.0:
+            ref = brute_certify(space.dist, beta=beta, degenerate=degenerate)
+            eps, worst = (ref["eps_upper"], ref["worst_upper"]) if direction == "upper" else (ref["eps_lower"], ref["worst_lower"])
+            assert abs(v.epsilon_needed - eps) <= 1e-12
+            if not v.holds:
+                assert v.witness.triple.as_tuple() == worst
+    assert fewer >= 10
+
+
+@pytest.mark.parametrize("degenerate", (False, True))
+def test_hot_triples_are_the_triples_with_a_hot_pair(degenerate):
+    n = 13
+    rng = np.random.default_rng(7 + degenerate)
+    J, K = np.triu_indices(n, 1)
+    position = {(int(j), int(k)): p for p, (j, k) in enumerate(zip(J, K))}
+    offset = certify_module._pair_offset(np.arange(n + 1), n)
+    starts = offset[np.arange(n) + (not degenerate)]
+    for share in (0.0, 0.05, 0.2, 0.6, 1.0):
+        hot = rng.uniform(size=J.size) < share
+        for rows in (range(0, 1), range(0, n), range(1, 4), range(4, n), range(n - 1, n)):
+            I, at = certify_module._hot_triples(hot, (J, K), starts, rows, n)
+            got = list(zip(I.tolist(), J[at].tolist(), K[at].tolist()))
+            want = []
+            for i in rows:
+                for j, k in zip(J[starts[i] :].tolist(), K[starts[i] :].tolist()):
+                    # (i, k) with j == i stands for the degenerate triple (i, i, k)
+                    pairs = [(j, k)] if j == i else [(i, j), (i, k), (j, k)]
+                    if any(hot[position[pair]] for pair in pairs):
+                        want.append((i, j, k))
+            assert got == want
+
+
 def test_certify_scale_invariance_kappa_zero():
     rng = np.random.default_rng(4)
     m = random_metric_matrix(rng, 12)
@@ -357,7 +447,7 @@ def test_certify_scans_every_row_on_the_calling_thread(monkeypatch):
     blocks = []
 
     def recorded(*args):
-        blocks.append((list(args[-1]), threading.get_ident()))
+        blocks.extend((list(rows), threading.get_ident()) for rows in args[-1])
         return scan_block(*args)
 
     monkeypatch.setattr(certify_module, "_scan_block", recorded)
@@ -375,27 +465,40 @@ def test_certify_scans_every_row_on_the_calling_thread(monkeypatch):
 
 
 def test_scan_calls_the_model_kernel_once_per_block(monkeypatch):
-    space = validate_metric(random_metric_matrix(np.random.default_rng(5), 12))
+    # defect_profile models every triple. certify counts the triples it models: all of
+    # them where its direction holds, so that its floor stays 0, and where it fails only
+    # those that the model-radius bracket keeps once the floor is positive
+    failing = validate_metric(random_metric_matrix(np.random.default_rng(5), 40))
+    holding = sample_space(GeneratorSpec(kind="euclidean", n=25, seed=2))
     batch = certify_module.model_circumradius_batch
     scan_block = certify_module._scan_block
-    sizes, blocks = [], []
+    sizes, calls = [], []
 
     def recorded(a, b, c, kappa):
         sizes.append(len(a))
         return batch(a, b, c, kappa)
 
     def counted(*args):
-        blocks.append(args[-1])
+        calls.append(args[-1])
         return scan_block(*args)
 
     monkeypatch.setattr(certify_module, "model_circumradius_batch", recorded)
     monkeypatch.setattr(certify_module, "_scan_block", counted)
-    for kappa in (0.0, -1.0):
+    cases = [(failing, kappa, direction) for kappa in (0.0, -1.0) for direction in ("upper", "lower")]
+    for space, kappa, direction in [*cases, (holding, 0.0, "lower")]:
+        every = math.comb(space.n, 3) + math.comb(space.n, 2)
         sizes.clear()
-        blocks.clear()
-        certify(space, CurvatureQuery(kappa=kappa, degenerate_pairs=True))
-        assert len(sizes) == len(blocks) < space.n
-        assert sum(sizes) == math.comb(space.n, 3) + math.comb(space.n, 2)
+        calls.clear()
+        defect_profile(space, kappa=kappa, degenerate_pairs=True)
+        assert len(sizes) == len(calls) < space.n
+        assert sum(sizes) == every
+        sizes.clear()
+        calls.clear()
+        v = certify(space, CurvatureQuery(kappa=kappa, direction=direction, degenerate_pairs=True))
+        assert len(sizes) == len(calls) < space.n
+        assert v.modelled == sum(sizes)
+        assert v.holds == (space is holding)
+        assert v.modelled == every if v.holds else v.modelled < every
 
 
 def _quarter_metric(rng, n):
@@ -440,9 +543,9 @@ def test_block_scan_matches_the_per_triple_oracle(n):
             skipped = len(triples) - len(kept)
             tri, defect, r_space, r_model, min_side = _oracle_arrays(space, kept)
             scan = list(certify_module._scan_rows(space, kappa, policy, beta, degenerate, max_perimeter))
-            got = [[x for _, _, block in scan for x in block[c].tolist()] for c in range(6)]
+            got = [[x for *_, block in scan for x in block[c].tolist()] for c in range(6)]
             assert got == [*tri.T.tolist(), defect.tolist(), r_space.tolist(), r_model.tolist()]
-            assert sum(block_skipped for block_skipped, _, _ in scan) == skipped
+            assert sum(block_skipped for block_skipped, *_ in scan) == skipped
             for direction, sign in (("upper", 1.0), ("lower", -1.0)):
                 eps = (sign * defect).max(initial=0.0)
                 first = kept[int(np.argmax(sign * defect == eps))] if eps > 0 else None
@@ -651,6 +754,8 @@ def test_scan_memory_stays_within_a_row_zero_block():
     for run in (
         lambda: defect_profile(space, kappa=0.0, beta_grid=[0.0, 1.2, 1.5], degenerate_pairs=True),
         lambda: certify(space, CurvatureQuery(kappa=0.0, direction="upper")),
+        # the pruned lower scan builds several blocks' triples with a hot pair at once
+        lambda: certify(space, CurvatureQuery(kappa=-1.0, direction="lower")),
     ):
         tracemalloc.start()
         try:

@@ -360,16 +360,26 @@ def test_graph_samplers_are_bitwise_scipy_dijkstra(spec, monkeypatch):
         [(5, 6, 1.0), (7, 8, 1.0), (5, 9, 2.0), (8, 10, 0.5)],
         [("a", "b", 1.0), ("c", "c", 1.0)],
         [(v, v + 2, 1.0) for v in range(28)],  # the even and the odd vertices
-        # a sum past the float64 range is inf, so it is reported like a missing path
-        [("a", "b", 1e308), ("b", "c", 1e308)],
+        # disconnected, and a path sum past the float64 range in one part
+        [("a", "b", 1e308), ("b", "c", 1e308), ("x", "y", 1.0)],
     ],
 )
 def test_from_graph_names_the_first_pair_dijkstra_leaves_at_inf(edges):
     vertices, d = dijkstra_path_metric(edges)
-    i, j = np.argwhere(~np.isfinite(d))[0]
+    linked = np.isfinite(dijkstra_path_metric([(u, v, 1.0) for u, v, _ in edges])[1])
+    i, j = np.argwhere(~linked)[0]
     with pytest.raises(DisconnectedGraphError) as exc:
         from_graph(edges)
     assert exc.value.pair == (vertices[i], vertices[j])
+
+
+def test_from_graph_refuses_a_path_sum_past_float64():
+    # connected: the sum 1e308 + 1e308 is inf in float64, which is no missing path
+    edges = [("a", "b", 1e308), ("b", "c", 1e308)]
+    with pytest.raises(ValueError, match=r"between 'a' and 'c' exceeds the float64 range") as exc:
+        from_graph(edges)
+    assert not isinstance(exc.value, DisconnectedGraphError)
+    assert from_graph([("a", "b", 4e307), ("b", "c", 4e307)]).dist[0, 2] == 8e307
 
 
 def _hostile_shape(shape):

@@ -1,6 +1,8 @@
 """Model-plane placements, distances, and circumradii against oracles."""
 import math
 
+import mpmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,12 +16,14 @@ from curvcomp import (
     model_circumradius,
     model_distance,
 )
+from curvcomp.certify import BRACKET_MARGIN, _radius_bracket
 from curvcomp.metricspace import metric_tolerance
 from curvcomp.modelplane import (
     ChartMismatchError,
     TooLargeForModelError,
     chart_for,
     model_circumradius_batch,
+    model_equilateral_radius,
     model_perimeter_bound,
 )
 from oracles import law_of_sines_circumradius, minmax_grid_model
@@ -307,7 +311,72 @@ def test_model_radius_at_least_half_longest_side():
         for _ in range(200):
             sides = random_sides(rng, 0.8)
             r = model_circumradius(sides, kappa).radius
-            assert r >= sides.a / 2.0 - 1e-12
+            assert r >= sides.a / 2.0 * (1.0 - BRACKET_MARGIN)
+
+
+def _bracket_limit(kappa):
+    """The longest side up to which the scan's model-radius bracket is closed."""
+    if kappa < 0:
+        return 8.0 / math.sqrt(-kappa)
+    if kappa > 0:
+        return (1.0 - 2.0**-20) * 2.0 * math.pi / (3.0 * math.sqrt(kappa))
+    return math.inf
+
+
+@pytest.mark.parametrize("kappa", (0.0, 1.0, -1.0, 4.0, -4.0))
+def test_model_radius_lies_in_the_scan_bracket(kappa):
+    # Jung's theorem in M_kappa: long / 2 <= r_model <= rho_kappa(long), for the kernel's
+    # radius once the bracket is widened; longest sides run up to the bracket's limit
+    rng = np.random.default_rng(43)
+    limit = min(_bracket_limit(kappa), 10.0)
+    a = np.concatenate([rng.uniform(0.0, limit, 20000), limit * (1.0 - 10.0 ** -rng.uniform(1.0, 15.0, 2000))])
+    b = a * rng.uniform(0.5, 1.0, a.size)
+    c = b - (b - (a - b)) * rng.uniform(0.0, 1.0, a.size)  # a - b <= c <= b
+    # near-equilateral triangles hold the upper end tightest
+    a, b, c = np.concatenate([a, a]), np.concatenate([b, a * (1.0 - 1e-9)]), np.concatenate([c, a * (1.0 - 2e-9)])
+    r = model_circumradius_batch(a, b, c, kappa)
+    assert (_radius_bracket(a, kappa, "lower") <= r).all()
+    assert (r <= _radius_bracket(a, kappa, "upper")).all()
+    if kappa:
+        # from the limit on the bracket is open
+        past = np.array([_bracket_limit(kappa), 1.5 * _bracket_limit(kappa) if kappa < 0 else _bracket_limit(kappa)])
+        assert (_radius_bracket(past, kappa, "lower") == -math.inf).all()
+        assert (_radius_bracket(past, kappa, "upper") == math.inf).all()
+
+
+def test_the_scan_bracket_needs_its_margin_at_both_ends():
+    # near-right plane triangles, b^2 + c^2 = a^2 (1 + 1e-11), come out up to 3 ulps
+    # below a / 2, and equilateral ones up to 3 ulps above a / sqrt(3) (10 at kappa = 1,
+    # about 1200 at kappa = -1)
+    rng = np.random.default_rng(45)
+    a = rng.uniform(0.5, 2.0, 200_000)
+    phi = rng.uniform(0.0, math.pi / 4.0, a.size)
+    b, c = a * math.sqrt(1.0 + 1e-11) * np.cos(phi), a * math.sqrt(1.0 + 1e-11) * np.sin(phi)
+    r = model_circumradius_batch(a, b, c, 0.0)
+    assert np.count_nonzero(r < 0.5 * a) > 10_000
+    assert (r >= _radius_bracket(a, 0.0, "lower")).all()
+    for kappa in (0.0, 1.0, -1.0):
+        side = rng.uniform(0.0, min(_bracket_limit(kappa), 10.0), 100_000)
+        r = model_circumradius_batch(side, side, side, kappa)
+        assert np.count_nonzero(r > model_equilateral_radius(side, kappa)) > 1000
+        assert (r <= _radius_bracket(side, kappa, "upper")).all()
+
+
+@pytest.mark.parametrize("kappa", (0.0, 1.0, -1.0, 4.0, -4.0))
+def test_equilateral_radius_matches_mpmath(kappa):
+    # sin(sqrt(k) rho) = 2 sin(sqrt(k) a / 2) / sqrt(3), sinh on the hyperboloid; arcsin
+    # loses digits where 3a nears the great circle, 1.3e-13 at the bracket's limit
+    rng = np.random.default_rng(47)
+    limit = min(_bracket_limit(kappa), 10.0)
+    sides = np.concatenate([rng.uniform(0.0, limit, 200), limit * (1.0 - 10.0 ** -rng.uniform(1.0, 15.0, 50))])
+    got = model_equilateral_radius(sides, kappa)
+    with mpmath.workdps(40):
+        root = mpmath.sqrt(abs(mpmath.mpf(kappa)))
+        sn, arc = (mpmath.sin, mpmath.asin) if kappa > 0 else (mpmath.sinh, mpmath.asinh)
+        for side, rho in zip(sides.tolist(), got.tolist()):
+            a = mpmath.mpf(side)
+            want = a / mpmath.sqrt(3) if kappa == 0 else arc(2 * sn(root * a / 2) / mpmath.sqrt(3)) / root
+            assert abs(rho - want) <= 2e-13 * want
 
 
 @pytest.mark.parametrize("side", (100.0, 400.0, 800.0))

@@ -5,14 +5,10 @@ __version__ = "0.1.0"  # above the imports, so that report can import it
 from .certify import (
     CurvatureQuery,
     DefectReport,
-    MidpointReport,
     TriangleDefect,
     Verdict,
     certify,
     defect_profile,
-    enumerate_triples,
-    local_defect_map,
-    midpoint_defect,
     triangle_defect,
 )
 from .circumradius import (
@@ -31,7 +27,6 @@ from .generators import (
 from .hyperbolicity import (
     DeltaResult,
     delta_four_point,
-    gromov_product,
     relaxed_npc_bound_check,
 )
 from .metricspace import (
@@ -48,8 +43,6 @@ from .modelplane import (
     ComparisonTriangle,
     ModelPoint,
     comparison_triangle,
-    distance_comparison_curve,
     euclidean_circumradius,
     model_circumradius,
-    model_distance,
 )

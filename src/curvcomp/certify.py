@@ -12,9 +12,8 @@ operations and one model-kernel call: about n / 2.3 blocks for n = 12 to
 Index arrays have the narrowest unsigned type that holds a flat index of the
 n x n and n x m tables. `_scan_rows` yields the blocks in lexicographic
 order, and each caller reduces only what it reports: `certify` the worst
-defect of its query's direction, `defect_profile` both directions, the
-histogram and the beta curve, and `local_defect_map` a maximum per ball. No
-per-triple value outlives its block.
+defect of its query's direction, and `defect_profile` both directions, the
+histogram and the beta curve. No per-triple value outlives its block.
 
 r_space = min_x max(d(x, i), d(x, j), d(x, k)) would cost O(m) per triple
 over m candidates. The scan first builds one pair table over the candidate
@@ -159,34 +158,6 @@ class DefectReport:
     histogram: Histogram
     skipped: int
     beta_curve: tuple[tuple[float, float], ...]
-
-
-@dataclass(frozen=True)
-class MidpointReport:
-    defects: np.ndarray  # (n, n), zero diagonal
-    max_defect: float
-    argmax_pair: tuple[int, int] | None
-
-
-def enumerate_triples(space: FiniteMetricSpace, degenerate_pairs: bool = False, beta: float = 0.0):
-    """Canonical triples in lexicographic order, filtered by the beta rule.
-
-    `degenerate_pairs` additionally yields (i, i, j) for every pair; the
-    beta filter applies to distinct-index pairs only.
-    """
-    d = space.dist
-    n = space.n
-    for i in range(n):
-        if degenerate_pairs:
-            for j in range(i + 1, n):
-                if d[i, j] >= beta:
-                    yield Triple(i, i, j)
-        for j in range(i + 1, n):
-            if d[i, j] < beta:
-                continue
-            for k in range(j + 1, n):
-                if d[i, k] >= beta and d[j, k] >= beta:
-                    yield Triple(i, j, k)
 
 
 def triangle_defect(
@@ -678,43 +649,3 @@ def defect_profile(
         skipped=skipped,
         beta_curve=tuple((float(b), float(eps)) for b, eps in zip(betas, curve)),
     )
-
-
-def midpoint_defect(space: FiniteMetricSpace) -> MidpointReport:
-    """Discrete approximate-midpoint quality for every pair of points.
-
-    defect(i, j) = min_x max(d(x, i), d(x, j)) - d(i, j) / 2, always >= 0;
-    zero exactly when a true midpoint exists among the points.
-    """
-    n = space.n
-    defects = _pair_table(space.dist)[0] - space.dist / 2.0
-    np.fill_diagonal(defects, 0.0)
-    if n < 2:
-        return MidpointReport(defects, 0.0, None)
-    flat = int(np.argmax(defects))
-    i, j = divmod(flat, n)
-    return MidpointReport(defects, float(defects[i, j]), (min(i, j), max(i, j)))
-
-
-def local_defect_map(
-    space: FiniteMetricSpace,
-    ball_radius: float,
-    kappa: float = 0.0,
-) -> np.ndarray:
-    """Per-point upper defect maximum over triples inside the closed ball B(x, R).
-
-    Candidate centers are the whole space, so the map is monotone
-    nondecreasing in R by triple-set inclusion.
-    """
-    if not 0 < ball_radius < math.inf:
-        raise ValueError("ball radius must be positive and finite")
-    within = space.dist <= ball_radius
-    out = np.zeros(space.n)
-    for *_, (I, J, K, defect, *_) in _scan_rows(space, kappa, CandidatePolicy(), 0.0, False, None):
-        for i, a, b in _runs(I):
-            # every ball holding a triple of row i holds i
-            for x in np.flatnonzero(within[i]):
-                inside = within[x, J[a:b]] & within[x, K[a:b]]
-                if inside.any():
-                    out[x] = max(out[x], defect[a:b][inside].max())
-    return out

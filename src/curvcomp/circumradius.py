@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metricspace import FiniteMetricSpace, InvalidPError, Triple, check_p  # noqa: F401  (InvalidPError: re-exported name)
+from .metricspace import FiniteMetricSpace, Triple, check_p
 
 
 def __getattr__(name: str):

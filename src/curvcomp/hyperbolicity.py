@@ -34,16 +34,6 @@ class RelaxedBoundReport:
     slack: float  # 2*delta + h - epsilon_star_upper
 
 
-def gromov_product(space: FiniteMetricSpace, x: int, y: int, w: int) -> float:
-    """(x|y)_w = (d(x,w) + d(y,w) - d(x,y)) / 2; nonnegative and symmetric in x, y."""
-    n = space.n
-    for idx in (x, y, w):
-        if not 0 <= idx < n:
-            raise IndexError(f"index {idx} out of range for n={n}")
-    d = space.dist
-    return (d[x, w] + d[y, w] - d[x, y]) / 2.0
-
-
 def _per_base_max(d: np.ndarray, w: int) -> tuple[float, int, int, int]:
     """Largest four-point value at base point w and its first maximiser (x, y, z)."""
     n = len(d)

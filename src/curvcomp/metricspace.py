@@ -200,13 +200,16 @@ def _triangle_rows(d: np.ndarray):
     The triangle inequality for the pairs (i, j > i) compares d[i, i+1:]
     with the rows of S; the metric check and the delta's triangle slack
     both read it here. S lives in one buffer that the next row overwrites.
+    A sum past float64 is inf, which bounds every side, so it warns of nothing.
     """
     n = len(d)
     dt = d if np.array_equal(d, d.T) else np.ascontiguousarray(d.T)  # a symmetric d needs no copy
     buf = np.empty(n * (n - 1))
     for i in range(n - 1):
         sums = buf[: (n - 1 - i) * n].reshape(n - 1 - i, n)
-        yield i, d[i, i + 1 :], np.add(dt[i + 1 :], d[i], out=sums)
+        with np.errstate(over="ignore"):  # around the add only: a yield would leak it to the caller
+            np.add(dt[i + 1 :], d[i], out=sums)
+        yield i, d[i, i + 1 :], sums
 
 
 def _triangle_violations(d: np.ndarray, tau: float) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Everything here recomputes results from scratch along a different route than
 the package: grid-refinement min-max searches, no-pruning brute-force scans,
-and law-of-sines circumradii. Nothing imports the implementation paths it
-checks beyond input preparation.
+per-triple enumeration, law-of-sines circumradii and per-chart model
+distances. Nothing imports the implementation paths it checks beyond input
+preparation.
 """
 from __future__ import annotations
 
@@ -76,6 +77,21 @@ def law_of_sines_circumradius(a, b, c):
     if sin_alpha == 0.0:
         return a / 2.0
     return a / (2.0 * sin_alpha)
+
+
+def per_chart_model_distance(p, q, k):
+    """Geodesic distance between two model points in the chart of k: the plane's
+    hypot, the sphere's dot product, the hyperboloid's Minkowski product."""
+    u, v = p.coords, q.coords
+    if k == 0:
+        return math.hypot(u[0] - v[0], u[1] - v[1])
+    if k > 0:
+        radius = 1.0 / math.sqrt(k)
+        dot = sum(a * b for a, b in zip(u, v)) / radius**2
+        return radius * math.acos(max(-1.0, min(1.0, dot)))
+    radius = 1.0 / math.sqrt(-k)
+    dot = -(u[0] * v[0] + u[1] * v[1] - u[2] * v[2]) / radius**2
+    return radius * math.acosh(max(1.0, dot))
 
 
 def _sphere_exp(base, e1, e2, w):
@@ -186,6 +202,30 @@ def minmax_grid_model(vertices, kappa, grid=41, half0=None):
     )
     best = min(best, float(nm.fun))
     return radius * best
+
+
+def enumerate_triples(space, degenerate_pairs=False, beta=0.0):
+    """Canonical triples in lexicographic order, filtered by the beta rule.
+
+    `degenerate_pairs` additionally yields (i, i, j) for every pair; the
+    beta filter applies to distinct-index pairs only.
+    """
+    # imported here: bench/refs.py loads this module where curvcomp may not be importable
+    from curvcomp.metricspace import Triple
+
+    d = space.dist
+    n = space.n
+    for i in range(n):
+        if degenerate_pairs:
+            for j in range(i + 1, n):
+                if d[i, j] >= beta:
+                    yield Triple(i, i, j)
+        for j in range(i + 1, n):
+            if d[i, j] < beta:
+                continue
+            for k in range(j + 1, n):
+                if d[i, k] >= beta and d[j, k] >= beta:
+                    yield Triple(i, j, k)
 
 
 def brute_discrete_circumradius(dist, i, j, k):

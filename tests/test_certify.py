@@ -22,18 +22,16 @@ from curvcomp import (
     certify,
     defect_profile,
     delta_four_point,
-    enumerate_triples,
     from_graph,
-    local_defect_map,
-    midpoint_defect,
     model_circumradius,
     sample_space,
     triangle_defect,
     validate_metric,
 )
-from curvcomp.certify import TAU_DEFECT
+from curvcomp.certify import TAU_DEFECT, _pair_table
+from curvcomp.circumradius import candidate_rows
 from curvcomp.generators import lp_distances
-from oracles import brute_certify, random_metric_matrix
+from oracles import brute_certify, enumerate_triples, random_metric_matrix
 
 # the package re-exports the function `certify`, which shadows the module
 certify_module = importlib.import_module("curvcomp.certify")
@@ -569,12 +567,6 @@ def test_block_scan_matches_the_per_triple_oracle(n):
             assert sum(counts) == len(kept)
             assert list(counts) == [int(((lo <= defect) & (defect < hi)).sum()) for lo, hi in zip(edges, edges[1:])]
             assert profile.beta_curve == tuple((b, defect[min_side >= b].max(initial=0.0)) for b in grid)
-        if policy == CandidatePolicy() and max_perimeter is None:
-            tri, defect, *_ = _oracle_arrays(space, [oracle[t] for t in enumerate_triples(space)])
-            for radius in (0.5, 0.75, 1.0):
-                inside = (space.dist <= radius)[:, tri].all(axis=2)
-                want = np.where(inside, defect, 0.0).max(axis=1, initial=0.0)
-                assert local_defect_map(space, radius, kappa=kappa).tolist() == want.tolist()
 
 
 def test_certify_counts_skipped_large_triangles():
@@ -661,87 +653,42 @@ def test_defect_profile_histogram_bins_are_powers_of_two():
             assert count == sum(left <= x < right for x in defects)
 
 
-def test_midpoint_defect_path():
-    report = midpoint_defect(PATH4)
-    d = PATH4.dist
-    for i in range(4):
-        for j in range(4):
-            if i == j:
-                continue
-            want = min(max(d[x, i], d[x, j]) for x in range(4)) - d[i, j] / 2.0
-            assert report.defects[i, j] == pytest.approx(want, abs=1e-15)
-    assert report.max_defect == 0.5
-    assert report.argmax_pair is not None
+def test_pair_table_is_bitwise_the_first_pair_minimum():
+    # P[a, b] = min_x max(d(x, a), d(x, b)) and C[a, b] its first argmin, by a plain loop
+    # over the candidates. Entries of 1 and 2 tie often; the grid points' l_inf distances
+    # to the cell centres tie too, and add m - n = 16 columns past the points
+    rng = np.random.default_rng(15)
+    ties = np.triu(rng.integers(1, 3, size=(30, 30)).astype(float), 1)
+    cells = rng.choice(64, size=24, replace=False)
+    pts = np.stack([cells % 8, cells // 8], axis=1).astype(float)
+    grid = validate_metric(lp_distances(pts, math.inf), embedding=Embedding(pts, math.inf))
+    centres = CandidatePolicy.augmented([(x + 0.5, y + 0.5) for x in range(0, 8, 2) for y in range(0, 8, 2)])
+    augmented = candidate_rows(grid, centres)
+    assert augmented.shape == (24, 40)
+    for cols in (validate_metric(random_metric_matrix(rng, 40)).dist, validate_metric(ties + ties.T).dist, augmented):
+        n, m = cols.shape
+        P, C = _pair_table(cols)
+        assert C.dtype == np.min_scalar_type(max(n, m) ** 2)
+        for a in range(n):
+            for b in range(n):
+                best, first = math.inf, -1
+                for x in range(m):
+                    r = max(cols[a, x], cols[b, x])
+                    if r < best:
+                        best, first = r, x
+                assert (P[a, b], C[a, b]) == (best, first), (n, m, a, b)
 
 
-def test_midpoint_defect_is_bitwise_the_pair_minimum():
-    space = validate_metric(random_metric_matrix(np.random.default_rng(15), 40))
-    d = space.dist
-    want = np.stack([np.min(np.maximum(d[:, [i]], d), axis=0) - d[i] / 2.0 for i in range(space.n)])
-    np.fill_diagonal(want, 0.0)
-    report = midpoint_defect(space)
-    assert report.defects.tobytes() == want.tobytes()
-    i, j = report.argmax_pair
-    assert report.max_defect == want.max() == want[i, j]
-
-
-def test_midpoint_defect_nonnegative_random():
-    rng = np.random.default_rng(9)
-    m = random_metric_matrix(rng, 15)
-    report = midpoint_defect(validate_metric(m))
-    assert np.all(report.defects >= -1e-15)
-    assert np.all(np.diag(report.defects) == 0.0)
-
-
-def test_local_defect_map_monotone_in_radius():
-    rng = np.random.default_rng(10)
-    m = random_metric_matrix(rng, 12)
-    space = validate_metric(m)
-    maps = [local_defect_map(space, r) for r in (1.2, 1.6, 2.1)]
-    for small, big in zip(maps, maps[1:]):
-        assert np.all(small <= big + 1e-15)
-    # at R >= diameter every point sees every triple
-    full = local_defect_map(space, space.diameter + 0.1)
-    v = certify(space, CurvatureQuery(kappa=0.0, direction="upper"))
-    assert np.allclose(full, v.epsilon_needed, atol=1e-15)
-    for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            local_defect_map(space, bad)
-
-
-def test_local_defect_map_matches_brute_force():
-    rng = np.random.default_rng(12)
-    for n in (3, 7, 11):
-        space = validate_metric(random_metric_matrix(rng, n))
-        for kappa in (0.0, 1.0, -1.0):
-            defects = [
-                (t.as_tuple(), td.defect)
-                for t in enumerate_triples(space)
-                if (td := triangle_defect(space, t, kappa=kappa)) is not None
-            ]
-            for radius in (1.1, 1.5, 1.9, space.diameter):
-                want = np.zeros(n)
-                for x in range(n):
-                    inside = [dft for tri, dft in defects if all(space.dist[x, v] <= radius for v in tri)]
-                    want[x] = max([0.0, *inside])
-                got = local_defect_map(space, radius, kappa=kappa)
-                assert got.tolist() == want.tolist()
-
-
-def test_profile_and_local_map_memory_stays_quadratic():
+def test_profile_memory_stays_quadratic():
     # a store-every-triple scan holds ~8 MB here; a row fold holds a few rows
     space = validate_metric(random_metric_matrix(np.random.default_rng(14), 80))
-    for run in (
-        lambda: defect_profile(space, kappa=0.0, beta_grid=[0.0, 1.2, 1.5], degenerate_pairs=True),
-        lambda: local_defect_map(space, 1.6),
-    ):
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2_000_000
+    tracemalloc.start()
+    try:
+        defect_profile(space, kappa=0.0, beta_grid=[0.0, 1.2, 1.5], degenerate_pairs=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_scan_memory_stays_within_a_row_zero_block():

@@ -18,7 +18,8 @@ from curvcomp import (
     lp_circumradius,
     validate_metric,
 )
-from curvcomp.circumradius import InvalidPError, candidate_rows
+from curvcomp.circumradius import candidate_rows
+from curvcomp.metricspace import InvalidPError
 from oracles import brute_discrete_circumradius, minmax_grid_lp, random_metric_matrix
 
 STAR = validate_metric(

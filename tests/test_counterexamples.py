@@ -17,8 +17,8 @@ from curvcomp import (
     model_circumradius,
 )
 from curvcomp import counterexamples
-from curvcomp.circumradius import InvalidPError
 from curvcomp.generators import lp_distances
+from curvcomp.metricspace import InvalidPError
 
 P_VALUES = (1.2, 1.5, 2.0, 3.0, 4.0, 7.0, math.inf)
 

@@ -1,4 +1,4 @@
-"""Seeded generators and the model distance-comparison curves."""
+"""Seeded generators."""
 import math
 
 import numpy as np
@@ -7,7 +7,6 @@ from scipy.spatial.distance import cdist
 
 from curvcomp import (
     GeneratorSpec,
-    distance_comparison_curve,
     parse_generator_spec,
     sample_space,
 )
@@ -165,64 +164,3 @@ def test_generator_parameter_checks():
     assert sample_space(GeneratorSpec(kind="lp_plane", p=math.inf, n=5)).embedding.p == math.inf
     with pytest.raises(InvalidParameterError):
         sample_space(GeneratorSpec(kind="tree", n=1))
-
-
-def test_comparison_curve_flat_is_one():
-    t = np.linspace(0.1, 2.0, 20)
-    assert np.array_equal(distance_comparison_curve(1.0, t), np.ones(20))
-    assert np.array_equal(distance_comparison_curve(1.0, t, kappa=-0.0), np.ones(20))
-
-
-def test_comparison_curve_signs_and_small_t_limit():
-    t = np.array([1e-3, 0.2, 0.5, 1.0])
-    sphere = distance_comparison_curve(1.2, t, kappa=1.0)
-    hyper = distance_comparison_curve(1.2, t, kappa=-1.0)
-    assert np.all(sphere[1:] < 1.0) and np.all(hyper[1:] > 1.0)
-    assert abs(sphere[0] - 1.0) < 1e-6 and abs(hyper[0] - 1.0) < 1e-6
-    # divergence is monotone in t for fixed angle
-    assert np.all(np.diff(sphere) < 0) and np.all(np.diff(hyper) > 0)
-
-
-def per_chart_comparison_curve(theta, t, kappa):
-    """The former per-family curve: arccos on the sphere, arccosh on the hyperboloid."""
-    chord = math.sqrt(2.0 - 2.0 * math.cos(theta))
-    if kappa > 0:
-        radius = 1.0 / math.sqrt(kappa)
-        a = t / radius
-        d = radius * np.arccos(np.clip(np.cos(a) ** 2 + np.sin(a) ** 2 * math.cos(theta), -1.0, 1.0))
-        return d / (t * chord)
-    radius = 1.0 / math.sqrt(-kappa)
-    a = t / radius
-    d = radius * np.arccosh(np.clip(np.cosh(a) ** 2 - np.sinh(a) ** 2 * math.cos(theta), 1.0, None))
-    return d / (t * chord)
-
-
-@pytest.mark.parametrize("kappa", (-4.0, -1.0, -0.3, 0.3, 1.0, 4.0))
-def test_one_curved_comparison_curve_is_bitwise_the_per_chart_formulas(kappa):
-    # up to the spherical chart's edge pi / (2 sqrt kappa), and as far on the hyperboloid
-    edge = math.pi / (2.0 * math.sqrt(abs(kappa)))
-    grids = (
-        np.linspace(1e-6, math.nextafter(edge, 0.0), 2001),
-        edge * np.geomspace(1e-9, 1.0, 500, endpoint=False),
-        np.random.default_rng(53).uniform(0.0, edge, 2000) + 1e-12,
-    )
-    for theta in (1e-6, 0.3, 1.0, math.pi / 2, 2.5, math.pi - 1e-6):
-        for t in grids:
-            got = distance_comparison_curve(theta, t, kappa=kappa)
-            assert np.array_equal(got, per_chart_comparison_curve(theta, t, kappa)), (kappa, theta)
-
-
-def test_comparison_curve_domain_checks():
-    for theta, t, kappa, message in (
-        (1.0, [math.pi / 2], 1.0, "t outside the spherical chart"),
-        (1.0, [2.0], 1.0, "t outside the spherical chart"),
-        (0.0, [0.5], 1.0, r"theta must lie in \(0, pi\)"),
-        (math.pi, [0.5], 0.0, r"theta must lie in \(0, pi\)"),
-        (1.0, [0.0], -1.0, "t values must be positive"),
-        (1.0, [0.5, -1.0], 0.0, "t values must be positive"),
-    ):
-        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
-            distance_comparison_curve(theta, t, kappa=kappa)
-    for kappa in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="kappa must be finite"):
-            distance_comparison_curve(1.0, [0.5], kappa=kappa)

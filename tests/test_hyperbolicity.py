@@ -14,7 +14,6 @@ from curvcomp import (
     GeneratorSpec,
     delta_four_point,
     from_graph,
-    gromov_product,
     relaxed_npc_bound_check,
     sample_space,
     validate_metric,
@@ -22,24 +21,6 @@ from curvcomp import (
 from oracles import brute_delta, random_metric_matrix
 
 PATH4 = from_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-
-
-def test_gromov_product_formula():
-    assert gromov_product(PATH4, 0, 3, 1) == 0.0  # 1 lies on the 0-3 geodesic
-    assert gromov_product(PATH4, 0, 2, 0) == 0.0
-    assert gromov_product(PATH4, 3, 3, 0) == 3.0
-    with pytest.raises(IndexError):
-        gromov_product(PATH4, 0, 1, 9)
-
-
-def test_gromov_product_nonnegative_and_symmetric():
-    rng = np.random.default_rng(0)
-    space = validate_metric(random_metric_matrix(rng, 8))
-    for _ in range(100):
-        x, y, w = rng.integers(0, 8, size=3)
-        g = gromov_product(space, int(x), int(y), int(w))
-        assert g >= 0.0
-        assert g == gromov_product(space, int(y), int(x), int(w))
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3, 4))

@@ -21,12 +21,13 @@ from curvcomp import (
     lp_circumradius,
     validate_metric,
 )
-from curvcomp import circumradius, generators
+from curvcomp import generators
 from curvcomp.metricspace import (
     DisconnectedGraphError,
     InvalidPError,
     NonpositiveWeightError,
     Violation,
+    _triangle_rows,
     format_distance_matrix,
     metric_tolerance,
     parse_distance_matrix,
@@ -382,6 +383,20 @@ def test_from_graph_refuses_a_path_sum_past_float64():
     assert from_graph([("a", "b", 4e307), ("b", "c", 4e307)]).dist[0, 2] == 8e307
 
 
+def test_a_two_step_sum_past_float64_bounds_every_side_without_a_warning():
+    # d(a, c) + d(c, b) overflows to inf, which bounds d(a, b); the suite turns the
+    # RuntimeWarning of an unguarded add into an error
+    space = from_graph([("a", "b", 1e308), ("b", "c", 7e307)])
+    assert space.dist[0, 2] == 1e308 + 7e307
+    assert validate_metric(space.dist).dist.tobytes() == space.dist.tobytes()
+    # the guard covers the add only: a suspended row pass leaves the caller's error state alone
+    before = np.geterr()
+    rows = _triangle_rows(space.dist)
+    next(rows)
+    assert np.geterr() == before
+    rows.close()
+
+
 def _hostile_shape(shape):
     rng = np.random.default_rng(19)
     if shape == "path":  # vertex 0 at one end: 399 hops in one direction
@@ -480,7 +495,6 @@ def test_embedding_distances_match_direct_norms():
 @pytest.mark.parametrize("p", (-math.inf, -1.0, 0.0, 0.5, 1.0, math.nan))
 def test_every_lp_entry_point_rejects_the_same_p(p):
     # an Embedding once took any p: at -inf, distances_to_points measured l_inf
-    assert circumradius.InvalidPError is InvalidPError  # re-exported where tests import it
     pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
     for call in (lambda: Embedding(np.array(pts), p), lambda: lp_circumradius(pts, p), lambda: counterexample_triangle(p)):
         with pytest.raises(InvalidPError, match=f"^{re.escape(f'p must exceed 1 (or be inf), got {p}')}$"):

@@ -1,4 +1,4 @@
-"""Model-plane placements, distances, and circumradii against oracles."""
+"""Model-plane placements and circumradii against oracles."""
 import math
 
 import mpmath
@@ -14,19 +14,17 @@ from curvcomp import (
     comparison_triangle,
     euclidean_circumradius,
     model_circumradius,
-    model_distance,
 )
 from curvcomp.certify import BRACKET_MARGIN, _radius_bracket
 from curvcomp.metricspace import metric_tolerance
 from curvcomp.modelplane import (
-    ChartMismatchError,
     TooLargeForModelError,
     chart_for,
     model_circumradius_batch,
     model_equilateral_radius,
     model_perimeter_bound,
 )
-from oracles import law_of_sines_circumradius, minmax_grid_model
+from oracles import law_of_sines_circumradius, minmax_grid_model, per_chart_model_distance
 
 KAPPAS = (-2.0, -1.0, 0.0, 0.5, 1.0)
 
@@ -56,62 +54,6 @@ def test_chart_selection():
     assert chart_for(-0.5) == "hyperboloid"
 
 
-def test_model_distance_chart_mismatch():
-    p = ModelPoint("euclidean", (0.0, 0.0))
-    q = ModelPoint("sphere", (0.0, 0.0, 1.0))
-    with pytest.raises(ChartMismatchError):
-        model_distance(p, q, 1.0)
-
-
-def test_model_distance_symmetry_and_identity():
-    p = ModelPoint("hyperboloid", (0.0, 0.0, 1.0))
-    q = ModelPoint("hyperboloid", (math.sinh(1.0), 0.0, math.cosh(1.0)))
-    assert model_distance(p, q, -1.0) == pytest.approx(1.0, abs=1e-14)
-    assert model_distance(p, q, -1.0) == model_distance(q, p, -1.0)
-    assert model_distance(p, p, -1.0) == 0.0
-
-
-def per_chart_model_distance(p, q, k):
-    """The former per-chart distance: the sphere's dot product, the hyperboloid's Minkowski product."""
-    u, v = p.coords, q.coords
-    if k > 0:
-        radius = 1.0 / math.sqrt(k)
-        dot = sum(a * b for a, b in zip(u, v)) / radius**2
-        return radius * math.acos(max(-1.0, min(1.0, dot)))
-    radius = 1.0 / math.sqrt(-k)
-    dot = -(u[0] * v[0] + u[1] * v[1] - u[2] * v[2]) / radius**2
-    return radius * math.acosh(max(1.0, dot))
-
-
-def random_chart_points(rng, kappa, n):
-    """n points of the chart of kappa != 0: uniform on the sphere, or at exponential-chart
-    radius up to 3 on the hyperboloid."""
-    radius = 1.0 / math.sqrt(abs(kappa))
-    if kappa > 0:
-        x = rng.normal(size=(n, 3))
-        pts = radius * x / np.linalg.norm(x, axis=1, keepdims=True)
-    else:
-        rho, phi = rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 2.0 * math.pi, n)
-        pts = radius * np.stack([np.sinh(rho) * np.cos(phi), np.sinh(rho) * np.sin(phi), np.cosh(rho)], axis=1)
-    chart = chart_for(kappa)
-    return [ModelPoint(chart, tuple(float(c) for c in row)) for row in pts]
-
-
-def test_one_curved_model_distance_is_bitwise_the_per_chart_formulas():
-    rng = np.random.default_rng(47)
-    pairs = 0
-    for kappa in (-4.0, -1.0, -0.3, 0.3, 1.0, 4.0):
-        ps = random_chart_points(rng, kappa, 2000)
-        # each point with a random point, with itself, and on the sphere with its antipode
-        checked = list(zip(ps, random_chart_points(rng, kappa, 2000))) + [(p, p) for p in ps[:200]]
-        if kappa > 0:
-            checked += [(p, ModelPoint(p.chart, tuple(-c for c in p.coords))) for p in ps[:200]]
-        for p, q in checked:
-            assert model_distance(p, q, kappa) == per_chart_model_distance(p, q, kappa), (kappa, p, q)
-        pairs += len(checked)
-    assert pairs >= 10_000
-
-
 @pytest.mark.parametrize("kappa", KAPPAS)
 def test_comparison_triangle_side_roundtrip_bulk(kappa):
     """10^4 random side triples reproduce their sides through the placement."""
@@ -124,9 +66,9 @@ def test_comparison_triangle_side_roundtrip_bulk(kappa):
         v0, v1, v2 = tri.vertices
         got = sorted(
             (
-                model_distance(v0, v1, kappa),
-                model_distance(v0, v2, kappa),
-                model_distance(v1, v2, kappa),
+                per_chart_model_distance(v0, v1, kappa),
+                per_chart_model_distance(v0, v2, kappa),
+                per_chart_model_distance(v1, v2, kappa),
             ),
             reverse=True,
         )
@@ -169,7 +111,7 @@ def test_right_triangle_takes_half_hypotenuse_exactly():
         res = model_circumradius(SideLengths(a, b, c), kappa)
         assert res.radius == 0.5 * a
         for v in comparison_triangle(SideLengths(a, b, c), kappa).vertices:
-            assert abs(model_distance(res.center, v, kappa) - 0.5 * a) <= 1e-12
+            assert abs(per_chart_model_distance(res.center, v, kappa) - 0.5 * a) <= 1e-12
 
 
 def test_degenerate_triangles_take_half_longest_side():
@@ -256,10 +198,8 @@ def test_model_center_witness_attains_radius(kappa):
         sides = random_sides(rng, scale)
         res = model_circumradius(sides, kappa)
         tri = comparison_triangle(sides, kappa)
-        dmax = max(model_distance(res.center, v, kappa) for v in tri.vertices) if kappa else max(
-            math.hypot(res.center[0] - v.coords[0], res.center[1] - v.coords[1])
-            for v in tri.vertices
-        )
+        center = res.center if kappa else ModelPoint("euclidean", res.center)
+        dmax = max(per_chart_model_distance(center, v, kappa) for v in tri.vertices)
         assert dmax == pytest.approx(res.radius, abs=1e-8)
 
 

@@ -30,18 +30,20 @@ block. The floor never exceeds epsilon*, so triples whose upper bound is
 below it cannot be the witness and are dropped; `Verdict.gathered` counts
 the triples whose min-max was evaluated.
 
-Bound first, compute last: once the floor is positive, a block bounds r_model
-before it runs the model kernel. In M_kappa a triangle with longest side a has
-a / 2 <= r_model <= rho_kappa(a), the circumradius of the equilateral triangle
-with side a (Jung's theorem in the model planes; Dekster, Acta Math. Hungar.
-1995), and widened by BRACKET_MARGIN at both ends the bracket holds the kernel's
-radius. The defect bound ub - a (1 - 2^-40) / 2 (upper) or
-rho_kappa(a) (1 + 2^-40) - lb (lower) is at least the kernel's, so the triples
-it puts below the floor are dropped before the kernel, and only the survivors
-are sorted and modelled: outputs stay bitwise, `gathered` included, and
-`Verdict.modelled` counts the triangles the kernel saw. The bracket is open past
-sqrt(-kappa) a = 8 for kappa < 0 and within 2^-20 of the great circle for
-kappa > 0, where the kernel's error nears the margin.
+Every block works in one order: the triples' bounds, then one mask of the
+triples that pass the beta and perimeter filter and, while `certify`'s floor is
+positive, the model-radius bracket, then the model kernel on the kept triples.
+In M_kappa a triangle with longest side a has a / 2 <= r_model <= rho_kappa(a),
+the circumradius of the equilateral triangle with side a (Jung's theorem in the
+model planes; Dekster, Acta Math. Hungar. 1995), and widened by BRACKET_MARGIN
+at both ends the bracket holds the kernel's radius. The defect bound
+ub - a (1 - 2^-40) / 2 (upper) or rho_kappa(a) (1 + 2^-40) - lb (lower) is at
+least the kernel's, so the triples it puts below the floor are dropped before
+the kernel: outputs stay bitwise, `gathered` included, and `Verdict.modelled`
+counts the triangles the kernel saw. The bracket is open past sqrt(-kappa) a = 8
+for kappa < 0 and within 2^-20 of the great circle for kappa > 0, where the
+kernel's error nears the margin. `defect_profile` has no floor and takes the
+same path, with every admissible triple modelled.
 
 The lower direction also prunes pairs: g(a, b) = rho_kappa(d(a, b)) (1 + 2^-40)
 - P[a, b] bounds the lower defect of every triple whose longest side is (a, b),
@@ -51,14 +53,9 @@ floor, one kernel call covers consecutive blocks, and each block still raises
 the floor and drops triples as it would alone. A holding input keeps its floor
 at 0 and scans every triple.
 
-The scan runs on the calling thread. On a 2-core x86 VM, random metric, best
-of 2: `certify` upper/lower takes 0.07/0.01 s at n=150, kappa=0 (0.06-0.09/0.04
-before the bracket); 0.69-0.75/0.03-0.05 s at n=300, kappa=-1 (0.87-0.99/0.45-0.48);
-and 1.80-1.89/0.06-0.07 s at n=400, kappa=0 (1.81-1.98/0.83-0.94). A random
-metric's upper direction gathers about 16% of its triples, and that min-max, not
-the kernel, takes most of its time. `defect_profile` needs every defect and keeps
-the full path: it gathers about 80% of a random metric's triples and takes
-8.3-8.6 s at n=400.
+The scan runs on the calling thread. A random metric's upper direction gathers
+about 16% of its triples, and that min-max, not the kernel, takes most of its
+time; `defect_profile` gathers about 80% of them.
 """
 from __future__ import annotations
 
@@ -279,11 +276,12 @@ def _ranges(first, lengths):
     return np.repeat(first - ends + lengths, lengths) + np.arange(ends[-1] if ends.size else 0)
 
 
-def _hot_triples(hot, pairs, starts, rows, n):
+def _hot_triples(hot, pairs, starts, offset, rows):
     """Row and layout position, in lexicographic order, of each triple of `rows` that holds
     a hot pair, `hot` being a mask over the pair-major layout `pairs`.
 
-    Row i's triples are the layout pairs (j, k) from starts[i] on. One holds a hot pair
+    Row i's triples are the layout pairs (j, k) from starts[i] on, and offset[a], for
+    a = 0, ..., n, is the layout position of the pair (a, a + 1). One holds a hot pair
     if (j, k) is hot, or if (i, x) is hot for x = j, the run of pairs (x, k > x), or for
     x = k, the pairs (j, x) with i < j < x. With degenerate pairs the row's own pair
     (i, x) stands for the triple (i, i, x) and is hot itself. One mask over the rows'
@@ -294,7 +292,6 @@ def _hot_triples(hot, pairs, starts, rows, n):
     ends = np.cumsum(size - first)
     shift = ends - size
     mark = np.concatenate([hot[p:] for p in first.tolist()])
-    offset = _pair_offset(np.arange(n + 1), n)
     own = np.flatnonzero(hot[offset[rows.start] : offset[rows.stop]]) + offset[rows.start]
     i, x = (v.take(own).astype(np.intp) for v in pairs[:2])
     at = shift[i - rows.start]
@@ -345,29 +342,30 @@ def _finish(cols, block):
     return int(gather.size), (I, J, K, rs - rm, rs, rm, min_side)
 
 
-def _scan_block(space, cols, table, pairs, starts, kappa, beta, degenerate, cap, worst, hot, blocks):
+def _scan_block(space, cols, table, pairs, starts, offset, kappa, beta, degenerate, cap, worst, hot, blocks):
     """For each of `blocks`, consecutive ranges of whole rows, yield its skipped, gathered
     and modelled counts and its triples as arrays (I, J, K, defect, r_space, r_model,
     min_side) in lexicographic order.
 
     `pairs` is the pair-major layout: the pairs (j, k), j < k, in lexicographic
-    order with their d, P and C. Row i is the suffix of it from `starts[i]`, the
-    pair (i + 1, i + 2), or (i, i + 1) with degenerate pairs, where (i, k) stands
-    for the triple (i, i, k): the triangle (a, a, 0), whose model radius is
-    exactly a / 2. One row takes views of the layout, more rows a copy, and a
-    `hot` mask over the layout only the triples that `_hot_triples` finds.
-    `cols[v]` holds the distances from point v to every candidate and `table` is
-    `_pair_table(cols)`.
+    order with their d, P and C, and `offset[a]` the position of the pair (a, a + 1).
+    Row i is the suffix of it from `starts[i]`, the pair (i + 1, i + 2), or (i, i + 1)
+    with degenerate pairs, where (i, k) stands for the triple (i, i, k): the triangle
+    (a, a, 0), whose model radius is exactly a / 2. One row takes views of the layout,
+    more rows a copy, and a `hot` mask over the layout only the triples that
+    `_hot_triples` finds. `cols[v]` holds the distances from point v to every
+    candidate and `table` is `_pair_table(cols)`.
 
-    Given a `_Worst` whose floor is positive, the rows first drop the triples whose
-    bracketed defect bound is below the floor, and the model kernel runs on the rest.
-    Then each block in turn keeps the triples whose defect bound from the kernel
-    reaches the floor, which it raises first, as the block would alone.
+    The rows' triples get their radius bounds, then one mask keeps those that pass
+    the beta and perimeter filter and, while a `_Worst`'s floor is positive, whose
+    bracketed defect bound reaches it, and the model kernel runs on the kept triples.
+    Then each block in turn, given a `_Worst`, keeps the triples whose defect bound
+    from the kernel reaches the floor, which it raises first, as the block would alone.
     """
     d, n = space.dist, space.n
     rows = range(blocks[0].start, blocks[-1].stop)
     if hot is not None:
-        I, at = _hot_triples(hot, pairs, starts, rows, n)
+        I, at = _hot_triples(hot, pairs, starts, offset, rows)
         J, K, d_jk, p_jk, c_jk = (v.take(at) for v in pairs)
         I = I.astype(J.dtype)
         del at
@@ -381,55 +379,43 @@ def _scan_block(space, cols, table, pairs, starts, kappa, beta, degenerate, cap,
     base = I * n
     ij, ik = base + J, base + K
     del base
+    lb, ub = _radius_bounds(cols, table, I, J, K, ij, ik, p_jk, c_jk)
     sides = [d.take(ij), d.take(ik), d_jk]
-    del d_jk
-    skipped, ordered = 0, False
-    if beta > 0 or cap < math.inf:
-        sides, ordered = list(_sorted_sides(*sides)), True
+    del ij, ik, d_jk, p_jk, c_jk
+    # the sides are sorted before the kernel's take only where the filter needs them
+    skipped, keep, ordered = 0, np.True_, beta > 0 or cap < math.inf
+    if ordered:
+        sides = list(_sorted_sides(*sides))
         short, mid, long = sides
         # beta filters distinct pairs only: a degenerate triple's one distinct pair is its mid side
-        min_side = np.where(J == I, mid, short) if degenerate else short
+        admissible = (np.where(J == I, mid, short) if degenerate else short) >= beta
         small = short + mid + long < cap
-        admissible = min_side >= beta
         skipped = int(np.count_nonzero(admissible & ~small))
         keep = admissible & small
-        del short, mid, long, min_side, small, admissible
-        if not keep.all():
-            keep = np.flatnonzero(keep)
-            I, J, K, ij, ik, p_jk, c_jk, *sides = (v.take(keep) for v in (I, J, K, ij, ik, p_jk, c_jk, *sides))
-        del keep
-    # with a positive floor the bounds and the longest side come first, and only the
-    # bracket's survivors are sorted and modelled; otherwise the bounds come after the
-    # kernel, as the block's peak memory allows
-    bracket = worst is not None and worst.floor > 0
-    if bracket:
-        lb, ub = _radius_bounds(cols, table, I, J, K, ij, ik, p_jk, c_jk)
-        del ij, ik, p_jk, c_jk
+        del short, mid, long, admissible, small
+    if worst is not None and worst.floor > 0:
         long = sides[2] if ordered else np.maximum(np.maximum(sides[0], sides[1]), sides[2])
-        keep = np.flatnonzero(worst.bracket(lb, ub, long))
+        keep = worst.bracket(lb, ub, long) & keep
         del long
+    if not keep.all():
+        keep = np.flatnonzero(keep)
         I, J, K, lb, ub, *sides = (v.take(keep) for v in (I, J, K, lb, ub, *sides))
-        del keep
+    del keep
     short, mid, long = sides if ordered else _sorted_sides(*sides)
     del sides
     min_side = np.where(J == I, mid, short) if degenerate else short
     rm = model_circumradius_batch(long, mid, short, kappa)
     del short, mid, long  # block-sized; freed early to keep the block's peak memory down
-    if not bracket:
-        lb, ub = _radius_bounds(cols, table, I, J, K, ij, ik, p_jk, c_jk)
-        del ij, ik, p_jk, c_jk
     modelled = rm.size
     group = [I, J, K, min_side, rm, lb, ub]
     del I, J, K, min_side, rm, lb, ub
-    if worst is None:
-        gathered, block = _finish(cols, group)
-        yield skipped, gathered, modelled, block
-        return
     cuts = np.searchsorted(group[0], [block.stop for block in blocks]).tolist()
     for t, (start, stop) in enumerate(zip([0, *cuts], cuts)):
-        part = worst.reachable([v[start:stop] for v in group])
+        part = [v[start:stop] for v in group]
+        if worst is not None:
+            part = worst.reachable(part)
         if t == len(cuts) - 1:
-            group.clear()  # the last gather shares no memory with the rows' arrays
+            group.clear()  # the last gather needs only `part`, so the rows' arrays go with it
         gathered, block = _finish(cols, part)
         yield skipped, gathered, modelled, block
         skipped = modelled = 0
@@ -440,12 +426,11 @@ def _scan_rows(space, kappa, policy, beta, degenerate, max_perimeter, worst=None
     order, from `_scan_block`; row i holds the triples with smallest index i.
 
     Consecutive whole rows form a block while it holds no more triples than row 0.
-    Once the worst's pair prune applies, one `_scan_block` call takes the blocks
-    that `_pruned_end` gives.
+    In the lower direction with no perimeter cap, once the worst's pair prune
+    applies, one `_scan_block` call takes the blocks that `_pruned_end` gives.
 
     kappa and the perimeter cap are checked, and the candidate columns, their pair
-    table, the pair-major layout and the worst's bracket built, when the first
-    block is asked for.
+    table and the pair-major layout built, when the first block is asked for.
     """
     k = kappa_value(kappa)
     cap = model_perimeter_bound(k, max_perimeter)
@@ -457,17 +442,18 @@ def _scan_rows(space, kappa, policy, beta, degenerate, max_perimeter, worst=None
     P, C = table
     J, K = (v.astype(C.dtype) for v in np.triu_indices(n, 1))
     pairs = (J, K, space.dist[J, K], P[J, K], C[J, K])
-    if worst is not None:
-        worst.prepare(pairs, k, cap)
     offset = _pair_offset(np.arange(n + 1), n)
     starts = offset[np.arange(n) + (not degenerate)]
     counts = pairs[0].size - starts
     blocks = list(_row_blocks(counts.tolist()))
+    prune = worst is not None and worst.sign < 0 and cap == math.inf
     b = 0
     while b < len(blocks):
-        hot = None if worst is None else worst.hot()
+        hot = worst.hot(pairs) if prune else None
         end = b + 1 if hot is None else _pruned_end(blocks, b, hot, offset, starts, counts)
-        yield from _scan_block(space, cols, table, pairs, starts, k, beta, degenerate, cap, worst, hot, blocks[b:end])
+        yield from _scan_block(
+            space, cols, table, pairs, starts, offset, k, beta, degenerate, cap, worst, hot, blocks[b:end]
+        )
         b = end
 
 
@@ -483,28 +469,20 @@ class _Worst:
     upper bound is below it cannot be the witness.
     """
 
-    def __init__(self, direction: str):
+    def __init__(self, direction: str, k: float = 0.0):
         self.sign, self.pick = (1.0, np.argmax) if direction == "upper" else (-1.0, np.argmin)
         self.epsilon, self.record = 0.0, None  # record: (i, j, k, r_space, r_model)
-        self.floor = 0.0
-        self.k, self.pairs, self.gap = 0.0, None, None
+        self.floor, self.k, self.gap = 0.0, k, None  # k: the curvature of the bracket and prune
 
-    def prepare(self, pairs, k: float, cap: float) -> None:
-        """The curvature of one scan and, for lower without a perimeter cap, the layout
-        `pairs` that the prune reads."""
-        self.k = k
-        if self.sign < 0 and cap == math.inf:
-            self.pairs = pairs
-
-    def hot(self) -> np.ndarray | None:
-        """Mask of the layout pairs whose g reaches a positive floor, or None where the
-        prune does not apply. g = rho_hi(d) - P bounds the lower defect of every triple
-        whose longest side is the pair, because r_space >= P of each pair; it is built
-        when the floor first turns positive, so a holding input never builds it."""
-        if self.pairs is None or self.floor <= 0:
+    def hot(self, pairs) -> np.ndarray | None:
+        """Mask of the pairs of the layout `pairs` whose g reaches the floor, or None while
+        the floor is 0. g = rho_hi(d) - P bounds the lower defect of every triple whose
+        longest side is the pair, because r_space >= P of each pair; it is built when the
+        floor first turns positive, so a holding input never builds it."""
+        if self.floor <= 0:
             return None
         if self.gap is None:
-            _, _, d_jk, p_jk, _ = self.pairs
+            _, _, d_jk, p_jk, _ = pairs
             self.gap = _radius_bracket(d_jk, self.k, "upper")
             self.gap -= p_jk
         return self.gap >= self.floor
@@ -555,7 +533,7 @@ def certify(space: FiniteMetricSpace, query: CurvatureQuery, threads: int = 1) -
     parameter stays because `bench/worker.py` passes `threads=1`.
     """
     check_threads(threads)
-    worst, skipped, gathered, modelled = _Worst(query.direction), 0, 0, 0
+    worst, skipped, gathered, modelled = _Worst(query.direction, kappa_value(query.kappa)), 0, 0, 0
     blocks = _scan_rows(
         space, query.kappa, query.candidates, query.beta, query.degenerate_pairs, query.max_perimeter, worst
     )

@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("defect", help="defect profile with scale curve and histogram")
     add_input(p)
     p.add_argument("--kappa", type=float, default=0.0)
-    p.add_argument("--beta-grid", default="", help="comma-separated ascending beta values")
+    p.add_argument("--beta-grid", default="", help="comma-separated beta values, kept in the order given")
     p.add_argument("--degenerate", action="store_true")
     p.add_argument("--json", dest="json_out", default=None)
     p.add_argument("--csv", dest="csv_prefix", default=None, help="write <prefix>_beta_curve.csv and <prefix>_histogram.csv")

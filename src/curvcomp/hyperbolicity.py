@@ -169,16 +169,21 @@ def delta_four_point(space: FiniteMetricSpace, threads: int = 1) -> DeltaResult:
     check_threads(threads)
     if space.n == 0:
         return DeltaResult(0.0, None)
-    scan = partial(_per_base_max, space.dist)
+    # past half the float64 range a sum of two distances overflows: the halved space,
+    # whose values are exactly half, is scanned instead and its delta doubled
+    scale = 2.0 if space.diameter > np.finfo(float).max / 2 else 1.0
+    d = space.dist * 0.5 if scale > 1.0 else space.dist
+    scan = partial(_per_base_max, d)
     first = scan(0)
-    bases, quadruples = _candidate_bases(space.dist, first[0])
+    bases, quadruples = _candidate_bases(d, first[0])
     best = DeltaResult(0.0, None)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         rest = map(scan, bases[1:]) if threads == 1 else pool.map(scan, bases[1:])
         for w, (value, x, y, z) in zip(bases, chain([first], rest)):
             if value > best.delta:
                 best = DeltaResult(value, (x, y, z, w))
-    return replace(best, bases_scanned=len(bases), quadruples=quadruples + len(bases) * space.n**3)
+    quadruples += len(bases) * space.n**3
+    return replace(best, delta=scale * best.delta, bases_scanned=len(bases), quadruples=quadruples)
 
 
 def check_allowance(h: float) -> None:

@@ -342,7 +342,7 @@ BRACKET_SPACES = {
 def _unbracketed(patch):
     """certify as before the model-radius bracket and the pair prune: every triple is
     modelled, and `reachable` alone drops triples."""
-    patch.setattr(certify_module._Worst, "hot", lambda self: None)
+    patch.setattr(certify_module._Worst, "hot", lambda self, pairs: None)
     patch.setattr(certify_module._Worst, "bracket", lambda self, lb, ub, long: np.ones(lb.shape, dtype=bool))
 
 
@@ -383,7 +383,7 @@ def test_hot_triples_are_the_triples_with_a_hot_pair(degenerate):
     for share in (0.0, 0.05, 0.2, 0.6, 1.0):
         hot = rng.uniform(size=J.size) < share
         for rows in (range(0, 1), range(0, n), range(1, 4), range(4, n), range(n - 1, n)):
-            I, at = certify_module._hot_triples(hot, (J, K), starts, rows, n)
+            I, at = certify_module._hot_triples(hot, (J, K), starts, offset, rows)
             got = list(zip(I.tolist(), J[at].tolist(), K[at].tolist()))
             want = []
             for i in rows:
@@ -393,6 +393,35 @@ def test_hot_triples_are_the_triples_with_a_hot_pair(degenerate):
                     if any(hot[position[pair]] for pair in pairs):
                         want.append((i, j, k))
             assert got == want
+
+
+@pytest.mark.parametrize("degenerate", (False, True))
+@pytest.mark.parametrize("n", (13, 40))
+def test_pruned_end_bounds_the_blocks_of_one_call(n, degenerate):
+    # a group of more than one block holds at most 8 times row 0's triples, and at most
+    # row 0's triples with a hot pair; with no hot pair it grows up to the first bound
+    rng = np.random.default_rng(n + degenerate)
+    J, K = np.triu_indices(n, 1)
+    offset = certify_module._pair_offset(np.arange(n + 1), n)
+    starts = offset[np.arange(n) + (not degenerate)]
+    counts = J.size - starts
+    blocks = list(certify_module._row_blocks(counts.tolist()))
+    triples = np.concatenate(([0], np.cumsum(counts)))  # triples before each row
+    grouped = 0
+    for share in (0.0, 0.002, 0.02, 0.2, 1.0):
+        hot = rng.uniform(size=J.size) < share
+        for b in range(len(blocks)):
+            end = certify_module._pruned_end(blocks, b, hot, offset, starts, counts)
+            assert b < end <= len(blocks)
+            rows = range(blocks[b].start, blocks[end - 1].stop)
+            if end - b > 1:
+                grouped += hot.any()
+                assert triples[rows.stop] - triples[rows.start] <= 8 * counts[0]
+                I, _ = certify_module._hot_triples(hot, (J, K), starts, offset, rows)
+                assert I.size <= counts[0]
+            if not hot.any() and end < len(blocks):
+                assert triples[blocks[end].stop] - triples[rows.start] > 8 * counts[0]
+    assert grouped
 
 
 def test_certify_scale_invariance_kappa_zero():
@@ -693,16 +722,22 @@ def test_profile_memory_stays_quadratic():
 
 def test_scan_memory_stays_within_a_row_zero_block():
     # blocks of whole rows hold at most row 0's triples, and the peak follows
-    # that cap: about 170-210 bytes per row-0 triple here, against 280-360 when
+    # that cap: about 140-200 bytes per row-0 triple here, against 280-360 when
     # blocks may hold twice row 0's triples
     n = 160
     space = validate_metric(random_metric_matrix(np.random.default_rng(14), n))
+    sphere = sample_space(GeneratorSpec(kind="sphere", kappa=1.0, n=n, seed=0))
+    plane = sample_space(GeneratorSpec(kind="euclidean", n=n, seed=0))
     row0_triples = (n - 1) * (n - 2) // 2
     for run in (
         lambda: defect_profile(space, kappa=0.0, beta_grid=[0.0, 1.2, 1.5], degenerate_pairs=True),
         lambda: certify(space, CurvatureQuery(kappa=0.0, direction="upper")),
         # the pruned lower scan builds several blocks' triples with a hot pair at once
         lambda: certify(space, CurvatureQuery(kappa=-1.0, direction="lower")),
+        # holding inputs keep their floor at 0 and model every triple; the sphere's
+        # perimeter cap runs the filter
+        lambda: certify(sphere, CurvatureQuery(kappa=1.0, direction="lower")),
+        lambda: certify(plane, CurvatureQuery(kappa=0.0, direction="lower")),
     ):
         tracemalloc.start()
         try:

@@ -239,6 +239,21 @@ def test_delta_scales_linearly():
     assert scaled.witness == base.witness
 
 
+def test_delta_of_a_path_past_half_the_float64_range():
+    # d(a, c) = 1.7e308: a sum of two distances overflows unless the space is halved
+    path = delta_four_point(from_graph([("a", "b", 1e308), ("b", "c", 7e307)]))
+    assert (path.delta, path.witness) == (0.0, None) and path.bases_scanned >= 1
+
+
+def test_delta_past_half_the_float64_range_is_exact():
+    # halving and doubling are exact, so delta is the power-of-two multiple bitwise
+    space = validate_metric(random_metric_matrix(np.random.default_rng(21), 12))
+    base, big = delta_four_point(space), delta_four_point(space.rescale(2.0**1023))
+    assert base.delta > 0
+    assert big.delta == 2.0**1023 * base.delta
+    assert (big.witness, big.bases_scanned) == (base.witness, base.bases_scanned)
+
+
 @pytest.mark.parametrize("n", (0, 1, 2, 5, 9, 13))
 def test_triangle_slack_matches_brute_force(n):
     # the slack is the largest gap d(i, j) - (d(i, k) + d(k, j)) over all triples, at least 0

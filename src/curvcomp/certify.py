@@ -35,23 +35,21 @@ triples that pass the beta and perimeter filter and, while `certify`'s floor is
 positive, the model-radius bracket, then the model kernel on the kept triples.
 In M_kappa a triangle with longest side a has a / 2 <= r_model <= rho_kappa(a),
 the circumradius of the equilateral triangle with side a (Jung's theorem in the
-model planes; Dekster, Acta Math. Hungar. 1995), and widened by BRACKET_MARGIN
-at both ends the bracket holds the kernel's radius. The defect bound
-ub - a (1 - 2^-40) / 2 (upper) or rho_kappa(a) (1 + 2^-40) - lb (lower) is at
-least the kernel's, so the triples it puts below the floor are dropped before
-the kernel: outputs stay bitwise, `gathered` included, and `Verdict.modelled`
-counts the triangles the kernel saw. The bracket is open past sqrt(-kappa) a = 8
-for kappa < 0 and within 2^-20 of the great circle for kappa > 0, where the
-kernel's error nears the margin. `defect_profile` has no floor and takes the
-same path, with every admissible triple modelled.
+model planes), and `modelplane.model_radius_bracket` widens both ends so that the
+bracket holds the kernel's radius; its docstring states where it is left open. The
+defect bound, ub less the bracket's lower end (upper direction) or its upper end
+less lb (lower), is at least the kernel's, so the triples it puts below the floor
+are dropped before the kernel: outputs stay bitwise, `gathered` included, and
+`Verdict.modelled` counts the triangles the kernel saw. `defect_profile` has no
+floor and takes the same path, with every admissible triple modelled.
 
-The lower direction also prunes pairs: g(a, b) = rho_kappa(d(a, b)) (1 + 2^-40)
-- P[a, b] bounds the lower defect of every triple whose longest side is (a, b),
-since r_space >= P[a, b]. Once the floor is positive and no perimeter reaches
-the cap, the scan builds only the triples that hold a pair whose g reaches the
-floor, one kernel call covers consecutive blocks, and each block still raises
-the floor and drops triples as it would alone. A holding input keeps its floor
-at 0 and scans every triple.
+The lower direction also prunes pairs: g(a, b), the bracket's upper end at
+d(a, b) less P[a, b], bounds the lower defect of every triple whose longest
+side is (a, b), since r_space >= P[a, b]. Once the floor is positive and no
+perimeter reaches the cap, the scan builds only the triples that hold a pair
+whose g reaches the floor, one kernel call covers consecutive blocks, and each
+block still raises the floor and drops triples as it would alone. A holding
+input keeps its floor at 0 and scans every triple.
 
 The scan runs on the calling thread. A random metric's upper direction gathers
 about 16% of its triples, and that min-max, not the kernel, takes most of its
@@ -68,17 +66,15 @@ import numpy as np
 
 from .circumradius import CandidatePolicy, candidate_rows, discrete_circumradius
 from .metricspace import FiniteMetricSpace, SideLengths, Triple
-from .modelplane import kappa_value, model_circumradius_batch, model_equilateral_radius, model_perimeter_bound
+from .modelplane import (
+    kappa_value,
+    model_circumradius,
+    model_circumradius_batch,
+    model_perimeter_bound,
+    model_radius_bracket,
+)
 
 TAU_DEFECT = 1e-12  # absolute verdict tolerance on defects
-BRACKET_MARGIN = 2.0**-40  # relative slack of the bracket over the kernel's rounding
-# sqrt|kappa| * longest side from which the bracket is not used: on random triangles the
-# hyperbolic kernel's relative error against mpmath is at most 1.4e-13 below 8, 8.6e-13
-# below 10 and 1e-10 below 16
-_HYPERBOLIC_SIDE = 8.0
-# on the sphere three sides stay this far (relative) below the great circle: within 1e-9 of it
-# the kernel's error on near-equilateral triangles reaches 1.3e-12, past the margin
-_SPHERE_SLACK = 2.0**-20
 _BLOCK = 1 << 14  # candidate x triple entries per min-max block of the scan
 _BINS = 40  # histogram bins of defect_profile
 
@@ -172,8 +168,7 @@ def triangle_defect(
     if sides.perimeter >= model_perimeter_bound(k, max_perimeter):
         return None
     r_space = discrete_circumradius(space, t, policy).radius
-    r_model = float(model_circumradius_batch(*([s] for s in sides.as_tuple()), k)[0])
-    return TriangleDefect(t, sides, r_space, r_model)
+    return TriangleDefect(t, sides, r_space, model_circumradius(sides, k))
 
 
 def _pair_table(cols):
@@ -239,30 +234,6 @@ def _row_blocks(counts):
         total += count
     if first < len(counts):
         yield range(first, len(counts))
-
-
-def _radius_bracket(long, k: float, end: str) -> np.ndarray:
-    """The `end` ("lower" or "upper") of long / 2 <= r_model <= rho_k(long) for triangles
-    with longest side `long` at curvature k, widened by BRACKET_MARGIN.
-
-    The bracket is open, -inf or inf, from the longest side at which the kernel may
-    leave the margin on: sqrt(-k) long = _HYPERBOLIC_SIDE for k < 0, and three sides
-    _SPHERE_SLACK short of the great circle for k > 0.
-    """
-    if k < 0:
-        limit = _HYPERBOLIC_SIDE / math.sqrt(-k)
-    elif k > 0:
-        limit = (1.0 - _SPHERE_SLACK) * 2.0 * math.pi / (3.0 * math.sqrt(k))
-    else:
-        limit = math.inf
-    if end == "lower":
-        bound = (0.5 - 0.5 * BRACKET_MARGIN) * long
-    else:
-        bound = model_equilateral_radius(np.minimum(long, limit), k)
-        bound *= 1.0 + BRACKET_MARGIN
-    if limit < math.inf:
-        bound[long >= limit] = -math.inf if end == "lower" else math.inf
-    return bound
 
 
 def _pair_offset(a, n):
@@ -483,17 +454,17 @@ class _Worst:
             return None
         if self.gap is None:
             _, _, d_jk, p_jk, _ = pairs
-            self.gap = _radius_bracket(d_jk, self.k, "upper")
+            self.gap = model_radius_bracket(d_jk, self.k, "upper")
             self.gap -= p_jk
         return self.gap >= self.floor
 
     def bracket(self, lb, ub, long) -> np.ndarray:
         """Mask of the triples, with r_space in [lb, ub] and longest side `long`, whose defect
-        bound from `_radius_bracket` reaches the floor. The kernel's r_model lies inside
+        bound from `model_radius_bracket` reaches the floor. The kernel's r_model lies inside
         the bracket, so the mask keeps every triple that `reachable` keeps."""
         if self.sign > 0:
-            return ub - _radius_bracket(long, self.k, "lower") >= self.floor
-        return _radius_bracket(long, self.k, "upper") - lb >= self.floor
+            return ub - model_radius_bracket(long, self.k, "lower") >= self.floor
+        return model_radius_bracket(long, self.k, "upper") - lb >= self.floor
 
     def reachable(self, block):
         """The triples of `block`, arrays (I, J, K, min_side, r_model, lb, ub) with r_space in

@@ -38,7 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="worker threads of the hyperbolicity four-point delta, given before the subcommand (default: 1)",
+        help="worker threads of the hyperbolicity four-point delta, at most the CPUs available,"
+        " given before the subcommand (default: 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -25,7 +25,7 @@ from .circumradius import CircumResult, linf_circumcenter
 from .circumradius import lp_circumradius  # noqa: F401  (re-exported name that bench/spans.py wraps)
 from .generators import lp_distances
 from .metricspace import Embedding, FiniteMetricSpace, InvalidPError, SideLengths, check_p, validate_metric
-from .modelplane import model_circumradius_batch
+from .modelplane import model_circumradius
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def check_counterexample(p: float) -> CounterexampleResult:
     """
     verts = counterexample_triangle(p)
     sides = SideLengths(*(_lp_side(verts[i], verts[j], p) for i, j in ((0, 1), (0, 2), (1, 2))))
-    comparison = float(model_circumradius_batch(*([s] for s in sides.as_tuple()), 0.0)[0])
+    comparison = model_circumradius(sides, 0.0)
     result, error = _axis_circumradius(p, verts)
     return CounterexampleResult(
         p=p,

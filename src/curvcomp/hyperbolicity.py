@@ -7,6 +7,7 @@ without asserting tightness of the relationship.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -164,7 +165,8 @@ def delta_four_point(space: FiniteMetricSpace, threads: int = 1) -> DeltaResult:
 
     This is the package's one pooled scan: each base point is a run of numpy
     (max, min) products over bounded blocks, which release the GIL, so up to
-    `threads` base points run at once.
+    `threads` base points run at once, and no more than the CPUs this process
+    may run on: each running scan holds about 24 n^2 bytes.
     """
     check_threads(threads)
     if space.n == 0:
@@ -177,8 +179,10 @@ def delta_four_point(space: FiniteMetricSpace, threads: int = 1) -> DeltaResult:
     first = scan(0)
     bases, quadruples = _candidate_bases(d, first[0])
     best = DeltaResult(0.0, None)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rest = map(scan, bases[1:]) if threads == 1 else pool.map(scan, bases[1:])
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(threads, cpus)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rest = map(scan, bases[1:]) if workers == 1 else pool.map(scan, bases[1:])
         for w, (value, x, y, z) in zip(bases, chain([first], rest)):
             if value > best.delta:
                 best = DeltaResult(value, (x, y, z, w))

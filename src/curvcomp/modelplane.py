@@ -1,11 +1,9 @@
-"""Geometry of the constant-curvature model planes.
+"""Geometry of the constant-curvature model planes M_kappa.
 
-Comparison-triangle placement and the circumradius of three model points
-(the right-hand side of the comparison inequality).
-
-One circumradius kernel serves every kappa, the plane being its kappa = 0 row;
-it needs no rule for thin triangles, and raises ValueError naming kappa where
-float64 cannot hold its steps.
+Comparison-triangle placement, the circumradius of a comparison triangle (the
+right-hand side of the comparison inequality) from one kernel for every kappa,
+the plane being its kappa = 0 row, and the Jung bracket around that radius,
+with which the triple scan drops triples before the kernel.
 """
 from __future__ import annotations
 
@@ -28,6 +26,15 @@ _KERNEL = {
     -1.0: (lambda v: np.sinh(0.5 * v), np.arctanh),
     0.0: (lambda v: v, lambda v: 0.5 * v),
 }
+
+BRACKET_MARGIN = 2.0**-40  # relative slack of the bracket over the kernel's rounding
+# sqrt|kappa| * longest side from which the bracket is not used: on random triangles the
+# hyperbolic kernel's relative error against mpmath is at most 1.4e-13 below 8, 8.6e-13
+# below 10 and 1e-10 below 16
+_HYPERBOLIC_SIDE = 8.0
+# on the sphere three sides stay this far (relative) below the great circle: within 1e-9 of it
+# the kernel's error on near-equilateral triangles reaches 1.3e-12, past the margin
+_SPHERE_SLACK = 2.0**-20
 
 
 class TooLargeForModelError(ValueError):
@@ -58,20 +65,10 @@ def model_perimeter_bound(k: float, max_perimeter: float | None = None) -> float
     return bound if max_perimeter is None else min(bound, max_perimeter)
 
 
-def chart_for(kappa) -> str:
-    k = kappa_value(kappa)
-    if k > 0:
-        return "sphere"
-    if k < 0:
-        return "hyperboloid"
-    return "euclidean"
-
-
 @dataclass(frozen=True)
 class ModelPoint:
-    """A model-plane point via its embedding chart coordinates."""
+    """A model-plane point by its chart coordinates; the chart is its triangle's kappa."""
 
-    chart: str  # euclidean | sphere | hyperboloid
     coords: tuple[float, ...]
 
 
@@ -104,12 +101,7 @@ def comparison_triangle(sides, kappa) -> ComparisonTriangle:
     if k == 0:
         x2 = (a * a + b * b - c * c) / (2.0 * a) if a > 0 else 0.0
         y2 = math.sqrt(max(b * b - x2 * x2, 0.0))
-        verts = (
-            ModelPoint("euclidean", (0.0, 0.0)),
-            ModelPoint("euclidean", (a, 0.0)),
-            ModelPoint("euclidean", (x2, y2)),
-        )
-        return ComparisonTriangle(k, verts)
+        return ComparisonTriangle(k, (ModelPoint((0.0, 0.0)), ModelPoint((a, 0.0)), ModelPoint((x2, y2))))
 
     sign = math.copysign(1.0, k)
     sn, cs = _TRIG[sign]
@@ -122,11 +114,10 @@ def comparison_triangle(sides, kappa) -> ComparisonTriangle:
         cosg = 1.0
     cosg = max(-1.0, min(1.0, cosg))
     sing = math.sqrt(max(1.0 - cosg * cosg, 0.0))
-    chart = chart_for(k)
     verts = (
-        ModelPoint(chart, (0.0, 0.0, radius)),
-        ModelPoint(chart, (radius * sn(alpha), 0.0, radius * cs(alpha))),
-        ModelPoint(chart, (radius * sn(beta) * cosg, radius * sn(beta) * sing, radius * cs(beta))),
+        ModelPoint((0.0, 0.0, radius)),
+        ModelPoint((radius * sn(alpha), 0.0, radius * cs(alpha))),
+        ModelPoint((radius * sn(beta) * cosg, radius * sn(beta) * sing, radius * cs(beta))),
     )
     return ComparisonTriangle(k, verts)
 
@@ -135,8 +126,8 @@ def comparison_triangle(sides, kappa) -> ComparisonTriangle:
 # One circumradius kernel, for every kappa, over arrays of side triples (a >= b >= c).
 
 
-def _model_circumradius_batch(a, b, c, k: float):
-    """Model circumradii, and the mask of the half-side branch, for any kappa.
+def model_circumradius_batch(a, b, c, kappa):
+    """Model circumradii for arrays of side triples (a >= b >= c elementwise), for any kappa.
 
     Works on sides scaled by sqrt|kappa| with (sn, arc) = (sin, arctan) on the
     sphere, (sinh, arctanh) on the hyperboloid, and identity with scale 1 in the
@@ -155,7 +146,13 @@ def _model_circumradius_batch(a, b, c, k: float):
     sinh's product overflows (scaled perimeter past about 710; 1420 if
     collinear); in the plane, once Heron's product overflows (sides past about
     1e77) or, off the half-side branch, underflows to 0 (below about 1e-81).
+    Underflow is not trapped, so small sides can answer silently wrong: plane
+    sides from about 1e-81 to 1e-77 lose digits, below about 1e-162 every plane
+    triangle takes the half-side branch, and the curved rows lose digits once
+    sqrt|kappa| a falls below about 1e-77.
     """
+    k = kappa_value(kappa)
+    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
     sn_half, arc = _KERNEL[float(np.sign(k))]
     scale = math.sqrt(abs(k)) or 1.0
     try:
@@ -170,15 +167,23 @@ def _model_circumradius_batch(a, b, c, k: float):
             ha2 = ha * ha
             half = (hb * hb + hc * hc - ha2) <= _OBTUSE_REL * ha2
             ratio = np.where(half, 0.0, 2.0 * ha * hb * hc) / np.where(half, 1.0, root)
-            return np.where(half, 0.5 * a, arc(ratio) / scale), half
+            return np.where(half, 0.5 * a, arc(ratio) / scale)
     except FloatingPointError as exc:
         raise ValueError(f"model circumradius at kappa={k} leaves the float64 range: {exc}") from None
 
 
-def model_circumradius_batch(a, b, c, kappa):
-    """Model circumradii for arrays of side triples (a >= b >= c elementwise)."""
+def model_circumradius(sides, kappa) -> float:
+    """The kernel's circumradius of one comparison triangle in M_kappa, placing none."""
+    if not isinstance(sides, SideLengths):
+        sides = SideLengths(*sides)
     k = kappa_value(kappa)
-    return _model_circumradius_batch(*(np.asarray(v, dtype=float) for v in (a, b, c)), k)[0]
+    _check_model_size(sides, k)
+    return float(model_circumradius_batch(*([s] for s in sides.as_tuple()), k)[0])
+
+
+def euclidean_circumradius(sides) -> CircumResult:
+    """model_circumradius(sides, 0) as a CircumResult, with no center."""
+    return CircumResult(model_circumradius(sides, 0.0), None, 1)
 
 
 def model_equilateral_radius(a, kappa):
@@ -199,41 +204,26 @@ def model_equilateral_radius(a, kappa):
     return arc(sn(0.5 * scale * a) * (2.0 / math.sqrt(3.0))) / scale
 
 
-def euclidean_circumradius(sides) -> CircumResult:
-    """model_circumradius(sides, 0), whose center witness is a point (x, y) in
-    the canonical placement of comparison_triangle(sides, 0)."""
-    return model_circumradius(sides, 0.0)
+def model_radius_bracket(long, k: float, end: str) -> np.ndarray:
+    """The `end` ("lower" or "upper") of long / 2 <= r_model <= rho_k(long) for triangles
+    with longest side `long` at curvature k, widened by BRACKET_MARGIN, so that it holds
+    the kernel's radius.
 
-
-def model_circumradius(sides, kappa) -> CircumResult:
-    """Minimum enclosing model-ball radius of the three comparison vertices.
-
-    The radius and the half-side branch are the kernel's; the center witness is
-    given in the canonical placement of comparison_triangle(sides, kappa): the
-    midpoint of the longest side on the half-side branch, else the
-    circumcenter, which in the plane is (x, y) and otherwise the chart point
-    orthogonal (Minkowski-orthogonal on the hyperboloid) to the plane through
-    the three vertices.
+    The bracket is open, -inf or inf, from the longest side at which the kernel may
+    leave the margin on: sqrt(-k) long = _HYPERBOLIC_SIDE for k < 0, and three sides
+    _SPHERE_SLACK short of the great circle for k > 0.
     """
-    if not isinstance(sides, SideLengths):
-        sides = SideLengths(*sides)
-    k = kappa_value(kappa)
-    _check_model_size(sides, k)
-    r, half = _model_circumradius_batch(*(np.array([s]) for s in sides.as_tuple()), k)
-    tri = comparison_triangle(sides, k)
-    if k == 0:
-        a = sides.a
-        x2, y2 = tri.vertices[2].coords
-        cy = 0.0 if half[0] else (x2 * x2 + y2 * y2 - a * x2) / (2.0 * y2)
-        return CircumResult(radius=float(r[0]), center=(0.5 * a, cy), evaluations=1)
-    v0, v1, v2 = (np.array(v.coords) for v in tri.vertices)
-    if half[0]:
-        u = v0 + v1
+    if k < 0:
+        limit = _HYPERBOLIC_SIDE / math.sqrt(-k)
+    elif k > 0:
+        limit = (1.0 - _SPHERE_SLACK) * 2.0 * math.pi / (3.0 * math.sqrt(k))
     else:
-        u = np.cross(v1 - v0, v2 - v0)
-        if k < 0:
-            u[2] = -u[2]  # the Minkowski flip
-    # scale onto the chart, on the sheet (hemisphere) with a positive last coordinate
-    norm = math.sqrt(abs(u[0] * u[0] + u[1] * u[1] + math.copysign(1.0, k) * u[2] * u[2]))
-    center = ModelPoint(chart_for(k), tuple(math.copysign(1.0 / (math.sqrt(abs(k)) * norm), u[2]) * u))
-    return CircumResult(radius=float(r[0]), center=center, evaluations=1)
+        limit = math.inf
+    if end == "lower":
+        bound = (0.5 - 0.5 * BRACKET_MARGIN) * long
+    else:
+        bound = model_equilateral_radius(np.minimum(long, limit), k)
+        bound *= 1.0 + BRACKET_MARGIN
+    if limit < math.inf:
+        bound[long >= limit] = -math.inf if end == "lower" else math.inf
+    return bound

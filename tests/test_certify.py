@@ -103,7 +103,7 @@ def test_triangle_defect_places_no_comparison_triangle(monkeypatch):
     triples = list(enumerate_triples(space, degenerate_pairs=True))
     kappas = (0.0, 1.0, -1.0, 4.0, -0.3)
     want = {
-        (kappa, t): model_circumradius(SideLengths.of_triple(space, t), kappa).radius
+        (kappa, t): model_circumradius(SideLengths.of_triple(space, t), kappa)
         for kappa in kappas
         for t in triples
     }

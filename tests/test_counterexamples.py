@@ -216,7 +216,7 @@ def test_sides_are_bitwise_cdist_and_comparison_radius_is_one():
 
 def test_comparison_radius_places_no_comparison_triangle(monkeypatch):
     # the radius is the plane kernel's on the three sides, bitwise model_circumradius's
-    want = {p: model_circumradius(check_counterexample(p).sides, 0.0).radius for p in GRID}
+    want = {p: model_circumradius(check_counterexample(p).sides, 0.0) for p in GRID}
 
     def forbidden(*args, **kwargs):
         raise AssertionError("placed a comparison triangle for a radius")

@@ -1,5 +1,6 @@
 """Four-point hyperbolicity and the relaxed-defect comparison."""
 import math
+import os
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -89,6 +90,24 @@ def test_delta_scans_each_base_point_once(monkeypatch, threads):
     res = delta_four_point(space, threads=threads)
     assert len(bases) == len(set(bases)) == res.bases_scanned  # no base point twice
     assert (res.delta, res.witness) == brute_delta(space.dist)
+
+
+def test_delta_pool_holds_no_more_workers_than_cpus(monkeypatch):
+    # every candidate base point is submitted at once, so a pool of `threads` workers
+    # would run one scan per base point, each holding about 24 n^2 bytes
+    space = from_graph([(i, i + 1, 0.1) for i in range(11)])
+    sizes = []
+
+    class Recording(hyperbolicity_module.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(hyperbolicity_module, "ThreadPoolExecutor", Recording)
+    res = delta_four_point(space, threads=64)
+    assert res.bases_scanned == 12
+    assert sizes and max(sizes) <= len(os.sched_getaffinity(0))
+    assert res == delta_four_point(space)  # delta and witness
 
 
 def _every_base_point(d):

@@ -15,14 +15,14 @@ from curvcomp import (
     euclidean_circumradius,
     model_circumradius,
 )
-from curvcomp.certify import BRACKET_MARGIN, _radius_bracket
 from curvcomp.metricspace import metric_tolerance
 from curvcomp.modelplane import (
+    BRACKET_MARGIN,
     TooLargeForModelError,
-    chart_for,
     model_circumradius_batch,
     model_equilateral_radius,
     model_perimeter_bound,
+    model_radius_bracket,
 )
 from oracles import law_of_sines_circumradius, minmax_grid_model, per_chart_model_distance
 
@@ -46,12 +46,6 @@ def test_model_perimeter_bound_takes_the_lesser_cap():
         for k in (1.0, 0.0, -1.0):
             with pytest.raises(ValueError, match=f"max_perimeter must be positive and finite, got {bad}"):
                 model_perimeter_bound(k, bad)
-
-
-def test_chart_selection():
-    assert chart_for(1.0) == "sphere"
-    assert chart_for(0.0) == "euclidean"
-    assert chart_for(-0.5) == "hyperboloid"
 
 
 @pytest.mark.parametrize("kappa", KAPPAS)
@@ -108,10 +102,14 @@ def test_right_triangle_takes_half_hypotenuse_exactly():
         sn, arcsn = (math.sin, math.asin) if kappa > 0 else (math.sinh, math.asinh)
         b, c = 0.9, 0.7
         a = 2.0 / root * arcsn(math.hypot(sn(b * root / 2), sn(c * root / 2)))
-        res = model_circumradius(SideLengths(a, b, c), kappa)
-        assert res.radius == 0.5 * a
-        for v in comparison_triangle(SideLengths(a, b, c), kappa).vertices:
-            assert abs(per_chart_model_distance(res.center, v, kappa) - 0.5 * a) <= 1e-12
+        assert model_circumradius(SideLengths(a, b, c), kappa) == 0.5 * a
+        # the midpoint of v0 and v1, the longest side, normalised onto the chart
+        verts = comparison_triangle(SideLengths(a, b, c), kappa).vertices
+        u = np.add(verts[0].coords, verts[1].coords)
+        norm = math.sqrt(abs(u[0] ** 2 + u[1] ** 2 + math.copysign(u[2] ** 2, kappa)))
+        mid = ModelPoint(tuple(u / (root * norm)))
+        for v in verts:
+            assert abs(per_chart_model_distance(mid, v, kappa) - 0.5 * a) <= 1e-12
 
 
 def test_degenerate_triangles_take_half_longest_side():
@@ -121,20 +119,7 @@ def test_degenerate_triangles_take_half_longest_side():
     # exactly collinear sides a = b + c, inside the kappa > 0 perimeter cap
     for kappa in (k for k in KAPPAS if k):
         for a, b, c in ((2.0, 1.0, 1.0), (2.0, 1.25, 0.75), (1.5, 1.5, 0.0), (0.0, 0.0, 0.0)):
-            assert model_circumradius(SideLengths(a, b, c), kappa).radius == 0.5 * a
-
-
-def test_euclidean_center_witness_attains_radius():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        sides = random_sides(rng, 5.0)
-        res = euclidean_circumradius(sides)
-        tri = comparison_triangle(sides, 0.0)
-        dmax = max(
-            math.hypot(res.center[0] - v.coords[0], res.center[1] - v.coords[1])
-            for v in tri.vertices
-        )
-        assert dmax == pytest.approx(res.radius, abs=1e-9)
+            assert model_circumradius(SideLengths(a, b, c), kappa) == 0.5 * a
 
 
 def test_euclidean_batch_matches_law_of_sines():
@@ -186,28 +171,15 @@ def test_model_circumradius_matches_chart_oracle(kappa):
         tri = comparison_triangle(sides, kappa)
         verts = [v.coords for v in tri.vertices]
         want = minmax_grid_model(verts, kappa)
-        got = model_circumradius(sides, kappa).radius
+        got = model_circumradius(sides, kappa)
         assert got == pytest.approx(want, abs=2e-8)
-
-
-@pytest.mark.parametrize("kappa", KAPPAS)
-def test_model_center_witness_attains_radius(kappa):
-    rng = np.random.default_rng(29)
-    scale = 0.9 if kappa > 0 else 2.0
-    for _ in range(100):
-        sides = random_sides(rng, scale)
-        res = model_circumradius(sides, kappa)
-        tri = comparison_triangle(sides, kappa)
-        center = res.center if kappa else ModelPoint("euclidean", res.center)
-        dmax = max(per_chart_model_distance(center, v, kappa) for v in tri.vertices)
-        assert dmax == pytest.approx(res.radius, abs=1e-8)
 
 
 def test_model_radius_monotone_in_kappa():
     rng = np.random.default_rng(31)
     for _ in range(300):
         sides = random_sides(rng, 0.9)
-        radii = [model_circumradius(sides, k).radius for k in KAPPAS]
+        radii = [model_circumradius(sides, k) for k in KAPPAS]
         assert all(lo <= hi + 1e-10 for lo, hi in zip(radii, radii[1:]))
 
 
@@ -219,7 +191,7 @@ def test_scalar_matches_batch():
         batch = float(
             model_circumradius_batch(np.array([a]), np.array([b]), np.array([c]), kappa)[0]
         )
-        assert model_circumradius(sides, kappa).radius == batch
+        assert model_circumradius(sides, kappa) == batch
 
 
 @given(
@@ -236,10 +208,10 @@ def test_scaling_law(a, u, v, kappa, lam):
     c = max(a - b, 0.0) + v * (b - max(a - b, 0.0)) + 1e-6
     try:
         sides = SideLengths(a, b, c)
-        base = model_circumradius(sides, kappa).radius
+        base = model_circumradius(sides, kappa)
         scaled = model_circumradius(
             SideLengths(a * lam, b * lam, c * lam), kappa / lam**2
-        ).radius
+        )
     except (ValueError, TooLargeForModelError):
         return
     assert scaled == pytest.approx(lam * base, rel=1e-9, abs=1e-12)
@@ -250,7 +222,7 @@ def test_model_radius_at_least_half_longest_side():
     for kappa in KAPPAS:
         for _ in range(200):
             sides = random_sides(rng, 0.8)
-            r = model_circumradius(sides, kappa).radius
+            r = model_circumradius(sides, kappa)
             assert r >= sides.a / 2.0 * (1.0 - BRACKET_MARGIN)
 
 
@@ -275,13 +247,13 @@ def test_model_radius_lies_in_the_scan_bracket(kappa):
     # near-equilateral triangles hold the upper end tightest
     a, b, c = np.concatenate([a, a]), np.concatenate([b, a * (1.0 - 1e-9)]), np.concatenate([c, a * (1.0 - 2e-9)])
     r = model_circumradius_batch(a, b, c, kappa)
-    assert (_radius_bracket(a, kappa, "lower") <= r).all()
-    assert (r <= _radius_bracket(a, kappa, "upper")).all()
+    assert (model_radius_bracket(a, kappa, "lower") <= r).all()
+    assert (r <= model_radius_bracket(a, kappa, "upper")).all()
     if kappa:
         # from the limit on the bracket is open
         past = np.array([_bracket_limit(kappa), 1.5 * _bracket_limit(kappa) if kappa < 0 else _bracket_limit(kappa)])
-        assert (_radius_bracket(past, kappa, "lower") == -math.inf).all()
-        assert (_radius_bracket(past, kappa, "upper") == math.inf).all()
+        assert (model_radius_bracket(past, kappa, "lower") == -math.inf).all()
+        assert (model_radius_bracket(past, kappa, "upper") == math.inf).all()
 
 
 def test_the_scan_bracket_needs_its_margin_at_both_ends():
@@ -294,12 +266,12 @@ def test_the_scan_bracket_needs_its_margin_at_both_ends():
     b, c = a * math.sqrt(1.0 + 1e-11) * np.cos(phi), a * math.sqrt(1.0 + 1e-11) * np.sin(phi)
     r = model_circumradius_batch(a, b, c, 0.0)
     assert np.count_nonzero(r < 0.5 * a) > 10_000
-    assert (r >= _radius_bracket(a, 0.0, "lower")).all()
+    assert (r >= model_radius_bracket(a, 0.0, "lower")).all()
     for kappa in (0.0, 1.0, -1.0):
         side = rng.uniform(0.0, min(_bracket_limit(kappa), 10.0), 100_000)
         r = model_circumradius_batch(side, side, side, kappa)
         assert np.count_nonzero(r > model_equilateral_radius(side, kappa)) > 1000
-        assert (r <= _radius_bracket(side, kappa, "upper")).all()
+        assert (r <= model_radius_bracket(side, kappa, "upper")).all()
 
 
 @pytest.mark.parametrize("kappa", (0.0, 1.0, -1.0, 4.0, -4.0))

@@ -74,9 +74,15 @@ from .modelplane import (
     model_radius_bracket,
 )
 
-TAU_DEFECT = 1e-12  # absolute verdict tolerance on defects
 _BLOCK = 1 << 14  # candidate x triple entries per min-max block of the scan
 _BINS = 40  # histogram bins of defect_profile
+
+
+def defect_resolution(diameter: float) -> int:
+    """e - 40, with e the binary exponent of a space's diameter: 2**this is the
+    verdict tolerance on defects and the finest bin width of defect_profile, so
+    rescaling the space by 2**k moves both exactly with it."""
+    return math.frexp(diameter)[1] - 40
 
 
 def check_threads(threads: int) -> None:
@@ -496,9 +502,10 @@ class _Worst:
 def certify(space: FiniteMetricSpace, query: CurvatureQuery, threads: int = 1) -> Verdict:
     """Decide the comparison condition of the query over all admissible triples.
 
-    Upper direction holds iff r_space <= r_model + epsilon (+ tolerance) for
-    every triple; lower direction with the roles reversed. epsilon_needed is
-    the exact worst deficiency, 0 when the strict condition already holds.
+    Upper direction holds iff r_space <= r_model + epsilon (+ tolerance
+    2**defect_resolution(diameter)) for every triple; lower direction with the
+    roles reversed. epsilon_needed is the exact worst deficiency, 0 when the
+    strict condition already holds.
 
     The scan runs on the calling thread, so `threads` is only checked; the
     parameter stays because `bench/worker.py` passes `threads=1`.
@@ -513,7 +520,7 @@ def certify(space: FiniteMetricSpace, query: CurvatureQuery, threads: int = 1) -
         gathered += block_gathered
         modelled += block_modelled
         worst.add(block)
-    holds = worst.epsilon <= query.epsilon + TAU_DEFECT
+    holds = worst.epsilon <= query.epsilon + math.ldexp(1.0, defect_resolution(space.diameter))
     witness = None if holds else worst.witness(space)
     return Verdict(
         holds=holds,
@@ -528,14 +535,14 @@ def certify(space: FiniteMetricSpace, query: CurvatureQuery, threads: int = 1) -
 class _BinCounter:
     """Defect counts in _BINS bins of width 2**e, anchored at 0.
 
-    e is the smallest exponent, and at least the diameter's binary exponent
-    minus 40, at which [min defect, max defect] fits in _BINS bins. Bin
-    m = floor(defect / 2**e) is a Counter key and m >> 1 merges bins exactly
-    when e grows, so the result does not depend on the scan order.
+    e is the smallest exponent, and at least defect_resolution(diameter), at
+    which [min defect, max defect] fits in _BINS bins. Bin m = floor(defect /
+    2**e) is a Counter key and m >> 1 merges bins exactly when e grows, so the
+    result does not depend on the scan order.
     """
 
     def __init__(self, diameter: float):
-        self.e = math.frexp(diameter)[1] - 40
+        self.e = defect_resolution(diameter)
         self.lo, self.hi, self.counts = math.inf, -math.inf, Counter()
 
     def _bin(self, x: float) -> int:

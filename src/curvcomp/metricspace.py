@@ -275,20 +275,8 @@ def from_graph(edges: Iterable[tuple]) -> FiniteMetricSpace:
     weight that is not positive and finite raises NonpositiveWeightError.
 
     d(s, v) is the least left-to-right float sum fl(...fl(w1 + w2)... + wk)
-    over the paths from s to v, the value float Dijkstra returns: a positive
-    weight makes fl(x + w) >= x and rounding is monotone, so that least sum
-    is the least fixed point of d(s, v) = min over u of fl(d(s, u) + w(u, v)),
-    and every relaxation order run to that fixed point gives the same bits.
-    `pathsums.path_sums` runs Gauss-Seidel sweeps, alternately forward and
-    backward, over the order in which a Dijkstra search from vertex 0
-    settles the vertices. A path whose vertices make r monotone runs in that
-    order is summed within r + 1 sweeps, so at most n + 1 sweeps run (the
-    last one changes nothing), each pulling every in-edge slot once over n
-    sources, with a pull's slots padded to its largest in-degree: O(n^4)
-    time in the worst case. A tree takes 3 sweeps and the benchmark's random
-    graphs 6-7. Memory is O(n^2): the n x n table, the padded slots, and one
-    pull of at most max(2^18, n^2) entries. The result is then made exactly
-    symmetric with min(d, d^T).
+    over the paths from s to v, bitwise the value float Dijkstra returns,
+    made exactly symmetric with min(d, d^T); `pathsums` computes it.
 
     A graph whose edges leave two vertices unlinked raises DisconnectedGraphError
     naming the first such pair; a connected one whose path sum passes the float64

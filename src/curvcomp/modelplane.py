@@ -26,6 +26,7 @@ _KERNEL = {
     -1.0: (lambda v: np.sinh(0.5 * v), np.arctanh),
     0.0: (lambda v: v, lambda v: 0.5 * v),
 }
+_CURVED_FROM = 2.0**-200  # sqrt|kappa| * longest side from which a kernel call takes a curved row
 
 BRACKET_MARGIN = 2.0**-40  # relative slack of the bracket over the kernel's rounding
 # sqrt|kappa| * longest side from which the bracket is not used: on random triangles the
@@ -131,8 +132,11 @@ def model_circumradius_batch(a, b, c, kappa):
 
     Works on sides scaled by sqrt|kappa| with (sn, arc) = (sin, arctan) on the
     sphere, (sinh, arctanh) on the hyperboloid, and identity with scale 1 in the
-    plane, the kappa = 0 row of _KERNEL. The longest side's midpoint covers the
-    triangle iff sn(b/2)^2 + sn(c/2)^2 <= sn(a/2)^2, the curved b^2 + c^2 <= a^2.
+    plane, the kappa = 0 row of _KERNEL. A call whose longest side times
+    sqrt|kappa| is below _CURVED_FROM = 2^-200 takes the plane row too: the
+    curved rows agree with it to 7e-16 down to there and lose digits below.
+    The longest side's midpoint covers the triangle iff
+    sn(b/2)^2 + sn(c/2)^2 <= sn(a/2)^2, the curved b^2 + c^2 <= a^2.
     Otherwise the circumcircle is the enclosing ball:
     tan R (tanh R, R) = 2 sn(a/2) sn(b/2) sn(c/2) / sqrt(sn s sn(s-a) sn(s-b) sn(s-c)),
     in the plane bitwise abc / (4 Area) with Heron's area.
@@ -148,13 +152,15 @@ def model_circumradius_batch(a, b, c, kappa):
     1e77) or, off the half-side branch, underflows to 0 (below about 1e-81).
     Underflow is not trapped, so small sides can answer silently wrong: plane
     sides from about 1e-81 to 1e-77 lose digits, below about 1e-162 every plane
-    triangle takes the half-side branch, and the curved rows lose digits once
-    sqrt|kappa| a falls below about 1e-77.
+    triangle takes the half-side branch, and in a call that keeps the curved
+    rows, a triangle loses digits once sqrt|kappa| a falls below about 1e-77.
     """
     k = kappa_value(kappa)
     a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
-    sn_half, arc = _KERNEL[float(np.sign(k))]
-    scale = math.sqrt(abs(k)) or 1.0
+    scale = math.sqrt(abs(k))
+    row = math.copysign(1.0, k) if scale * float(a.max(initial=0.0)) >= _CURVED_FROM else 0.0
+    sn_half, arc = _KERNEL[row]
+    scale = scale if row else 1.0
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             # scaled sides, where a scale of 1 changes nothing (kappa = 0 or +-1)

@@ -1,9 +1,10 @@
 """All-pairs shortest-path sums of a positive-weight graph, in numpy.
 
 `path_sums` returns, for every pair, the least left-to-right float sum of
-the weights along a path: the bits float Dijkstra returns (the argument is in
-`metricspace.from_graph`). `metricspace.from_graph` imports this module on
-first use, so matrix inputs never load it.
+the weights along a path: the bits float Dijkstra returns, as fl(x + w) >= x
+for w > 0 and rounding is monotone, so every relaxation order reaches that
+least fixed point. `metricspace.from_graph` imports this module on first use,
+so matrix inputs never load it.
 """
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ _PULL_BLOCK = 1 << 18  # table entries one pull of `path_sums` gathers (2 MB; on
 
 
 def _sweep_plan(w: np.ndarray):
-    """The row order, pulls and pull neighbours of `path_sums` for the
-    weight matrix w (inf off the edges, 0 on the diagonal).
+    """The row order and pulls of `path_sums` for the weight matrix w (inf
+    off the edges, 0 on the diagonal).
 
     The vertices are put in the order in which a Dijkstra search from
     vertex 0 settles them (vertices it does not reach follow in index
@@ -28,10 +29,9 @@ def _sweep_plan(w: np.ndarray):
     increasing (or decreasing) order is a Gauss-Seidel sweep over the order
     (or its reverse). The table rows are the vertices sorted by level; a
     pull is a run of rows of one level whose padded in-edges times n fit in
-    _PULL_BLOCK. Returns `row` (the table row of each vertex), `pulls`
+    _PULL_BLOCK. Returns `row` (the table row of each vertex) and `pulls`
     (lo, hi, src, wt): rows lo..hi-1, each with k in-edge slots stored
-    slot-major in `src` and `wt` (padded with weight inf), and `neighbours`,
-    for each pull the pulls that read its rows.
+    slot-major in `src` and `wt` (padded with weight inf).
     """
     n = len(w)
     adj = np.isfinite(w)
@@ -92,11 +92,7 @@ def _sweep_plan(w: np.ndarray):
         (a, a + r, slot_src[s:t], slot_wt[s:t])
         for a, r, s, t in zip(lo.tolist(), rows.tolist(), off[:-1].tolist(), off[1:].tolist())
     ]
-    neighbours = [[] for _ in pulls]
-    reader, source = np.divmod(np.unique(pt * lo.size + pull[src]), lo.size)
-    for g, h in zip(source.tolist(), reader.tolist()):
-        neighbours[g].append(h)
-    return row_of_pos[pos], pulls, neighbours
+    return row_of_pos[pos], pulls
 
 
 def path_sums(w: np.ndarray) -> np.ndarray:
@@ -107,29 +103,23 @@ def path_sums(w: np.ndarray) -> np.ndarray:
     The table starts at d(s, s) = 0 and is relaxed, all sources at once, to
     the least fixed point of d(s, v) = min over edges (u, v) of
     fl(d(s, u) + w(u, v)). It is stored target-major: row v holds d(., v),
-    so a pull reads whole rows. A pull is skipped while no row it reads has
-    changed since its last pull, and the sweeps alternate direction, the
-    first toward vertex 0, until one changes nothing.
+    so a pull reads whole rows. The sweeps alternate direction, the first
+    toward vertex 0, until one changes nothing.
     """
-    row, pulls, neighbours = _sweep_plan(w)
+    row, pulls = _sweep_plan(w)
     n = len(w)
     table = np.full((n, n), np.inf)
     np.fill_diagonal(table, 0.0)
-    dirty = [True] * len(pulls)
-    forward = False
-    while True in dirty:
-        for g in range(len(pulls)) if forward else reversed(range(len(pulls))):
-            if not dirty[g]:
-                continue
-            dirty[g] = False
-            lo, hi, src, wt = pulls[g]
+    changed, forward = True, False
+    while changed:
+        changed = False
+        for lo, hi, src, wt in pulls if forward else reversed(pulls):
             cand = table.take(src, axis=0)
             cand += wt
             cand = np.minimum.reduce(cand.reshape(-1, hi - lo, n), axis=0)
             block = table[lo:hi]
             if (cand < block).any():
                 np.minimum(block, cand, out=block)
-                for h in neighbours[g]:
-                    dirty[h] = True
+                changed = True
         forward = not forward
     return table[np.ix_(row, row)].T

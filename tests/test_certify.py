@@ -24,11 +24,12 @@ from curvcomp import (
     delta_four_point,
     from_graph,
     model_circumradius,
+    parse_generator_spec,
     sample_space,
     triangle_defect,
     validate_metric,
 )
-from curvcomp.certify import TAU_DEFECT, _pair_table
+from curvcomp.certify import _pair_table, defect_resolution
 from curvcomp.circumradius import candidate_rows
 from curvcomp.generators import lp_distances
 from oracles import brute_certify, enumerate_triples, random_metric_matrix
@@ -170,6 +171,14 @@ def test_model_kernel_overflow_raises_instead_of_a_verdict(case, direction):
         certify(build(), CurvatureQuery(kappa=kappa, direction=direction))
 
 
+@pytest.mark.parametrize("kappa", (1e-160, -1e-160, 1e-200, -1e-200, 5e-324, -5e-324))
+def test_tiny_curvature_gives_the_plane_verdict(kappa):
+    flat = certify(_equilateral(1.0), CurvatureQuery(kappa=0.0, direction="upper"))
+    assert flat.epsilon_needed == pytest.approx(1.0 - 1.0 / math.sqrt(3.0), rel=1e-15)
+    v = certify(_equilateral(1.0), CurvatureQuery(kappa=kappa, direction="upper"))
+    assert (v.holds, v.epsilon_needed, v.witness) == (flat.holds, flat.epsilon_needed, flat.witness)
+
+
 def test_large_hyperbolic_triangle_inside_float64_keeps_its_verdict():
     upper = certify(_equilateral(10.0), CurvatureQuery(kappa=-1.0, direction="upper"))
     assert not upper.holds and upper.epsilon_needed == 4.8561703134370875
@@ -181,7 +190,7 @@ def test_certify_collinear_points_with_midpoint_hold():
     # degenerate and the middle point is its model-perfect center
     space = validate_metric(np.abs(np.subtract.outer([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])))
     v = certify(space, CurvatureQuery(kappa=0.0, direction="upper"))
-    assert v.holds and v.epsilon_needed <= TAU_DEFECT
+    assert v.holds and v.epsilon_needed <= math.ldexp(1.0, defect_resolution(space.diameter))
 
 
 def test_certify_lower_direction_on_convex_position_points():
@@ -437,6 +446,28 @@ def test_certify_scale_invariance_kappa_zero():
             assert scaled.witness.triple == base.witness.triple
 
 
+def test_certify_is_covariant_under_power_of_two_rescaling():
+    # the tolerance is 2**defect_resolution(diameter), so rescaling by 2**k moves the
+    # defects and the tolerance together, exactly; an absolute 1e-12 flipped the
+    # random metric (epsilon* = 0.729 * scale) to "holds" at k = -60
+    spaces = (
+        validate_metric(random_metric_matrix(np.random.default_rng(0), 30)),
+        sample_space(parse_generator_spec("tree:n=30")),
+    )
+    for space, direction in itertools.product(spaces, ("upper", "lower")):
+        query = CurvatureQuery(kappa=0.0, direction=direction)
+        base = certify(space, query)
+        for k in (-60, -20, 20, 60):
+            scaled = certify(space.rescale(math.ldexp(1.0, k)), query)
+            assert scaled.holds == base.holds
+            assert scaled.epsilon_needed == math.ldexp(base.epsilon_needed, k)
+            if base.witness is None:
+                assert scaled.witness is None
+            else:
+                assert scaled.witness.triple == base.witness.triple
+                assert scaled.witness.defect == math.ldexp(base.witness.defect, k)
+
+
 def test_certify_thread_count_does_not_change_output():
     rng = np.random.default_rng(5)
     m = random_metric_matrix(rng, 30)
@@ -580,7 +611,8 @@ def test_block_scan_matches_the_per_triple_oracle(n):
                     kappa=kappa, direction=direction, beta=beta, degenerate_pairs=degenerate,
                     candidates=policy, max_perimeter=max_perimeter,
                 ))
-                assert (v.epsilon_needed, v.skipped, v.holds) == (eps, skipped, eps <= TAU_DEFECT)
+                tau = math.ldexp(1.0, defect_resolution(space.diameter))
+                assert (v.epsilon_needed, v.skipped, v.holds) == (eps, skipped, eps <= tau)
                 assert v.witness == (None if v.holds else first)
             if beta or policy != CandidatePolicy() or max_perimeter is not None:
                 continue
@@ -771,7 +803,7 @@ def test_epsilon_needed_is_the_threshold(seed, n):
     v = certify(space, CurvatureQuery(kappa=0.0, direction="upper"))
     at = certify(space, CurvatureQuery(kappa=0.0, direction="upper", epsilon=v.epsilon_needed))
     assert at.holds
-    if v.epsilon_needed > 2 * TAU_DEFECT:
+    if v.epsilon_needed > 2 * math.ldexp(1.0, defect_resolution(space.diameter)):
         below = certify(
             space,
             CurvatureQuery(kappa=0.0, direction="upper", epsilon=v.epsilon_needed / 2),

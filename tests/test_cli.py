@@ -120,7 +120,7 @@ def test_edge_weight_that_is_not_positive_and_finite_exits_three(weight, tmp_pat
 
 
 # Runs in a fresh interpreter: no command imports scipy, matrix inputs do not
-# load the graph kernel, and the general l_p solver reads scipy.optimize on first use.
+# load the graph kernel, graph inputs do not load numpy.ma, and the general l_p solver reads scipy.optimize on first use.
 _COLD_START = textwrap.dedent(
     """
     import sys
@@ -146,6 +146,7 @@ _COLD_START = textwrap.dedent(
     assert main(["hyperbolicity", edges, "--allowance", "1.0"]) == 0
     assert main(["sample", "tree:n=8,seed=1", "--out", out]) == 0
     assert not scipy_modules(), sorted(scipy_modules())
+    assert "numpy.ma" not in sys.modules  # loaded by np.unique, not by import numpy
 
     import curvcomp.circumradius
     import scipy.optimize
@@ -303,6 +304,25 @@ def test_model_kernel_overflow_exits_three(command, matrix, kappa, tmp_path, cap
     assert f"kappa={float(kappa)}" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kappa", ("-1e-200", "1e-200", "5e-324"))
+def test_tiny_curvature_gives_the_plane_verdict(kappa, tmp_path, capsys):
+    # exited 3 (divide by zero) at +-1e-200 and read epsilon_needed = 0.5 at 5e-324
+    f = tmp_path / "eq.csv"
+    f.write_text("3\n0,1,1\n1,0,1\n1,1,0\n")
+    assert main(["certify", str(f), "--kappa=0"]) == EXIT_FAILS
+    flat = capsys.readouterr()
+    assert main(["certify", str(f), f"--kappa={kappa}"]) == EXIT_FAILS
+    assert capsys.readouterr() == flat
+
+
+def test_verdict_tolerance_scales_with_the_sample(tmp_path, capsys):
+    # an absolute tolerance of 1e-12 passed the box=1e-12 sample (epsilon* 2.6e-13)
+    for box in ("1", "1e-12"):
+        out = tmp_path / f"box{box}.csv"
+        assert main(["sample", f"euclidean:n=12,seed=0,box={box}", "--out", str(out)]) == EXIT_OK
+        assert main(["certify", str(out)]) == EXIT_FAILS
 
 
 def test_internal_error_exits_four(monkeypatch, capsys):

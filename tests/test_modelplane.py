@@ -291,6 +291,18 @@ def test_equilateral_radius_matches_mpmath(kappa):
             assert abs(rho - want) <= 2e-13 * want
 
 
+@pytest.mark.parametrize("kappa", (1e-160, -1e-160, 1e-200, -1e-200, 5e-324, -5e-324))
+def test_tiny_curvature_takes_the_plane_row(kappa):
+    # the curved rows were off by a relative 6.5e-4 at +-1e-160, divided by zero at
+    # +-1e-200 and returned the half-side 0.5 at +-5e-324
+    one = np.ones(1)
+    assert model_circumradius_batch(one, one, one, kappa)[0] == 1.0 / math.sqrt(3.0)
+    rng = np.random.default_rng(47)
+    sides = -np.sort(-np.array([random_sides(rng, 1.0).as_tuple() for _ in range(200)]), axis=1)
+    flat = model_circumradius_batch(*sides.T, 0.0)
+    assert np.array_equal(model_circumradius_batch(*sides.T, kappa), flat)
+
+
 @pytest.mark.parametrize("side", (100.0, 400.0, 800.0))
 def test_kernel_overflow_raises_on_both_paths(side):
     # the unchecked kernel returned R = inf, 0 and nan for these sides

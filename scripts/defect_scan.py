@@ -9,7 +9,7 @@ Usage: python scripts/defect_scan.py "random_graph:n=25,seed=3" [--kappa 0] [--b
 import argparse
 import sys
 
-from curvcomp import defect_profile, parse_generator_spec, sample_space
+from curvcomp import defect_histogram, defect_profile, parse_generator_spec, sample_space
 
 
 def main() -> int:
@@ -40,10 +40,11 @@ def main() -> int:
     for beta, eps in profile.beta_curve:
         print(f"{beta:<7.3g} {eps:.6g}")
 
-    edges = profile.histogram.bin_edges
-    peak = max(profile.histogram.counts) or 1
+    histogram = defect_histogram(space, kappa=args.kappa, degenerate_pairs=args.degenerate)
+    edges = histogram.bin_edges
+    peak = max(histogram.counts) or 1
     print("\ndefect histogram:")
-    for left, right, count in zip(edges, edges[1:], profile.histogram.counts):
+    for left, right, count in zip(edges, edges[1:], histogram.counts):
         if count:
             bar = "#" * max(1, round(40 * count / peak))
             print(f"[{left:+.4f}, {right:+.4f})  {count:>6}  {bar}")

@@ -8,6 +8,7 @@ from .certify import (
     TriangleDefect,
     Verdict,
     certify,
+    defect_histogram,
     defect_profile,
     triangle_defect,
 )

@@ -12,7 +12,7 @@ import sys
 import time
 import traceback
 
-from .certify import CurvatureQuery, certify, check_threads, defect_profile
+from .certify import CurvatureQuery, certify, check_threads, defect_histogram, defect_profile
 from .counterexamples import check_counterexample
 from .generators import parse_generator_spec, sample_space
 from .hyperbolicity import check_allowance, delta_four_point, relaxed_npc_bound_check
@@ -180,10 +180,12 @@ def _dispatch(args, started: float) -> int:
                 fh.write("beta,epsilon_star\n")
                 for beta, eps in profile.beta_curve:
                     fh.write(f"{beta:.17g},{eps:.17g}\n")
+            # the histogram counts every triple, so it takes a scan of its own without floors
+            histogram = defect_histogram(space, kappa=args.kappa, degenerate_pairs=args.degenerate)
             with open(f"{args.csv_prefix}_histogram.csv", "w") as fh:
                 fh.write("bin_left,bin_right,count\n")
-                edges = profile.histogram.bin_edges
-                for left, right, count in zip(edges, edges[1:], profile.histogram.counts):
+                edges = histogram.bin_edges
+                for left, right, count in zip(edges, edges[1:], histogram.counts):
                     fh.write(f"{left:.17g},{right:.17g},{count}\n")
         print(
             f"epsilon_star_upper={profile.epsilon_star_upper:.6g} "

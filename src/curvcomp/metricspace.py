@@ -11,8 +11,9 @@ import numpy as np
 
 
 def metric_tolerance(scale: float) -> float:
-    """Relative slack used for triangle-inequality checks: 1e-9 * (1 + scale)."""
-    return 1e-9 * (1.0 + scale)
+    """Relative slack used for triangle-inequality checks: 1e-9 * scale, so that
+    rescaling by a power of two rescales it exactly."""
+    return 1e-9 * scale
 
 
 def violation_template(kind: str, arity: int) -> str:

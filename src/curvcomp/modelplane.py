@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circumradius import CircumResult
-from .metricspace import SideLengths, metric_tolerance
+from .metricspace import SideLengths
 
 _OBTUSE_REL = 1e-12  # b^2 + c^2 - a^2 below this (times a^2) routes to the half-side branch
 # (sn, cs) of the model plane by the sign of kappa, at unit curvature radius
@@ -52,7 +52,9 @@ def kappa_value(kappa) -> float:
 
 def model_perimeter_bound(k: float, max_perimeter: float | None = None) -> float:
     """Perimeter below which a triangle has a comparison triangle in M_k: the
-    great-circle length 2*pi/sqrt(k) less its metric tolerance; inf for k <= 0.
+    great-circle length L = 2*pi/sqrt(k) less 1e-9 * (1 + L); inf for k <= 0.
+    The slack is not `metric_tolerance(L)`, which has no absolute part, because
+    `bench/refs.py` recounts the benchmark's skipped triples at this cap.
 
     Given `max_perimeter`, which must be positive and finite, the lesser of the two.
     """
@@ -62,7 +64,7 @@ def model_perimeter_bound(k: float, max_perimeter: float | None = None) -> float
         bound = math.inf
     else:
         bound = 2.0 * math.pi / math.sqrt(k)
-        bound -= metric_tolerance(bound)
+        bound -= 1e-9 * (1.0 + bound)
     return bound if max_perimeter is None else min(bound, max_perimeter)
 
 

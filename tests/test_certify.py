@@ -20,6 +20,7 @@ from curvcomp import (
     SideLengths,
     Triple,
     certify,
+    defect_histogram,
     defect_profile,
     delta_four_point,
     from_graph,
@@ -350,9 +351,9 @@ BRACKET_SPACES = {
 
 def _unbracketed(patch):
     """certify as before the model-radius bracket and the pair prune: every triple is
-    modelled, and `reachable` alone drops triples."""
+    modelled, and `reach` alone drops triples."""
     patch.setattr(certify_module._Worst, "hot", lambda self, pairs: None)
-    patch.setattr(certify_module._Worst, "bracket", lambda self, lb, ub, long: np.ones(lb.shape, dtype=bool))
+    patch.setattr(certify_module._Worst, "bracket", lambda self, lb, *_: np.ones(lb.shape, dtype=bool))
 
 
 @pytest.mark.parametrize("case", sorted(BRACKET_SPACES))
@@ -523,7 +524,7 @@ def test_certify_scans_every_row_on_the_calling_thread(monkeypatch):
 
 
 def test_scan_calls_the_model_kernel_once_per_block(monkeypatch):
-    # defect_profile models every triple. certify counts the triples it models: all of
+    # defect_histogram models every triple. certify counts the triples it models: all of
     # them where its direction holds, so that its floor stays 0, and where it fails only
     # those that the model-radius bracket keeps once the floor is positive
     failing = validate_metric(random_metric_matrix(np.random.default_rng(5), 40))
@@ -547,7 +548,7 @@ def test_scan_calls_the_model_kernel_once_per_block(monkeypatch):
         every = math.comb(space.n, 3) + math.comb(space.n, 2)
         sizes.clear()
         calls.clear()
-        defect_profile(space, kappa=kappa, degenerate_pairs=True)
+        defect_histogram(space, kappa=kappa, degenerate_pairs=True)
         assert len(sizes) == len(calls) < space.n
         assert sum(sizes) == every
         sizes.clear()
@@ -557,6 +558,34 @@ def test_scan_calls_the_model_kernel_once_per_block(monkeypatch):
         assert v.modelled == sum(sizes)
         assert v.holds == (space is holding)
         assert v.modelled == every if v.holds else v.modelled < every
+
+
+def test_defect_profile_drops_triples_below_its_floors(monkeypatch):
+    # on a failing random metric both directions' floors and the curve's turn positive,
+    # and the profile models and gathers only the triples that can still reach one of
+    # them: about a fifth here. The histogram counts every defect, so its scan models
+    # every triple and gathers each min-max that ub != lb leaves
+    n = 40
+    space = validate_metric(random_metric_matrix(np.random.default_rng(5), n))
+    scan_rows = certify_module._scan_rows
+    counts = []
+
+    def counted(*args):
+        for item in scan_rows(*args):
+            counts.append(item[1:3])
+            yield item
+
+    monkeypatch.setattr(certify_module, "_scan_rows", counted)
+    profile = defect_profile(space, kappa=0.0, beta_grid=[0.0, 1.2, 1.5])
+    assert profile.epsilon_star_upper > 0 and profile.epsilon_star_lower > 0
+    assert all(eps > 0 for _, eps in profile.beta_curve)
+    profile_gathered, profile_modelled = map(sum, zip(*counts))
+    counts.clear()
+    defect_histogram(space, kappa=0.0)
+    gathered, modelled = map(sum, zip(*counts))
+    assert modelled == math.comb(n, 3)
+    assert profile_modelled < modelled / 2
+    assert profile_gathered < gathered / 2
 
 
 def _quarter_metric(rng, n):
@@ -587,12 +616,18 @@ def test_block_scan_matches_the_per_triple_oracle(n):
     pts = np.stack([cells % 8, cells // 8], axis=1) / 8.0
     plane = validate_metric(lp_distances(pts, 2.0), embedding=Embedding(pts, 2.0))
     centres = CandidatePolicy.augmented([((x + 0.5) / 8.0, (y + 0.5) / 8.0) for x in (1, 3, 5) for y in (2, 6)])
-    grid = [0.0, 0.75, 1.0]
-    for space, policy, kappa, max_perimeter in (
-        *((quarter, CandidatePolicy(), kappa, cap) for kappa, cap in ((0.0, None), (1.0, None), (-1.0, None), (1.0, 2.5))),
-        (plane, centres, 0.0, None),
-        (plane, centres, 1.0, 1.5),
-    ):
+    grid = [0.0, 0.75, 1.0]  # the quarter metric's side lengths
+    cases = [
+        *((quarter, CandidatePolicy(), kappa, cap, grid) for kappa, cap in ((0.0, None), (1.0, None), (-1.0, None), (1.0, 2.5))),
+        (plane, centres, 0.0, None, grid),
+        (plane, centres, 1.0, 1.5, grid),
+    ]
+    if n >= 2:
+        # shortest paths over weights 1 to 3: integer sides, ties everywhere, and a grid of side lengths
+        graph = _integer_graph(rng, n)
+        sides = np.unique(graph.dist[np.triu_indices(n, 1)])[:4].tolist()
+        cases += [(graph, CandidatePolicy(), kappa, None, [0.0, *sides]) for kappa in (0.0, 1.0, -1.0)]
+    for space, policy, kappa, max_perimeter, grid in cases:
         every = list(enumerate_triples(space, degenerate_pairs=True))
         oracle = {t: triangle_defect(space, t, kappa, policy, max_perimeter) for t in every}
         for degenerate, beta in itertools.product((False, True), (0.0, 0.75)):
@@ -624,7 +659,8 @@ def test_block_scan_matches_the_per_triple_oracle(n):
                 assert eps == (sign * defect).max(initial=0.0)
                 assert worst == (kept[int(np.argmax(sign * defect == eps))] if eps > 0 else None)
             assert profile.skipped == skipped
-            edges, counts = profile.histogram.bin_edges, profile.histogram.counts
+            hist = defect_histogram(space, kappa=kappa, degenerate_pairs=degenerate)
+            edges, counts = hist.bin_edges, hist.counts
             assert sum(counts) == len(kept)
             assert list(counts) == [int(((lo <= defect) & (defect < hi)).sum()) for lo, hi in zip(edges, edges[1:])]
             assert profile.beta_curve == tuple((b, defect[min_side >= b].max(initial=0.0)) for b in grid)
@@ -665,7 +701,8 @@ def test_defect_profile_consistent_with_certify():
                         assert v.witness == want_witness
                         witnesses += 1
             triples = math.comb(n, 3) + (math.comb(n, 2) if degenerate else 0)
-            assert sum(profile.histogram.counts) + profile.skipped == triples
+            hist = defect_histogram(space, kappa=kappa, degenerate_pairs=degenerate)
+            assert sum(hist.counts) + profile.skipped == triples
             # scale curve starts at the global upper defect and never increases
             curve = [eps for _, eps in profile.beta_curve]
             assert curve[0] == profile.epsilon_star_upper
@@ -692,7 +729,7 @@ def test_defect_profile_histogram_bins_are_powers_of_two():
         space = validate_metric(random_metric_matrix(rng, n))
         grid = [0.0, 1.1, 1.4, 1.8]
         profile = defect_profile(space, kappa=kappa, beta_grid=grid, degenerate_pairs=degenerate)
-        hist = profile.histogram
+        hist = defect_histogram(space, kappa=kappa, degenerate_pairs=degenerate)
         defects = [
             td.defect
             for t in enumerate_triples(space, degenerate_pairs=degenerate)

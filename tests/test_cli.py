@@ -389,6 +389,20 @@ def test_defect_writes_csv_outputs(path4_file, tmp_path, capsys):
     assert "epsilon_star_upper=0.5" in capsys.readouterr().out
 
 
+def test_defect_json_is_the_same_with_and_without_csv(random_file, tmp_path, capsys):
+    # --csv adds a histogram scan of its own; the report and the printed line stay the same
+    runs = []
+    for extra in ([], ["--csv", str(tmp_path / "out")]):
+        out = tmp_path / "d.json"
+        argv = ["defect", random_file, "--beta-grid", "0,1.2,1.5", "--degenerate", "--json", str(out), *extra]
+        assert main(argv) == EXIT_OK
+        report = json.loads(out.read_text())
+        report.pop("timing_ms")
+        runs.append((dumps_report(report), capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert (tmp_path / "out_histogram.csv").exists()
+
+
 def test_hyperbolicity_reports_delta_and_slack(path4_file, tmp_path, capsys):
     out = tmp_path / "h.json"
     code = main(["hyperbolicity", path4_file, "--allowance", "1.0", "--json", str(out)])

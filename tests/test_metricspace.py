@@ -47,8 +47,20 @@ PATH4 = np.array(
 
 
 def test_metric_tolerance_scales_with_diameter():
-    assert metric_tolerance(0.0) == 1e-9
-    assert metric_tolerance(9.0) == 1e-8
+    # relative with no absolute part, so rescaling by 2**k rescales it exactly
+    assert metric_tolerance(0.0) == 0.0
+    for k in (-1074 + 40, -60, -40, -1, 0, 1, 40, 900):
+        assert metric_tolerance(math.ldexp(9.0, k)) == math.ldexp(metric_tolerance(9.0), k)
+
+
+@pytest.mark.parametrize("scale", (1.0, 1e-9, 1e-10, 2.0**-40, 2.0**-60))
+def test_triangle_violation_is_rejected_at_every_scale(scale):
+    # d(0, 1) = 5 exceeds d(0, 2) + d(2, 1) = 2 by 3; the tolerance once held an
+    # absolute 1e-9, which accepted the matrix below a scale of about 3e-10
+    m = np.array([[0.0, 5.0, 1.0], [5.0, 0.0, 1.0], [1.0, 1.0, 0.0]]) * scale
+    with pytest.raises(MetricValidationError) as info:
+        validate_metric(m)
+    assert [kind for kind, _ in info.value.groups] == ["triangle"]
 
 
 def test_validate_accepts_path_metric():

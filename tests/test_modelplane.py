@@ -15,7 +15,6 @@ from curvcomp import (
     euclidean_circumradius,
     model_circumradius,
 )
-from curvcomp.metricspace import metric_tolerance
 from curvcomp.modelplane import (
     BRACKET_MARGIN,
     TooLargeForModelError,
@@ -36,7 +35,7 @@ def random_sides(rng, scale):
 
 
 def test_model_perimeter_bound_takes_the_lesser_cap():
-    sphere = 2.0 * math.pi - metric_tolerance(2.0 * math.pi)
+    sphere = 2.0 * math.pi - 1e-9 * (1.0 + 2.0 * math.pi)
     assert model_perimeter_bound(1.0) == sphere
     assert model_perimeter_bound(0.0) == model_perimeter_bound(-1.0) == math.inf
     assert model_perimeter_bound(1.0, 3.0) == 3.0

@@ -51,17 +51,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="test Curv <= kappa or Curv >= kappa")
     add_input(p)
-    p.add_argument("--kappa", type=float, default=0.0)
+    p.add_argument("--kappa", type=float, default=0.0, help="write -1e-200 as --kappa=-1e-200")
     p.add_argument("--direction", choices=["upper", "lower"], default="upper")
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--epsilon", type=float, default=0.0)
+    p.add_argument("--beta", type=float, default=0.0, help="write -1e-200 as --beta=-1e-200")
+    p.add_argument("--epsilon", type=float, default=0.0, help="write -1e-200 as --epsilon=-1e-200")
     p.add_argument("--degenerate", action="store_true", help="include degenerate pair-triples")
-    p.add_argument("--max-perimeter", type=float, default=None)
+    p.add_argument("--max-perimeter", type=float, default=None, help="write -1e-200 as --max-perimeter=-1e-200")
     p.add_argument("--json", dest="json_out", default=None, help="write a JSON report here")
 
     p = sub.add_parser("defect", help="defect profile with scale curve and histogram")
     add_input(p)
-    p.add_argument("--kappa", type=float, default=0.0)
+    p.add_argument("--kappa", type=float, default=0.0, help="write -1e-200 as --kappa=-1e-200")
     p.add_argument("--beta-grid", default="", help="comma-separated beta values, kept in the order given")
     p.add_argument("--degenerate", action="store_true")
     p.add_argument("--json", dest="json_out", default=None)

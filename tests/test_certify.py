@@ -6,6 +6,7 @@ import math
 import re
 import threading
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -635,7 +636,7 @@ def test_block_scan_matches_the_per_triple_oracle(n):
             kept = [oracle[t] for t in triples if oracle[t] is not None]
             skipped = len(triples) - len(kept)
             tri, defect, r_space, r_model, min_side = _oracle_arrays(space, kept)
-            scan = list(certify_module._scan_rows(space, kappa, policy, beta, degenerate, max_perimeter))
+            scan = list(certify_module._scan_rows(space, kappa, policy, (beta,), degenerate, max_perimeter))
             got = [[x for *_, block in scan for x in block[c].tolist()] for c in range(6)]
             assert got == [*tri.T.tolist(), defect.tolist(), r_space.tolist(), r_model.tolist()]
             assert sum(block_skipped for block_skipped, *_ in scan) == skipped
@@ -664,6 +665,100 @@ def test_block_scan_matches_the_per_triple_oracle(n):
             assert sum(counts) == len(kept)
             assert list(counts) == [int(((lo <= defect) & (defect < hi)).sum()) for lo, hi in zip(edges, edges[1:])]
             assert profile.beta_curve == tuple((b, defect[min_side >= b].max(initial=0.0)) for b in grid)
+
+
+def _curve_grids(space):
+    """Named beta grids: every distinct side length, so that beta equals a side and min_side == beta
+    is admitted; an unsorted one with duplicates and -0.0; values past the diameter; and 1000 values
+    evenly spaced over [0, diameter]."""
+    sides = np.unique(space.dist[np.triu_indices(space.n, 1)]).tolist()
+    return {
+        "sides": sides,
+        "unsorted": [sides[-1], -0.0, sides[len(sides) // 2], sides[0], sides[-1], 0.0, sides[len(sides) // 2], -0.0],
+        "past": [space.diameter, math.nextafter(space.diameter, math.inf), 2 * space.diameter, 1e300],
+        "even": np.linspace(0.0, space.diameter, 1000).tolist(),
+    }
+
+
+def test_beta_curve_levels_are_exact(monkeypatch):
+    # each triple is graded once into the levels of {0} and the grid; the upper _Worst's floor and
+    # epsilon per level must be nonincreasing in the level after every block, since each level's
+    # triples include the next level's, and the curve must equal the per-triple oracle's maximum
+    # and certify at each beta, bitwise
+    checked = []
+
+    def monotone(method):
+        def wrapped(self, block):
+            out = method(self, block)
+            assert np.all(np.diff(self.floor) <= 0) and np.all(np.diff(self.epsilon) <= 0)
+            assert np.all(self.floor >= self.epsilon)
+            checked.append(self.floor.size)
+            return out
+
+        return wrapped
+
+    monkeypatch.setattr(certify_module._Worst, "reach", monotone(certify_module._Worst.reach))
+    monkeypatch.setattr(certify_module._Worst, "add", monotone(certify_module._Worst.add))
+    rng = np.random.default_rng(26)
+    # on the path, triples through a midpoint have defect 0, which the lower direction reads as -0.0
+    spaces = [PATH4, _quarter_metric(rng, 10), _integer_graph(rng, 10), validate_metric(random_metric_matrix(rng, 10))]
+    for space, kappa, degenerate in itertools.product(spaces, (0.0, 1.0, -1.0), (False, True)):
+        every = list(enumerate_triples(space, degenerate_pairs=degenerate))
+        kept = [td for t in every if (td := triangle_defect(space, t, kappa)) is not None]
+        _, defect, _, _, min_side = _oracle_arrays(space, kept)
+        verdicts = {}
+        for name, grid in _curve_grids(space).items():
+            profile = defect_profile(space, kappa=kappa, beta_grid=grid, degenerate_pairs=degenerate)
+            want = tuple((b, float(defect[min_side >= b].max(initial=0.0))) for b in grid)
+            # repr tells -0.0 from 0.0, in the grid's values and in the curve's
+            assert repr(profile.beta_curve) == repr(want), (name, kappa, degenerate)
+            assert profile.epsilon_star_upper == defect.max(initial=0.0)
+            assert math.copysign(1.0, profile.epsilon_star_lower) == 1.0  # never -0.0
+            for b, eps in profile.beta_curve:
+                # certify's beta query depends on b only through the triples it admits
+                admitted = int(np.count_nonzero(min_side >= b))
+                if admitted not in verdicts:
+                    query = CurvatureQuery(kappa=kappa, beta=b, degenerate_pairs=degenerate)
+                    verdicts[admitted] = certify(space, query).epsilon_needed
+                assert verdicts[admitted] == eps
+    assert max(checked) == 1000 and min(checked) == 1  # the even grid holds 0
+
+
+def test_defect_profile_brackets_once_per_direction_whatever_the_grid(monkeypatch):
+    # one _Worst per direction: the upper one grades its floors by level, so each model-kernel
+    # call of the profile runs the model-radius bracket at most once per direction, not once
+    # per beta of the grid
+    space = validate_metric(random_metric_matrix(np.random.default_rng(5), 40))
+    batch, bracket, worst = certify_module.model_circumradius_batch, certify_module.model_radius_bracket, certify_module._Worst
+    calls, built, pending = [], [], Counter()
+
+    def kernel(*args):
+        # the bracket calls that this block made before its kernel call
+        calls.append(pending.copy())
+        pending.clear()
+        return batch(*args)
+
+    def counted(long, k, end):
+        pending[end] += 1
+        return bracket(long, k, end)
+
+    class Counted(worst):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(certify_module, "model_circumradius_batch", kernel)
+    monkeypatch.setattr(certify_module, "model_radius_bracket", counted)
+    monkeypatch.setattr(certify_module, "_Worst", Counted)
+    for size in (0, 3, 100):
+        calls.clear()
+        built.clear()
+        grid = np.linspace(0.0, space.diameter, size).tolist()
+        defect_profile(space, kappa=0.0, beta_grid=grid)
+        assert len(built) == 2
+        # the bracket's lower end bounds the upper direction, its upper end the lower one
+        assert sum(c["lower"] for c in calls) > 0 and sum(c["upper"] for c in calls) > 0
+        assert all(c["lower"] <= 1 and c["upper"] <= 1 for c in calls)
 
 
 def test_certify_counts_skipped_large_triangles():

@@ -5,16 +5,18 @@ compared against its model circumradius. Row i holds the triples with
 smallest index i. The scan builds one pair-major layout, the pairs (j, k),
 j < k, in lexicographic order with their d, P and C (below), so that row i is
 a suffix of it. Consecutive whole rows form a block while the block holds no
-more triples than row 0, the largest row, so row 0 is a block of its own and
-a block's arrays stay the size of one row's. A block is one set of array
-operations and one model-kernel call: about n / 2.3 blocks for n = 12 to
-400, so numpy's fixed cost per call is paid that often rather than n times.
-Index arrays have the narrowest unsigned type that holds a flat index of the
-n x n and n x m tables. `_scan_rows` yields the blocks in lexicographic
-order, and each caller reduces only what it reports: `certify` the worst
-defect of its query's direction, `defect_profile` both directions and the
-beta curve, and `defect_histogram` the bins of every defect. No per-triple
-value outlives its block.
+more triples than its capacity, the larger of row 0's count, the largest row,
+and _TRIPLES = 8192. A block is one set of array operations and one
+model-kernel call, so numpy's fixed cost per call is paid once a block rather
+than once a row. From n = 130 on, row 0 holds more than _TRIPLES: row 0 is a
+block of its own, a block's arrays stay the size of one row's, and a scan
+takes about n / 2.3 blocks. Below, the budget takes the place of row 0: n = 75
+takes 10 blocks, not 33, and n = 40 two, not 17. Index arrays have the
+narrowest unsigned type that holds a flat index of the n x n and n x m tables.
+`_scan_rows` yields the blocks in lexicographic order, and each caller reduces
+only what it reports: `certify` the worst defect of its query's direction,
+`defect_profile` both directions and the beta curve, and `defect_histogram`
+the bins of every defect. No per-triple value outlives its block.
 
 r_space = min_x max(d(x, i), d(x, j), d(x, k)) would cost O(m) per triple
 over m candidates. The scan first builds one pair table over the candidate
@@ -89,6 +91,7 @@ from .modelplane import (
 )
 
 _BLOCK = 1 << 14  # candidate x triple entries per min-max block of the scan
+_TRIPLES = 1 << 13  # triples a block of the scan may hold when row 0 holds fewer
 _BINS = 40  # histogram bins of defect_histogram
 
 
@@ -239,20 +242,27 @@ def _runs(rows):
     return [(int(rows[a]), a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-def _row_blocks(counts):
-    """Consecutive rows as ranges, each holding at most counts[0] triples.
+def _capacity(counts):
+    """Triples a block of rows with these triple counts may hold: the larger of row 0's and _TRIPLES."""
+    return max(counts[0], _TRIPLES)
 
-    `counts` is the triple count of each row, which never grows with the row,
-    so row 0 is the largest and a block's arrays stay the size of one row's.
+
+def _row_blocks(counts):
+    """Consecutive rows as ranges, each holding at most `_capacity(counts)` triples.
+
+    `counts` is the triple count of each row, which never grows with the row, so
+    row 0 is the largest and each row fits in a block. With row 0 below _TRIPLES a
+    block holds more triples than any row, so a small space takes fewer blocks.
     """
-    first, total = 0, 0
+    if not counts:
+        return
+    first, total, capacity = 0, 0, _capacity(counts)
     for i, count in enumerate(counts):
-        if total + count > counts[0]:
+        if total + count > capacity:
             yield range(first, i)
             first, total = i, 0
         total += count
-    if first < len(counts):
-        yield range(first, len(counts))
+    yield range(first, len(counts))
 
 
 def _pair_offset(a, n):
@@ -299,16 +309,16 @@ def _hot_triples(hot, pairs, starts, offset, rows):
 
 def _pruned_end(blocks, b, hot, offset, starts, counts):
     """End of the blocks, from blocks[b] on, whose triples with a hot pair one `_hot_triples`
-    call builds: while their rows hold at most 8 times row 0's triples, for its mask, and
-    at most row 0's triples with a hot pair, by a bound that counts each row's hot pairs
-    (j, k) and n - 2 - i triples for each hot pair (i, x)."""
+    call builds: while their rows hold at most 8 times `_capacity(counts)` triples, for its
+    mask, and at most that capacity's triples with a hot pair, by a bound that counts each
+    row's hot pairs (j, k) and n - 2 - i triples for each hot pair (i, x)."""
     n = len(starts)
     below = np.concatenate(([0], np.cumsum(hot)))  # hot pairs before each layout position
     met = below[-1] - below[starts] + (below[offset[1:]] - below[offset[:-1]]) * (n - 2 - np.arange(n))
     met, triples = (np.concatenate(([0], np.cumsum(v))) for v in (met, counts))
-    first, end = blocks[b].start, b + 1
+    first, end, capacity = blocks[b].start, b + 1, _capacity(counts)
     while end < len(blocks) and (
-        met[blocks[end].stop] - met[first] <= counts[0] and triples[blocks[end].stop] - triples[first] <= 8 * counts[0]
+        met[blocks[end].stop] - met[first] <= capacity and triples[blocks[end].stop] - triples[first] <= 8 * capacity
     ):
         end += 1
     return end
@@ -367,7 +377,7 @@ def _scan_block(space, cols, table, pairs, starts, offset, kappa, grades, cap, f
         del at
     elif len(rows) == 1:
         J, K, d_jk, p_jk, c_jk = (v[starts[rows[0]] :] for v in pairs)
-        I = np.broadcast_to(J.dtype.type(rows[0]), J.shape)
+        I = J.dtype.type(rows[0])  # a scalar until the keep, then an array of the kept size
     else:
         J, K, d_jk, p_jk, c_jk = (np.concatenate([v[starts[i] :] for i in rows]) for v in pairs)
         lengths = pairs[0].size - starts[rows.start : rows.stop]
@@ -393,17 +403,20 @@ def _scan_block(space, cols, table, pairs, starts, offset, kappa, grades, cap, f
         del long
     if not keep.all():
         keep = np.flatnonzero(keep)
-        I, J, K, lb, ub, *sides = (v.take(keep) for v in (I, J, K, lb, ub, *sides))
+        J, K, lb, ub, *sides = (v.take(keep) for v in (J, K, lb, ub, *sides))
+        I = I.take(keep) if I.ndim else I
         level = None if level is None else level.take(keep)
     del keep
+    if not I.ndim:
+        I = np.full(J.shape, I)
     short, mid, long = sides if ordered else _sorted_sides(*sides)
     del sides
     rm = model_circumradius_batch(long, mid, short, kappa)
     del short, mid, long  # block-sized; freed early to keep the block's peak memory down
     modelled = rm.size
-    # one level: 0 for every triple, in the index type, so that its takes are the size of J's
-    # and numpy's cache of small freed buffers gains no sizes of its own
-    group = [I, J, K, np.broadcast_to(J.dtype.type(0), rm.shape) if level is None else level, rm, lb, ub]
+    # one level: 0 for every kept triple, in the index type, so that its takes are the size of
+    # J's and numpy's cache of small freed buffers gains no sizes of its own
+    group = [I, J, K, np.zeros(rm.shape, J.dtype) if level is None else level, rm, lb, ub]
     del I, J, K, level, rm, lb, ub
     cuts = np.searchsorted(group[0], [block.stop for block in blocks]).tolist()
     for t, (start, stop) in enumerate(zip([0, *cuts], cuts)):
@@ -428,9 +441,10 @@ def _scan_rows(space, kappa, policy, betas, degenerate, max_perimeter, front=())
     counts for betas[0], ..., betas[g]. One `searchsorted` grades every pair of the
     space, and each triple takes the least level of its pairs.
 
-    Consecutive whole rows form a block while it holds no more triples than row 0.
-    For one lower-direction worst and no perimeter cap, once its pair prune
-    applies, one `_scan_block` call takes the blocks that `_pruned_end` gives.
+    Consecutive whole rows form a block while it holds no more triples than
+    `_capacity(counts)`: row 0's, or _TRIPLES when row 0 holds fewer. For one
+    lower-direction worst and no perimeter cap, once its pair prune applies, one
+    `_scan_block` call takes the blocks that `_pruned_end` gives.
 
     kappa and the perimeter cap are checked, and the candidate columns, their pair
     table and the pair-major layout built, when the first block is asked for.

@@ -28,6 +28,9 @@ EXIT_INTERNAL = 4
 # violation lines per stderr write: one write per line is slow on large
 # rejections, and one write of all of them holds the whole text in memory
 _CHUNK_LINES = 4096
+# the float options of every command; argparse reads a value such as -1e-200 after
+# them as an option of its own, since it takes only -1 and -1.5 for negative numbers
+_FLOAT_OPTIONS = frozenset({"--kappa", "--beta", "--epsilon", "--max-perimeter", "--allowance", "--p"})
 
 
 @functools.cache  # parse_args leaves the parser as it was, so one per process serves every call
@@ -51,17 +54,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="test Curv <= kappa or Curv >= kappa")
     add_input(p)
-    p.add_argument("--kappa", type=float, default=0.0, help="write -1e-200 as --kappa=-1e-200")
+    p.add_argument("--kappa", type=float, default=0.0)
     p.add_argument("--direction", choices=["upper", "lower"], default="upper")
-    p.add_argument("--beta", type=float, default=0.0, help="write -1e-200 as --beta=-1e-200")
-    p.add_argument("--epsilon", type=float, default=0.0, help="write -1e-200 as --epsilon=-1e-200")
+    p.add_argument("--beta", type=float, default=0.0)
+    p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--degenerate", action="store_true", help="include degenerate pair-triples")
-    p.add_argument("--max-perimeter", type=float, default=None, help="write -1e-200 as --max-perimeter=-1e-200")
+    p.add_argument("--max-perimeter", type=float, default=None)
     p.add_argument("--json", dest="json_out", default=None, help="write a JSON report here")
 
     p = sub.add_parser("defect", help="defect profile with scale curve and histogram")
     add_input(p)
-    p.add_argument("--kappa", type=float, default=0.0, help="write -1e-200 as --kappa=-1e-200")
+    p.add_argument("--kappa", type=float, default=0.0)
     p.add_argument("--beta-grid", default="", help="comma-separated beta values, kept in the order given")
     p.add_argument("--degenerate", action="store_true")
     p.add_argument("--json", dest="json_out", default=None)
@@ -101,7 +104,34 @@ def _write_json(path: str | None, report: dict, started: float) -> None:
             fh.write(dumps_report(report))
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_float_values(argv: list[str]) -> list[str]:
+    """argv with each float option and a value that starts with "-" and that `float`
+    takes, "--kappa -1e-200", joined into "--kappa=-1e-200", which argparse reads
+    alike for every value."""
+    out, t = [], 0
+    while t < len(argv):
+        if argv[t] == "--":
+            return out + argv[t:]
+        value = argv[t + 1] if t + 1 < len(argv) else ""
+        if argv[t] in _FLOAT_OPTIONS and value.startswith("-") and _is_float(value):
+            out.append(f"{argv[t]}={value}")
+            t += 2
+        else:
+            out.append(argv[t])
+            t += 1
+    return out
+
+
 def main(argv=None) -> int:
+    argv = _attach_float_values(list(sys.argv[1:] if argv is None else argv))
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

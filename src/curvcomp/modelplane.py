@@ -138,20 +138,26 @@ def model_circumradius_batch(a, b, c, kappa):
     sqrt|kappa| is below _CURVED_FROM = 2^-200 takes the plane row too: the
     curved rows agree with it to 7e-16 down to there and lose digits below.
     The longest side's midpoint covers the triangle iff
-    sn(b/2)^2 + sn(c/2)^2 <= sn(a/2)^2, the curved b^2 + c^2 <= a^2.
-    Otherwise the circumcircle is the enclosing ball:
+    sn(b/2)^2 + sn(c/2)^2 <= sn(a/2)^2, the curved b^2 + c^2 <= a^2, and its
+    radius is a / 2. The kernel decides this half-side branch first, from the
+    three sn, and evaluates the rest only on the triangles off it, taking their
+    sides and sn values, so a call's temporaries past the three sn are the size
+    of the off-branch share. There the circumcircle is the enclosing ball:
     tan R (tanh R, R) = 2 sn(a/2) sn(b/2) sn(c/2) / sqrt(sn s sn(s-a) sn(s-b) sn(s-c)),
-    in the plane bitwise abc / (4 Area) with Heron's area.
+    in the plane bitwise abc / (4 Area) with Heron's area. Each radius is
+    bitwise that of one pass that evaluates both for every triangle.
     No thin-triangle rule: off the half-side branch, b^2 + c^2 > (1 + 1e-12) a^2
     gives c > 1e-6 a, b > a / sqrt 2 and an angle of 60 to 90 degrees between
     them, so the area is at least 3e-7 a^2.
 
     Float64 range: a step that overflows, divides by zero or is invalid raises
-    ValueError naming kappa, never a radius of inf, nan or 0. On the
-    hyperboloid, once tanh R rounds to 1 (sqrt|kappa| R near 19), or the four
-    sinh's product overflows (scaled perimeter past about 710; 1420 if
-    collinear); in the plane, once Heron's product overflows (sides past about
-    1e77) or, off the half-side branch, underflows to 0 (below about 1e-81).
+    ValueError naming kappa, never a radius of inf, nan or 0. Every triangle
+    raises once sn(a/2)^2 overflows (sqrt|kappa| a past about 711 on the
+    hyperboloid, a past about 1.3e154 in the plane). Off the half-side branch,
+    on the hyperboloid also once tanh R rounds to 1 (sqrt|kappa| R near 19), or
+    the four sinh's product overflows (scaled perimeter past about 710); in the
+    plane, once Heron's product overflows (sides past about 1e77) or underflows
+    to 0 (below about 1e-81).
     Underflow is not trapped, so small sides can answer silently wrong: plane
     sides from about 1e-81 to 1e-77 lose digits, below about 1e-162 every plane
     triangle takes the half-side branch, and in a call that keeps the curved
@@ -165,17 +171,26 @@ def model_circumradius_batch(a, b, c, kappa):
     scale = scale if row else 1.0
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            # scaled sides, where a scale of 1 changes nothing (kappa = 0 or +-1)
-            x, y, z = (a, b, c) if scale == 1.0 else (a * scale, b * scale, c * scale)
+            # the branch first: sn of half of each scaled side, where a scale of 1
+            # changes nothing (kappa = 0 or +-1)
+            ha, hb, hc = (sn_half(v if scale == 1.0 else v * scale) for v in (a, b, c))
+            ha2 = ha * ha
+            off = np.flatnonzero(~((hb * hb + hc * hc - ha2) <= _OBTUSE_REL * ha2))
+            del ha2
+            if not off.size:
+                return 0.5 * a  # e.g. `check_counterexample`'s one triangle, which is half-side
+            # Heron's root, the ratio and the arc on the triangles off the branch only
+            ha, hb, hc, x, y, z = (v.take(off) for v in (ha, hb, hc, a, b, c))
+            if scale != 1.0:
+                for v in (x, y, z):
+                    v *= scale  # in place on the copies the take made
             # twice s, s - a, s - b and s - c; with a >= b >= c only s - a can fall below 0
             xy = x - y
             root = sn_half(x + (y + z)) * sn_half(np.maximum(z - xy, 0.0))
             root = np.sqrt(root * sn_half(z + xy) * sn_half(x + (y - z)))
-            ha, hb, hc = sn_half(x), sn_half(y), sn_half(z)
-            ha2 = ha * ha
-            half = (hb * hb + hc * hc - ha2) <= _OBTUSE_REL * ha2
-            ratio = np.where(half, 0.0, 2.0 * ha * hb * hc) / np.where(half, 1.0, root)
-            return np.where(half, 0.5 * a, arc(ratio) / scale)
+            r = 0.5 * a
+            r.put(off, arc(2.0 * ha * hb * hc / root) / scale)
+            return r
     except FloatingPointError as exc:
         raise ValueError(f"model circumradius at kappa={k} leaves the float64 range: {exc}") from None
 

@@ -79,6 +79,33 @@ def law_of_sines_circumradius(a, b, c):
     return a / (2.0 * sin_alpha)
 
 
+def single_pass_circumradius_batch(a, b, c, kappa):
+    """The model kernel as one pass over every triangle (a >= b >= c): Heron's four-sn
+    root, the ratio and the arc are evaluated for every triangle, and the half-side
+    branch, where sn(b/2)^2 + sn(c/2)^2 <= (1 + 1e-12) sn(a/2)^2, selects a / 2 at the
+    end. sn of half a side is sin or sinh of half its scaled length; in the plane the
+    halvings are left out and the arc halves the ratio. A call whose longest side
+    times sqrt|kappa| is below 2^-200 takes the plane row. Returns the radii and the
+    half-side mask; raises FloatingPointError where any step leaves the float64 range."""
+    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
+    scale = math.sqrt(abs(kappa))
+    if scale * float(a.max(initial=0.0)) >= 2.0**-200:
+        sn_half = (lambda v: np.sin(0.5 * v)) if kappa > 0 else (lambda v: np.sinh(0.5 * v))
+        arc = np.arctan if kappa > 0 else np.arctanh
+    else:
+        sn_half, arc, scale = (lambda v: v), (lambda v: 0.5 * v), 1.0
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        x, y, z = (a, b, c) if scale == 1.0 else (a * scale, b * scale, c * scale)
+        xy = x - y
+        root = sn_half(x + (y + z)) * sn_half(np.maximum(z - xy, 0.0))
+        root = np.sqrt(root * sn_half(z + xy) * sn_half(x + (y - z)))
+        ha, hb, hc = sn_half(x), sn_half(y), sn_half(z)
+        ha2 = ha * ha
+        half = (hb * hb + hc * hc - ha2) <= _OBTUSE_REL * ha2
+        ratio = np.where(half, 0.0, 2.0 * ha * hb * hc) / np.where(half, 1.0, root)
+        return np.where(half, 0.5 * a, arc(ratio) / scale), half
+
+
 def per_chart_model_distance(p, q, k):
     """Geodesic distance between two model points in the chart of k: the plane's
     hypot, the sphere's dot product, the hyperboloid's Minkowski product."""

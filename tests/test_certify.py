@@ -360,7 +360,10 @@ def _unbracketed(patch):
 @pytest.mark.parametrize("case", sorted(BRACKET_SPACES))
 def test_bracket_and_prune_change_no_result(case, monkeypatch):
     # every verdict, witness and skipped and gathered count is the unbracketed scan's,
-    # and at kappa = 0 brute force's; the bracket and the prune only skip model radii
+    # and at kappa = 0 brute force's; the bracket and the prune only skip model radii.
+    # Blocks of at most row 0's triples give these small spaces several blocks, so that
+    # the floors rise between them
+    monkeypatch.setattr(certify_module, "_TRIPLES", 1)
     space = BRACKET_SPACES[case](np.random.default_rng(len(case)))
     fewer = 0
     for kappa, direction, beta, degenerate in itertools.product(
@@ -408,9 +411,11 @@ def test_hot_triples_are_the_triples_with_a_hot_pair(degenerate):
 
 @pytest.mark.parametrize("degenerate", (False, True))
 @pytest.mark.parametrize("n", (13, 40))
-def test_pruned_end_bounds_the_blocks_of_one_call(n, degenerate):
+def test_pruned_end_bounds_the_blocks_of_one_call(n, degenerate, monkeypatch):
     # a group of more than one block holds at most 8 times row 0's triples, and at most
-    # row 0's triples with a hot pair; with no hot pair it grows up to the first bound
+    # row 0's triples with a hot pair; with no hot pair it grows up to the first bound.
+    # Here the capacity is row 0's, so that these small spaces take several blocks
+    monkeypatch.setattr(certify_module, "_TRIPLES", 1)
     rng = np.random.default_rng(n + degenerate)
     J, K = np.triu_indices(n, 1)
     offset = certify_module._pair_offset(np.arange(n + 1), n)
@@ -500,7 +505,31 @@ def _row_triples(n, i, degenerate):
     return math.comb(n - 1 - i, 2) + (n - 1 - i if degenerate else 0)
 
 
+@pytest.mark.parametrize("degenerate", (False, True))
+def test_row_blocks_fill_up_to_the_capacity(degenerate, monkeypatch):
+    # a block holds whole rows, at least one, and at most max(row 0's triples, _TRIPLES)
+    # triples, and takes the next row whenever it fits: for row 0 below, at and above
+    # the budget, and by default
+    n = 40
+    counts = [_row_triples(n, i, degenerate) for i in range(n)]
+    row0 = counts[0]
+    for budget in (certify_module._TRIPLES, 1, row0 - 1, row0, row0 + 1, 3 * row0, 10**9):
+        monkeypatch.setattr(certify_module, "_TRIPLES", budget)
+        capacity = max(row0, budget)
+        blocks = list(certify_module._row_blocks(counts))
+        assert [i for rows in blocks for i in rows] == list(range(n))
+        sizes = [sum(counts[i] for i in rows) for rows in blocks]
+        assert all(rows for rows in blocks) and max(sizes) <= capacity
+        assert all(size + counts[rows.stop] > capacity for size, rows in zip(sizes, blocks[:-1]))
+        assert (len(blocks) == 1) == (sum(counts) <= capacity)
+    assert list(certify_module._row_blocks([])) == []
+    # from n = 150 on the budget is below row 0's triples, so the blocks are row 0's
+    monkeypatch.undo()
+    assert certify_module._TRIPLES <= _row_triples(150, 0, False)
+
+
 def test_certify_scans_every_row_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(certify_module, "_TRIPLES", 1)  # row 0's capacity: several blocks at n = 12
     space = validate_metric(random_metric_matrix(np.random.default_rng(5), 12))
     n = space.n
     scan_block = certify_module._scan_block
@@ -565,7 +594,9 @@ def test_defect_profile_drops_triples_below_its_floors(monkeypatch):
     # on a failing random metric both directions' floors and the curve's turn positive,
     # and the profile models and gathers only the triples that can still reach one of
     # them: about a fifth here. The histogram counts every defect, so its scan models
-    # every triple and gathers each min-max that ub != lb leaves
+    # every triple and gathers each min-max that ub != lb leaves. Blocks of at most row 0's
+    # triples let the floors rise between blocks at n = 40
+    monkeypatch.setattr(certify_module, "_TRIPLES", 1)
     n = 40
     space = validate_metric(random_metric_matrix(np.random.default_rng(5), n))
     scan_rows = certify_module._scan_rows
@@ -727,7 +758,8 @@ def test_beta_curve_levels_are_exact(monkeypatch):
 def test_defect_profile_brackets_once_per_direction_whatever_the_grid(monkeypatch):
     # one _Worst per direction: the upper one grades its floors by level, so each model-kernel
     # call of the profile runs the model-radius bracket at most once per direction, not once
-    # per beta of the grid
+    # per beta of the grid. Blocks of at most row 0's triples let the floors rise between blocks
+    monkeypatch.setattr(certify_module, "_TRIPLES", 1)
     space = validate_metric(random_metric_matrix(np.random.default_rng(5), 40))
     batch, bracket, worst = certify_module.model_circumradius_batch, certify_module.model_radius_bracket, certify_module._Worst
     calls, built, pending = [], [], Counter()
@@ -885,9 +917,9 @@ def test_profile_memory_stays_quadratic():
 
 
 def test_scan_memory_stays_within_a_row_zero_block():
-    # blocks of whole rows hold at most row 0's triples, and the peak follows
-    # that cap: about 140-200 bytes per row-0 triple here, against 280-360 when
-    # blocks may hold twice row 0's triples
+    # blocks of whole rows hold at most row 0's triples, more than _TRIPLES at
+    # n = 160, and the peak follows that cap: about 140-200 bytes per row-0
+    # triple here, against 280-360 when blocks may hold twice row 0's triples
     n = 160
     space = validate_metric(random_metric_matrix(np.random.default_rng(14), n))
     sphere = sample_space(GeneratorSpec(kind="sphere", kappa=1.0, n=n, seed=0))

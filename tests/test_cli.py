@@ -317,6 +317,63 @@ def test_tiny_curvature_gives_the_plane_verdict(kappa, tmp_path, capsys):
     assert capsys.readouterr() == flat
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["certify", "{eq}", "--kappa", "-1e-200"], EXIT_FAILS),
+        (["certify", "{eq}", "--kappa", "-1", "--direction", "lower"], EXIT_OK),
+        (["certify", "{eq}", "--epsilon", "-0e0"], EXIT_FAILS),
+        (["defect", "{eq}", "--kappa", "-1e-200", "--beta-grid", "0,1"], EXIT_OK),
+        (["certify", "{eq}", "--beta", "-1e-3"], EXIT_USAGE),
+        (["certify", "{eq}", "--epsilon", "-1e-3"], EXIT_USAGE),
+        (["certify", "{eq}", "--max-perimeter", "-1e-3"], EXIT_USAGE),
+        (["hyperbolicity", "{eq}", "--allowance", "-1e-3"], EXIT_USAGE),
+        (["counterexample", "--p", "-1e-3"], EXIT_USAGE),
+        (["counterexample", "--p", "-inf"], EXIT_USAGE),
+    ],
+)
+def test_float_options_take_values_that_start_with_a_minus(argv, code, tmp_path, capsys):
+    # "--kappa -1e-200" exited 3 with "expected one argument": argparse took -1e-200 for an
+    # option. Both forms now give the same exit code, output and report, and a negative
+    # value that the library refuses exits 3 with the library's own message
+    eq = tmp_path / "eq.csv"
+    eq.write_text("3\n0,1,1\n1,0,1\n1,1,0\n")
+    argv = [str(eq) if a == "{eq}" else a for a in argv]
+    option = next(t for t, a in enumerate(argv) if a.startswith("-") and argv[t + 1].startswith("-"))
+    joined = [*argv[:option], f"{argv[option]}={argv[option + 1]}", *argv[option + 2 :]]
+    runs = []
+    for form in (argv, joined):
+        out = tmp_path / "report.json"
+        assert main([*form, "--json", str(out)]) == code, form
+        captured = capsys.readouterr()
+        report = json.loads(out.read_text()) if out.exists() else None
+        if report is not None:
+            report.pop("timing_ms")
+            out.unlink()
+        runs.append((captured.out, captured.err, report))
+    assert runs[0] == runs[1]
+    out, err, report = runs[0]
+    assert "expected one argument" not in err
+    if code == EXIT_USAGE:
+        assert out == "" and report is None and err.startswith("error: ") and "usage:" not in err
+    else:
+        assert err == "" and report is not None
+
+
+def test_obtuse_hyperbolic_triangle_takes_half_its_longest_side(tmp_path, capsys):
+    # at kappa = -1 the sides 400, 250, 200 overflowed the four sinh's product (exit 3,
+    # "overflow encountered in multiply"); the triangle takes the half-side branch, so
+    # r_model = 200 against r_space = 250 at the vertex between the two shorter sides
+    f = tmp_path / "obt.csv"
+    f.write_text("3\n0,250,400\n250,0,200\n400,200,0\n")
+    out = tmp_path / "report.json"
+    assert main(["certify", str(f), "--kappa", "-1", "--json", str(out)]) == EXIT_FAILS
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    assert report["verdict"]["epsilon_needed"] == 50.0
+    assert main(["certify", str(f), "--kappa", "-1", "--direction", "lower"]) == EXIT_OK
+
+
 def test_verdict_tolerance_scales_with_the_sample(tmp_path, capsys):
     # an absolute tolerance of 1e-12 passed the box=1e-12 sample (epsilon* 2.6e-13)
     for box in ("1", "1e-12"):

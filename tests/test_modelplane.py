@@ -15,6 +15,7 @@ from curvcomp import (
     euclidean_circumradius,
     model_circumradius,
 )
+from curvcomp import modelplane
 from curvcomp.modelplane import (
     BRACKET_MARGIN,
     TooLargeForModelError,
@@ -23,7 +24,12 @@ from curvcomp.modelplane import (
     model_perimeter_bound,
     model_radius_bracket,
 )
-from oracles import law_of_sines_circumradius, minmax_grid_model, per_chart_model_distance
+from oracles import (
+    law_of_sines_circumradius,
+    minmax_grid_model,
+    per_chart_model_distance,
+    single_pass_circumradius_batch,
+)
 
 KAPPAS = (-2.0, -1.0, 0.0, 0.5, 1.0)
 
@@ -309,3 +315,70 @@ def test_kernel_overflow_raises_on_both_paths(side):
         model_circumradius_batch(np.array([side]), np.array([side]), np.array([side]), -1.0)
     with pytest.raises(ValueError, match="kappa=-1.0"):
         model_circumradius(SideLengths(side, side, side), -1.0)
+
+
+def _kernel_triangles(rng, kappa, n):
+    """Side triples, sorted a >= b >= c, that the kernel takes at `kappa`: n random plane
+    triangles at scales up to a fifth of the great circle; near-right ones, with
+    sn(b/2)^2 + sn(c/2)^2 within 1e-12 sn(a/2)^2 of sn(a/2)^2 on either side (the plane's
+    b^2 + c^2 against a^2 once sqrt|kappa| a is below 2^-200); degenerate ones (a = b + c,
+    c = 0, all zero) and equilateral ones."""
+    top = min(3.0, 0.2 * 2.0 * math.pi / math.sqrt(kappa)) if kappa > 0 else 3.0
+    pts = rng.uniform(0.0, 1.0, size=(n, 3, 2)) * (top * 10.0 ** rng.uniform(-3.0, 0.0, (n, 1, 1)))
+    scalene = np.linalg.norm(pts[:, [0, 0, 1]] - pts[:, [1, 2, 2]], axis=2)
+    b, c = rng.uniform(0.0, top / 2.0, 1000), rng.uniform(0.0, top / 2.0, 1000)
+    stretch = np.sqrt(1.0 + rng.uniform(-2e-12, 2e-12, b.size))
+    root = math.sqrt(abs(kappa))
+    if root * top < 2.0**-200 or not kappa:
+        a = np.hypot(b, c) * stretch
+    else:
+        sn, arcsn = (np.sin, np.arcsin) if kappa > 0 else (np.sinh, np.arcsinh)
+        a = 2.0 / root * arcsn(np.hypot(sn(0.5 * root * b), sn(0.5 * root * c)) * stretch)
+    near_right = np.stack([a, b, c], axis=1)
+    degenerate = np.concatenate([np.stack([b + c, b, c], axis=1), np.stack([b, b, 0 * b], axis=1), np.zeros((1, 3))])
+    side = rng.uniform(0.0, top / 2.0, 1000)
+    equilateral = np.stack([side, side, side], axis=1)
+    sides = -np.sort(-np.concatenate([scalene, near_right, degenerate, equilateral]), axis=1)
+    return sides.T.copy()
+
+
+@pytest.mark.parametrize("kappa", (0.0, 1.0, -1.0, 4.0, -4.0, 1e-3, -1e-200))
+def test_kernel_is_bitwise_the_single_pass_formula(kappa, monkeypatch):
+    # the kernel decides the half-side branch from three sn values first and runs Heron's
+    # root, the ratio and the arc on the triangles off it; every radius is the one-pass
+    # formula's, and the root's four sn calls see only the off-branch triangles
+    a, b, c = _kernel_triangles(np.random.default_rng(61), kappa, 100_000)
+    want, half = single_pass_circumradius_batch(a, b, c, kappa)
+    assert 0 < np.count_nonzero(half) < a.size
+    sizes = []
+
+    def recorded(fn):
+        def wrapped(v):
+            sizes.append(np.size(v))
+            return fn(v)
+
+        return wrapped
+
+    for row, (sn_half, arc) in modelplane._KERNEL.items():
+        monkeypatch.setitem(modelplane._KERNEL, row, (recorded(sn_half), arc))
+    got = model_circumradius_batch(a, b, c, kappa)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    off = a.size - np.count_nonzero(half)
+    assert sizes == [a.size] * 3 + [off] * 4
+
+
+def test_half_side_triangles_leave_the_float64_range_only_with_their_branch():
+    # sinh(x + (y + z) / 2) overflows at a scaled perimeter near 1420, and the four sinh's
+    # product near 710: the one-pass formula raised on both, the branch-first kernel only off the branch
+    big = [np.array([v]) for v in (400.0, 250.0, 200.0)]
+    with pytest.raises(FloatingPointError):
+        single_pass_circumradius_batch(*big, -1.0)
+    assert model_circumradius_batch(*big, -1.0)[0] == 200.0
+    assert model_circumradius(SideLengths(400.0, 250.0, 200.0), -1.0) == 200.0
+    # in the plane Heron's product overflowed past sides of about 1e77; a half-side triangle
+    # now raises only once a^2 does, and an acute one still on Heron's product
+    for a, b, c in ((1e100, 6e99, 5e99), (1e150, 1e150, 0.0)):
+        assert model_circumradius_batch(np.array([a]), np.array([b]), np.array([c]), 0.0)[0] == 0.5 * a
+    for side in ((1e155, 6e154, 5e154), (1e100, 1e100, 1e100)):
+        with pytest.raises(ValueError, match="kappa=0.0"):
+            model_circumradius_batch(*(np.array([v]) for v in side), 0.0)

@@ -41,8 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="worker threads of the hyperbolicity four-point delta, at most the CPUs available,"
-        " given before the subcommand (default: 1)",
+        help="worker threads of the hyperbolicity four-point delta's full base-point scans, which"
+        " it runs only when its pair search cannot settle the base points; at most the CPUs"
+        " available, given before the subcommand (default: 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -3,6 +3,11 @@
 Finite matrices carry no geodesics, so the four-point condition serves as the
 standard surrogate for thin-triangle delta; reports state both quantities
 without asserting tightness of the relationship.
+
+The delta scans base point 0 in full, keeps every quadruple a pair-ordered
+search finds near the best value, and settles every other base point from
+those quadruples. Base points are scanned in full, on a thread pool, only
+when the search can rule nothing out or keeps too many quadruples.
 """
 from __future__ import annotations
 
@@ -11,7 +16,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import chain
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -23,8 +28,9 @@ from .metricspace import FiniteMetricSpace, _triangle_rows
 class DeltaResult:
     delta: float
     witness: tuple[int, int, int, int] | None  # (x, y, z, w)
-    # work counters, outside equality: base points scanned, and quadruples evaluated
-    # by those scans (n^3 each) and by the pair search that chose them
+    # work counters, outside equality: base points scanned in full, and quadruples
+    # evaluated by those scans (n^3 each), by the pair search, and by the settling of
+    # the other base points (24 orderings per kept quadruple)
     bases_scanned: int = field(default=0, compare=False)
     quadruples: int = field(default=0, compare=False)
 
@@ -33,6 +39,10 @@ class DeltaResult:
 class RelaxedBoundReport:
     epsilon_star_upper: float
     slack: float  # 2*delta + h - epsilon_star_upper
+
+
+# the orderings (x, y, z, w) of a quadruple's four points, as positions in its row
+_ORDERINGS = np.array(list(permutations(range(4))))
 
 
 def _per_base_max(d: np.ndarray, w: int) -> tuple[float, int, int, int]:
@@ -85,8 +95,8 @@ def _triangle_slack(d: np.ndarray) -> float:
     return max((float((tail - sums.min(axis=1)).max(initial=0.0)) for _, tail, sums in _triangle_rows(d)), default=0.0)
 
 
-def _candidate_bases(d: np.ndarray, delta_0: float) -> tuple[list[int], int]:
-    """Base points whose scan can hold the first maximiser, and the quadruples evaluated.
+def _candidate_bases(d: np.ndarray, delta_0: float) -> tuple[list[int], np.ndarray, int]:
+    """Base points to scan in full, the quadruples that settle every other, and the quadruples evaluated.
 
     Every base point w has delta_w <= delta <= 2 delta_w (Gromov). Each
     quadruple's value is (S1 - max(S2, S3)) / 2 with S1 = d(x, y) + d(z, w) and
@@ -94,16 +104,21 @@ def _candidate_bases(d: np.ndarray, delta_0: float) -> tuple[list[int], int]:
     (Cohen, Coudert & Lancin 2015), plus half the triangle slack in a space
     that meets the triangle inequality only within a tolerance. From
     best = delta_0, pairs are visited in decreasing distance, each with the
-    later pairs, until d(x, y) < 2 (best - tol) - slack. Base point 0 and every
-    point of a quadruple within tol of the best value are returned; every
-    base point when delta_0 is within tol of slack / 2, so that nothing can
-    be cut.
+    later pairs, until d(x, y) < 2 (best - tol) - slack, and every quadruple
+    within tol of the best value is kept (its four points, as a row of the
+    returned array). Base point 0 is then the one full scan, and the kept
+    quadruples settle every other base point (`_settle`). Every base point is
+    scanned instead when delta_0 is within tol of slack / 2, so that nothing
+    can be cut, and every point of a kept quadruple when more than
+    max(_BLOCK, n^2) / 24 are kept: settling evaluates no more orderings than
+    a block of `_per_base_max` holds entries.
     """
     n = len(d)
+    no_hits = np.empty((0, 4), dtype=np.intp)
     if _is_exact(d):
         tol = 0.0
         if delta_0 == 0.0:
-            return [0], 0
+            return [0], no_hits, 0
     else:
         # With u = 2**-53 and D the largest entry, the Gromov-product value of
         # _per_base_max is within 5uD of the exact value (2uD per product, uD for
@@ -118,13 +133,15 @@ def _candidate_bases(d: np.ndarray, delta_0: float) -> tuple[list[int], int]:
     if best - tol <= slack:
         # a quadruple with a repeated point, which the pairs below never form, is
         # worth at most slack / 2: it may be the maximiser, and nothing is cut
-        return list(range(n)), 0
+        return list(range(n)), no_hits, 0
     iu, ju = np.triu_indices(n, 1)
     order = np.argsort(-d[iu, ju], kind="stable")
     px, py = iu[order], ju[order]
     pd = d[px, py]
     far = -pd  # ascending, for searchsorted
     point_best = np.full(n, -np.inf)  # largest value of a quadruple through each point
+    most = max(_BLOCK, n * n) // len(_ORDERINGS)  # quadruples kept at most
+    hits, hit_values = no_hits, np.empty(0)  # hits is None once more are kept
     start = 0
     while True:
         stop = int(np.searchsorted(far, tol + slack - best, side="right"))  # pairs above the cut
@@ -140,12 +157,45 @@ def _candidate_bases(d: np.ndarray, delta_0: float) -> tuple[list[int], int]:
         if top >= best - tol:
             best = max(best, top)
             rows, cols = np.nonzero(twice >= best - tol)
+            # a pair of pairs inside the block meets twice, as outer and inner pair:
+            # keep it once, where the inner pair comes later
+            once = cols >= rows
+            rows, cols = rows[once], cols[once]
             hit = twice[rows, cols]
-            for pts in (px[start + rows], py[start + rows], zs[cols], ws[cols]):
+            found = np.stack((px[start + rows], py[start + rows], zs[cols], ws[cols]), axis=1)
+            for pts in found.T:
                 np.maximum.at(point_best, pts, hit)
+            if hits is not None:
+                kept = hit_values >= best - tol
+                hits, hit_values = np.concatenate((hits[kept], found)), np.concatenate((hit_values[kept], hit))
+                if len(hits) > most:
+                    hits = None
         start = end
+    if hits is not None:
+        return [0], hits, quadruples
     point_best[0] = np.inf
-    return np.flatnonzero(point_best >= best - tol).tolist(), quadruples
+    return np.flatnonzero(point_best >= best - tol).tolist(), no_hits, quadruples
+
+
+def _settle(d: np.ndarray, hits: np.ndarray) -> tuple[float, tuple[int, int, int, int]]:
+    """Largest four-point value over every ordering of the quadruples in hits, and its first (x, y, z, w).
+
+    Each of the 24 orderings (x, y, z, w) of a quadruple's points is evaluated
+    with the float operations of `_per_base_max` at base point w, so a value
+    here is that scan's value for the same (x, y, z) bit for bit. Folding base
+    points in index order, each at its first maximiser in (x, y) row-major and
+    then z order, is taking the first maximiser in (w, x, y, z) order.
+    """
+    x, y, z, w = hits[:, _ORDERINGS].reshape(-1, 4).T
+    x_w, w_y = d[x, w], d[w, y]
+    xy = (x_w + w_y - d[x, y]) / 2.0
+    xz = (x_w + d[w, z] - d[x, z]) / 2.0
+    zy = (d[z, w] + w_y - d[z, y]) / 2.0
+    values = np.minimum(xz, zy) - xy
+    top = values.max()
+    at = np.flatnonzero(values == top)
+    i = at[np.lexsort((z[at], y[at], x[at], w[at]))[0]]
+    return float(top), (int(x[i]), int(y[i]), int(z[i]), int(w[i]))
 
 
 def delta_four_point(space: FiniteMetricSpace, threads: int = 1) -> DeltaResult:
@@ -153,20 +203,24 @@ def delta_four_point(space: FiniteMetricSpace, threads: int = 1) -> DeltaResult:
 
     delta = max over (x, y, z, w) of min((x|z)_w, (z|y)_w) - (x|y)_w, floored
     at zero. The witness is the first maximizer in scan order (w outer,
-    then (x, y, z) lexicographic): scanned base points are folded in index
-    order and only a strict improvement replaces the witness, so output is
+    then (x, y, z) lexicographic): base points are folded in index order and
+    only a strict improvement replaces the witness, so output is
     deterministic for any thread count.
 
-    Base point 0 is scanned first. Its value delta_0 bounds delta within
-    [delta_0, 2 delta_0], and a pair-ordered search from it finds the base
-    points that can hold the first maximiser (`_candidate_bases`); only those
-    are scanned, and the result equals the scan of every base point bitwise.
-    Exact inputs (see `_is_exact`) with delta_0 = 0 stop after one scan.
+    Base point 0 is scanned in full. Its value delta_0 bounds delta within
+    [delta_0, 2 delta_0], and a pair-ordered search from it keeps every
+    quadruple that can hold the first maximiser (`_candidate_bases`). The
+    other base points are settled from those quadruples alone (`_settle`),
+    which read no more than a full scan of theirs and include the first
+    maximiser, so the result equals the scan of every base point bitwise.
+    Exact inputs (see `_is_exact`) with delta_0 = 0 stop after base point 0.
 
-    This is the package's one pooled scan: each base point is a run of numpy
-    (max, min) products over bounded blocks, which release the GIL, so up to
-    `threads` base points run at once, and no more than the CPUs this process
-    may run on: each running scan holds about 24 n^2 bytes.
+    When the search can cut nothing, or keeps too many quadruples, base
+    points are scanned in full instead. This is the package's one pooled
+    scan: each base point is a run of numpy (max, min) products over bounded
+    blocks, which release the GIL, so up to `threads` base points run at once,
+    and no more than the CPUs this process may run on: each running scan
+    holds about 24 n^2 bytes.
     """
     check_threads(threads)
     if space.n == 0:
@@ -177,7 +231,7 @@ def delta_four_point(space: FiniteMetricSpace, threads: int = 1) -> DeltaResult:
     d = space.dist * 0.5 if scale > 1.0 else space.dist
     scan = partial(_per_base_max, d)
     first = scan(0)
-    bases, quadruples = _candidate_bases(d, first[0])
+    bases, hits, quadruples = _candidate_bases(d, first[0])
     best = DeltaResult(0.0, None)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(threads, cpus)
@@ -186,7 +240,11 @@ def delta_four_point(space: FiniteMetricSpace, threads: int = 1) -> DeltaResult:
         for w, (value, x, y, z) in zip(bases, chain([first], rest)):
             if value > best.delta:
                 best = DeltaResult(value, (x, y, z, w))
-    quadruples += len(bases) * space.n**3
+    if len(hits):  # bases is [0]: every other base point follows it
+        value, witness = _settle(d, hits)
+        if value > best.delta:
+            best = DeltaResult(value, witness)
+    quadruples += len(bases) * space.n**3 + len(_ORDERINGS) * len(hits)
     return replace(best, delta=scale * best.delta, bases_scanned=len(bases), quadruples=quadruples)
 
 

@@ -4,6 +4,7 @@ import os
 import threading
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -190,8 +191,90 @@ def test_delta_prunes_base_points_on_a_random_metric():
     space = validate_metric(random_metric_matrix(np.random.default_rng(12), 60))
     res = delta_four_point(space)
     assert (res.delta, res.witness) == _every_base_point(space.dist)
-    assert res.bases_scanned < space.n / 4
+    assert res.bases_scanned == 1
     assert space.n**3 * res.bases_scanned < res.quadruples < space.n**4
+
+
+def _unit_cycle(n, ear=False):
+    # with an ear, vertex "e" (index 0) is joined to cycle vertices 0 and 1
+    ears = [("e", 0), ("e", 1)] if ear else []
+    return _unit_graph(ears + [(i, (i + 1) % n) for i in range(n)])
+
+
+def _integer_graph(seed, n=40, edge_prob=0.06):
+    # a random tree plus random edges, weights 1-4
+    rng = np.random.default_rng(seed)
+    edges = [(int(rng.integers(0, i)), i, float(rng.integers(1, 5))) for i in range(1, n)]
+    edges += [(i, j, float(rng.integers(1, 5))) for i in range(n) for j in range(i + 1, n) if rng.uniform() < edge_prob]
+    return from_graph(edges)
+
+
+def _settled_bases(space):
+    # base point 0 and every point of a quadruple the pair search keeps
+    d = space.dist
+    _, hits, _ = hyperbolicity_module._candidate_bases(d, hyperbolicity_module._per_base_max(d, 0)[0])
+    return {0} | set(hits.ravel().tolist())
+
+
+SETTLED = {  # the pair search keeps every quadruple, and base point 0 alone is scanned
+    **{f"unit_cycle_{n}": partial(_unit_cycle, n) for n in (20, 33, 47, 60)},
+    # a cycle is vertex-transitive, so base point 0 reaches delta under any labelling;
+    # an ear labelled 0 does not, on an even cycle, and a later base point holds the witness
+    **{f"eared_cycle_{n}": partial(_unit_cycle, n, ear=True) for n in (20, 40, 60)},
+    **{f"integer_graph_{seed}": partial(_integer_graph, seed) for seed in (1, 2, 4, 7, 11)},
+}
+
+
+@pytest.mark.parametrize("scale", (1.0, 3.0, 0.1))
+@pytest.mark.parametrize("name", sorted(SETTLED))
+def test_settled_delta_matches_every_base_point_bitwise(monkeypatch, name, scale):
+    space = SETTLED[name]().rescale(scale)
+    want = _every_base_point(space.dist)
+    if name.startswith("unit_cycle"):
+        assert len(_settled_bases(space)) == space.n
+    elif name.startswith("eared_cycle"):
+        assert want[1][3] != 0
+    else:
+        assert 8 <= len(_settled_bases(space)) <= 40
+    for block in (1, 300, hyperbolicity_module._BLOCK):
+        with monkeypatch.context() as patch:
+            patch.setattr(hyperbolicity_module, "_BLOCK", block)
+            res = delta_four_point(space)
+        assert (res.delta, res.witness) == want
+        assert res.bases_scanned == 1
+
+
+@pytest.mark.parametrize("name", ["unit_cycle_33", "eared_cycle_40", "integer_graph_4", "random_metric"])
+def test_delta_scans_base_point_0_alone_outside_the_fallback(monkeypatch, name):
+    space = {**SETTLED, "random_metric": SPACES["random_metric"]}[name]()
+    per_base_max, candidate_bases = hyperbolicity_module._per_base_max, hyperbolicity_module._candidate_bases
+    scanned, searched = [], []
+
+    def recorded_scan(d, w):
+        scanned.append(w)
+        return per_base_max(d, w)
+
+    def recorded_search(d, delta_0):
+        searched.append(candidate_bases(d, delta_0))
+        return searched[-1]
+
+    monkeypatch.setattr(hyperbolicity_module, "_per_base_max", recorded_scan)
+    monkeypatch.setattr(hyperbolicity_module, "_candidate_bases", recorded_search)
+    res = delta_four_point(space, threads=2)
+    [(bases, hits, pair_quadruples)] = searched
+    assert scanned == bases == [0] and res.bases_scanned == 1
+    assert len(hits) > 0
+    # one full scan, the pair search, and 24 orderings of each kept quadruple
+    assert res.quadruples == space.n**3 + pair_quadruples + 24 * len(hits)
+
+
+def test_delta_past_the_kept_quadruples_scans_the_candidates_in_full():
+    # the 4-cycles of K(12, 12) are 4356 quadruples at delta = 1, more than 2^14 / 24:
+    # every candidate base point is scanned instead, as the pair search names them all
+    space = _unit_graph([(f"a{i}", f"b{j}") for i in range(12) for j in range(12)])
+    res = delta_four_point(space)
+    assert (res.delta, res.witness) == _every_base_point(space.dist)
+    assert res.bases_scanned == space.n
 
 
 STAR = [[0, 1, 2, 2, 2], [1, 0, 1, 1, 1], [2, 1, 0, 2, 2], [2, 1, 2, 0, 2], [2, 1, 2, 2, 0]]
@@ -247,6 +330,28 @@ def test_delta_memory_stays_below_cubic():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_delta_keeps_few_quadruples_on_a_long_cycle(monkeypatch):
+    # every base point of C160 is a candidate; one full scan holds 24 n^2 B = 0.6 MB and
+    # a pair-search block about 0.5 MB, and the kept quadruples add no more than 2 kB each
+    space = _unit_cycle(160)
+    settle, kept = hyperbolicity_module._settle, []
+
+    def recorded(d, hits):
+        kept.append(len(hits))
+        return settle(d, hits)
+
+    monkeypatch.setattr(hyperbolicity_module, "_settle", recorded)
+    tracemalloc.start()
+    try:
+        res = delta_four_point(space, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.delta, res.witness, res.bases_scanned) == (40.0, (40, 120, 80, 0), 1)
+    assert 0 < kept[0] <= space.n
+    assert peak < 1_250_000
 
 
 def test_delta_scales_linearly():

@@ -108,10 +108,11 @@ def _candidate_bases(d: np.ndarray, delta_0: float) -> tuple[list[int], np.ndarr
     within tol of the best value is kept (its four points, as a row of the
     returned array). Base point 0 is then the one full scan, and the kept
     quadruples settle every other base point (`_settle`). Every base point is
-    scanned instead when delta_0 is within tol of slack / 2, so that nothing
-    can be cut, and every point of a kept quadruple when more than
-    max(_BLOCK, n^2) / 24 are kept: settling evaluates no more orderings than
-    a block of `_per_base_max` holds entries.
+    scanned in full instead when delta_0 is within tol of slack / 2, so that
+    nothing can be cut, or when more than max(_BLOCK, n^2) / 24 quadruples are
+    kept: at 40 B each they stay below a fifth of a block of `_per_base_max`
+    (8 B an entry), and settling them evaluates no more orderings than that
+    block holds entries.
     """
     n = len(d)
     no_hits = np.empty((0, 4), dtype=np.intp)
@@ -139,9 +140,8 @@ def _candidate_bases(d: np.ndarray, delta_0: float) -> tuple[list[int], np.ndarr
     px, py = iu[order], ju[order]
     pd = d[px, py]
     far = -pd  # ascending, for searchsorted
-    point_best = np.full(n, -np.inf)  # largest value of a quadruple through each point
     most = max(_BLOCK, n * n) // len(_ORDERINGS)  # quadruples kept at most
-    hits, hit_values = no_hits, np.empty(0)  # hits is None once more are kept
+    hits, hit_values = no_hits, np.empty(0)
     start = 0
     while True:
         stop = int(np.searchsorted(far, tol + slack - best, side="right"))  # pairs above the cut
@@ -161,32 +161,23 @@ def _candidate_bases(d: np.ndarray, delta_0: float) -> tuple[list[int], np.ndarr
             # keep it once, where the inner pair comes later
             once = cols >= rows
             rows, cols = rows[once], cols[once]
-            hit = twice[rows, cols]
+            kept = hit_values >= best - tol
             found = np.stack((px[start + rows], py[start + rows], zs[cols], ws[cols]), axis=1)
-            for pts in found.T:
-                np.maximum.at(point_best, pts, hit)
-            if hits is not None:
-                kept = hit_values >= best - tol
-                hits, hit_values = np.concatenate((hits[kept], found)), np.concatenate((hit_values[kept], hit))
-                if len(hits) > most:
-                    hits = None
+            hits, hit_values = np.concatenate((hits[kept], found)), np.concatenate((hit_values[kept], twice[rows, cols]))
+            if len(hits) > most:
+                return list(range(n)), no_hits, quadruples
         start = end
-    if hits is not None:
-        return [0], hits, quadruples
-    point_best[0] = np.inf
-    return np.flatnonzero(point_best >= best - tol).tolist(), no_hits, quadruples
+    return [0], hits, quadruples
 
 
-def _settle(d: np.ndarray, hits: np.ndarray) -> tuple[float, tuple[int, int, int, int]]:
-    """Largest four-point value over every ordering of the quadruples in hits, and its first (x, y, z, w).
+def _first_maximiser(d: np.ndarray, quads: np.ndarray) -> tuple[float, tuple[int, int, int, int]]:
+    """Largest four-point value over the 24 orderings of the quadruples in quads, and its first (w, x, y, z).
 
-    Each of the 24 orderings (x, y, z, w) of a quadruple's points is evaluated
-    with the float operations of `_per_base_max` at base point w, so a value
-    here is that scan's value for the same (x, y, z) bit for bit. Folding base
-    points in index order, each at its first maximiser in (x, y) row-major and
-    then z order, is taking the first maximiser in (w, x, y, z) order.
+    Each ordering (x, y, z, w) is evaluated with the float operations of
+    `_per_base_max` at base point w, so a value here is that scan's value for
+    the same (x, y, z) bit for bit. It holds about 90 B an ordering.
     """
-    x, y, z, w = hits[:, _ORDERINGS].reshape(-1, 4).T
+    x, y, z, w = quads[:, _ORDERINGS].reshape(-1, 4).T
     x_w, w_y = d[x, w], d[w, y]
     xy = (x_w + w_y - d[x, y]) / 2.0
     xz = (x_w + d[w, z] - d[x, z]) / 2.0
@@ -195,7 +186,22 @@ def _settle(d: np.ndarray, hits: np.ndarray) -> tuple[float, tuple[int, int, int
     top = values.max()
     at = np.flatnonzero(values == top)
     i = at[np.lexsort((z[at], y[at], x[at], w[at]))[0]]
-    return float(top), (int(x[i]), int(y[i]), int(z[i]), int(w[i]))
+    return float(top), (int(w[i]), int(x[i]), int(y[i]), int(z[i]))
+
+
+def _settle(d: np.ndarray, hits: np.ndarray) -> tuple[float, tuple[int, int, int, int]]:
+    """Largest four-point value over every ordering of the quadruples in hits, and its first (x, y, z, w).
+
+    Folding base points in index order, each at its first maximiser in (x, y)
+    row-major and then z order, is taking the first maximiser in (w, x, y, z)
+    order. The quadruples are evaluated in chunks of at most _BLOCK / 10
+    orderings, so a chunk holds about as much as a block of `_per_base_max`
+    (8 B an entry).
+    """
+    step = max(1, _BLOCK // (10 * len(_ORDERINGS)))
+    chunks = (_first_maximiser(d, hits[start : start + step]) for start in range(0, len(hits), step))
+    value, (w, x, y, z) = min(chunks, key=lambda chunk: (-chunk[0], chunk[1]))
+    return value, (x, y, z, w)
 
 
 def delta_four_point(space: FiniteMetricSpace, threads: int = 1) -> DeltaResult:

@@ -62,14 +62,21 @@ def test_delta_matches_brute_force_bitwise(monkeypatch):
             assert res.witness == want_witness
 
 
+def _pooled_spaces():
+    # the two full-scan fallbacks, where base points run on the pool: a tree with
+    # inexact edges, where nothing can be cut, and K(12, 12), whose pair search keeps
+    # too many quadruples
+    return [SPACES["tree_0.3"](), _complete_bipartite(12)]
+
+
 def test_delta_thread_invariance():
-    rng = np.random.default_rng(6)
-    m = random_metric_matrix(rng, 20)
-    space = validate_metric(m)
-    base = delta_four_point(space, threads=1)
-    for t in (2, 4, 8):
-        got = delta_four_point(space, threads=t)
-        assert got.delta == base.delta and got.witness == base.witness
+    for space in _pooled_spaces():
+        base = delta_four_point(space, threads=1)
+        assert base.bases_scanned == space.n
+        for t in (2, 4, 8):
+            got = delta_four_point(space, threads=t)
+            assert got.delta == base.delta and got.witness == base.witness
+    space = validate_metric(random_metric_matrix(np.random.default_rng(6), 20))
     for bad in (0, -2):
         with pytest.raises(ValueError):
             delta_four_point(space, threads=bad)
@@ -77,20 +84,22 @@ def test_delta_thread_invariance():
 
 @pytest.mark.parametrize("threads", (1, 2))
 def test_delta_scans_each_base_point_once(monkeypatch, threads):
-    space = validate_metric(random_metric_matrix(np.random.default_rng(6), 11))
     per_base_max = hyperbolicity_module._per_base_max
-    bases = []
     lock = threading.Lock()
+    for space in _pooled_spaces():
+        want = _every_base_point(space.dist)
+        bases = []
 
-    def recorded(d, w):
-        with lock:
-            bases.append(w)
-        return per_base_max(d, w)
+        def recorded(d, w):
+            with lock:
+                bases.append(w)
+            return per_base_max(d, w)
 
-    monkeypatch.setattr(hyperbolicity_module, "_per_base_max", recorded)
-    res = delta_four_point(space, threads=threads)
-    assert len(bases) == len(set(bases)) == res.bases_scanned  # no base point twice
-    assert (res.delta, res.witness) == brute_delta(space.dist)
+        with monkeypatch.context() as patch:
+            patch.setattr(hyperbolicity_module, "_per_base_max", recorded)
+            res = delta_four_point(space, threads=threads)
+        assert sorted(bases) == list(range(space.n)) and res.bases_scanned == space.n  # no base point twice
+        assert (res.delta, res.witness) == want
 
 
 def test_delta_pool_holds_no_more_workers_than_cpus(monkeypatch):
@@ -123,6 +132,10 @@ def _every_base_point(d):
 
 def _unit_graph(edges):
     return from_graph([(u, v, 1.0) for u, v in edges])
+
+
+def _complete_bipartite(m):
+    return _unit_graph([(f"a{i}", f"b{j}") for i in range(m) for j in range(m)])
 
 
 SMALL_SPACES = {  # n <= 8, against brute_delta
@@ -268,10 +281,10 @@ def test_delta_scans_base_point_0_alone_outside_the_fallback(monkeypatch, name):
     assert res.quadruples == space.n**3 + pair_quadruples + 24 * len(hits)
 
 
-def test_delta_past_the_kept_quadruples_scans_the_candidates_in_full():
+def test_delta_past_the_kept_quadruples_scans_every_base_point_in_full():
     # the 4-cycles of K(12, 12) are 4356 quadruples at delta = 1, more than 2^14 / 24:
-    # every candidate base point is scanned instead, as the pair search names them all
-    space = _unit_graph([(f"a{i}", f"b{j}") for i in range(12) for j in range(12)])
+    # every base point is scanned in full instead
+    space = _complete_bipartite(12)
     res = delta_four_point(space)
     assert (res.delta, res.witness) == _every_base_point(space.dist)
     assert res.bases_scanned == space.n
@@ -329,6 +342,50 @@ def test_delta_memory_stays_below_cubic():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def _bipartite_and_star(a=6, b=10, leaves=64):
+    # K(a, b) at distances 1 and 2, and leaves at distance 3 from every other point:
+    # the a*b 4-cycles of K(a, b) are the quadruples at delta = 1, and a quadruple
+    # through a leaf is worth at most 1/2
+    k = a + b
+    side = np.arange(k) < a
+    d = np.full((k + leaves, k + leaves), 3.0)
+    d[:k, :k] = np.where(side[:, None] == side[None, :], 2.0, 1.0)
+    np.fill_diagonal(d, 0.0)
+    return validate_metric(d)
+
+
+def test_delta_memory_stays_below_cubic_just_under_the_kept_cap(monkeypatch):
+    # K(6, 10) has 15 * 45 = 675 four-cycles, and the pair search keeps at most
+    # max(2^14, 80^2) / 24 = 682 quadruples at n = 80: the settle evaluates 16,200
+    # orderings, in chunks that hold no more than one base point's full scan
+    space = _bipartite_and_star()
+    d = space.dist
+    want = _every_base_point(d)
+    settle, kept = hyperbolicity_module._settle, []
+
+    def recorded(d, hits):
+        kept.append(hits)
+        return settle(d, hits)
+
+    monkeypatch.setattr(hyperbolicity_module, "_settle", recorded)
+    tracemalloc.start()
+    try:
+        res = delta_four_point(space, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        settle(d, kept[0])
+        settle_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        hyperbolicity_module._per_base_max(d, 0)
+        scan_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.delta, res.witness, res.bases_scanned) == (*want, 1)
+    assert len(kept[0]) == 675 <= max(hyperbolicity_module._BLOCK, space.n**2) // 24
+    assert settle_peak < scan_peak
     assert peak < 1_000_000
 
 

@@ -571,7 +571,8 @@ def certify(space: FiniteMetricSpace, query: CurvatureQuery, threads: int = 1) -
     strict condition already holds.
 
     The scan runs on the calling thread, so `threads` is only checked; the
-    parameter stays because `bench/worker.py` passes `threads=1`.
+    parameter stays because `bench/worker.py` passes `threads=1` and the
+    acceptance gate's criterion 8 passes 1, 4 and 8.
     """
     check_threads(threads)
     worst, skipped, gathered, modelled = _Worst(query.direction, kappa_value(query.kappa)), 0, 0, 0

@@ -41,9 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="worker threads of the hyperbolicity four-point delta's full base-point scans, which"
-        " it runs only when its pair search cannot settle the base points; at most the CPUs"
-        " available, given before the subcommand (default: 1)",
+        help="thread count, given before the subcommand: a positive integer, checked and otherwise"
+        " unused, since every command runs on the calling thread (default: 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -227,7 +226,7 @@ def _dispatch(args, started: float) -> int:
     if args.command == "hyperbolicity":
         space = load_space(args.path)
         check_allowance(args.allowance)
-        result = delta_four_point(space, threads=args.threads)
+        result = delta_four_point(space)
         bound = relaxed_npc_bound_check(space, args.allowance, delta=result)
         report = base_report(space, {"allowance": args.allowance})
         report["delta"] = result.delta

@@ -6,17 +6,15 @@ without asserting tightness of the relationship.
 
 The delta scans base point 0 in full, keeps every quadruple a pair-ordered
 search finds near the best value, and settles every other base point from
-those quadruples. Base points are scanned in full, on a thread pool, only
-when the search can rule nothing out or keeps too many quadruples.
+those quadruples. Base points are scanned in full only when the search can
+rule nothing out or keeps too many quadruples. Everything runs on the
+calling thread.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from functools import partial
-from itertools import chain, permutations
+from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
@@ -45,8 +43,8 @@ class RelaxedBoundReport:
 _ORDERINGS = np.array(list(permutations(range(4))))
 
 
-def _per_base_max(d: np.ndarray, w: int) -> tuple[float, int, int, int]:
-    """Largest four-point value at base point w and its first maximiser (x, y, z)."""
+def _per_base_max(d: np.ndarray, w: int) -> tuple[float, tuple[int, int, int, int]]:
+    """Largest four-point value at base point w and its first maximiser (w, x, y, z)."""
     n = len(d)
     g = (d[:, [w]] + d[[w], :] - d) / 2.0
     # value(x, y) = max_z min((x|z)_w, (z|y)_w) - (x|y)_w, floored at 0, taken over
@@ -59,7 +57,7 @@ def _per_base_max(d: np.ndarray, w: int) -> tuple[float, int, int, int]:
         vals[xs] = np.minimum(g[xs, :, None], g[None, :, :]).max(axis=1) - g[xs]
     x, y = divmod(int(np.argmax(vals)), n)
     z = int(np.argmax(np.minimum(g[x], g[:, y]) - g[x, y]))
-    return float(vals[x, y]), x, y, z
+    return float(vals[x, y]), (w, x, y, z)
 
 
 def _is_exact(d: np.ndarray) -> bool:
@@ -95,8 +93,8 @@ def _triangle_slack(d: np.ndarray) -> float:
     return max((float((tail - sums.min(axis=1)).max(initial=0.0)) for _, tail, sums in _triangle_rows(d)), default=0.0)
 
 
-def _candidate_bases(d: np.ndarray, delta_0: float) -> tuple[list[int], np.ndarray, int]:
-    """Base points to scan in full, the quadruples that settle every other, and the quadruples evaluated.
+def _pair_search(d: np.ndarray, delta_0: float) -> tuple[np.ndarray | None, int]:
+    """The quadruples that settle every base point but 0, or None to scan each in full; and the quadruples evaluated.
 
     Every base point w has delta_w <= delta <= 2 delta_w (Gromov). Each
     quadruple's value is (S1 - max(S2, S3)) / 2 with S1 = d(x, y) + d(z, w) and
@@ -106,20 +104,20 @@ def _candidate_bases(d: np.ndarray, delta_0: float) -> tuple[list[int], np.ndarr
     best = delta_0, pairs are visited in decreasing distance, each with the
     later pairs, until d(x, y) < 2 (best - tol) - slack, and every quadruple
     within tol of the best value is kept (its four points, as a row of the
-    returned array). Base point 0 is then the one full scan, and the kept
-    quadruples settle every other base point (`_settle`). Every base point is
-    scanned in full instead when delta_0 is within tol of slack / 2, so that
-    nothing can be cut, or when more than max(_BLOCK, n^2) / 24 quadruples are
-    kept: at 40 B each they stay below a fifth of a block of `_per_base_max`
-    (8 B an entry), and settling them evaluates no more orderings than that
-    block holds entries.
+    returned array). Base point 0 is then the one full scan, and the 24
+    orderings of the kept quadruples stand in for every other base point's
+    scan. Every base point is scanned in full instead (None) when delta_0 is
+    within tol of slack / 2, so that nothing can be cut, or when more than
+    max(_BLOCK, n^2) / 24 quadruples are kept: at 40 B each they stay below a
+    fifth of a block of `_per_base_max` (8 B an entry), and settling them
+    evaluates no more orderings than that block holds entries.
     """
     n = len(d)
-    no_hits = np.empty((0, 4), dtype=np.intp)
+    hits = np.empty((0, 4), dtype=np.intp)
     if _is_exact(d):
         tol = 0.0
         if delta_0 == 0.0:
-            return [0], no_hits, 0
+            return hits, 0
     else:
         # With u = 2**-53 and D the largest entry, the Gromov-product value of
         # _per_base_max is within 5uD of the exact value (2uD per product, uD for
@@ -134,14 +132,14 @@ def _candidate_bases(d: np.ndarray, delta_0: float) -> tuple[list[int], np.ndarr
     if best - tol <= slack:
         # a quadruple with a repeated point, which the pairs below never form, is
         # worth at most slack / 2: it may be the maximiser, and nothing is cut
-        return list(range(n)), no_hits, 0
+        return None, 0
     iu, ju = np.triu_indices(n, 1)
     order = np.argsort(-d[iu, ju], kind="stable")
     px, py = iu[order], ju[order]
     pd = d[px, py]
     far = -pd  # ascending, for searchsorted
     most = max(_BLOCK, n * n) // len(_ORDERINGS)  # quadruples kept at most
-    hits, hit_values = no_hits, np.empty(0)
+    hit_values = np.empty(0)
     start = 0
     while True:
         stop = int(np.searchsorted(far, tol + slack - best, side="right"))  # pairs above the cut
@@ -165,9 +163,9 @@ def _candidate_bases(d: np.ndarray, delta_0: float) -> tuple[list[int], np.ndarr
             found = np.stack((px[start + rows], py[start + rows], zs[cols], ws[cols]), axis=1)
             hits, hit_values = np.concatenate((hits[kept], found)), np.concatenate((hit_values[kept], twice[rows, cols]))
             if len(hits) > most:
-                return list(range(n)), no_hits, quadruples
+                return None, quadruples
         start = end
-    return [0], hits, quadruples
+    return hits, quadruples
 
 
 def _first_maximiser(d: np.ndarray, quads: np.ndarray) -> tuple[float, tuple[int, int, int, int]]:
@@ -189,69 +187,50 @@ def _first_maximiser(d: np.ndarray, quads: np.ndarray) -> tuple[float, tuple[int
     return float(top), (int(w[i]), int(x[i]), int(y[i]), int(z[i]))
 
 
-def _settle(d: np.ndarray, hits: np.ndarray) -> tuple[float, tuple[int, int, int, int]]:
-    """Largest four-point value over every ordering of the quadruples in hits, and its first (x, y, z, w).
-
-    Folding base points in index order, each at its first maximiser in (x, y)
-    row-major and then z order, is taking the first maximiser in (w, x, y, z)
-    order. The quadruples are evaluated in chunks of at most _BLOCK / 10
-    orderings, so a chunk holds about as much as a block of `_per_base_max`
-    (8 B an entry).
-    """
-    step = max(1, _BLOCK // (10 * len(_ORDERINGS)))
-    chunks = (_first_maximiser(d, hits[start : start + step]) for start in range(0, len(hits), step))
-    value, (w, x, y, z) = min(chunks, key=lambda chunk: (-chunk[0], chunk[1]))
-    return value, (x, y, z, w)
-
-
 def delta_four_point(space: FiniteMetricSpace, threads: int = 1) -> DeltaResult:
     """Four-point delta: the largest value over all ordered quadruples.
 
     delta = max over (x, y, z, w) of min((x|z)_w, (z|y)_w) - (x|y)_w, floored
     at zero. The witness is the first maximizer in scan order (w outer,
-    then (x, y, z) lexicographic): base points are folded in index order and
-    only a strict improvement replaces the witness, so output is
-    deterministic for any thread count.
+    then (x, y, z) lexicographic), and None when delta is 0.
 
     Base point 0 is scanned in full. Its value delta_0 bounds delta within
     [delta_0, 2 delta_0], and a pair-ordered search from it keeps every
-    quadruple that can hold the first maximiser (`_candidate_bases`). The
-    other base points are settled from those quadruples alone (`_settle`),
-    which read no more than a full scan of theirs and include the first
-    maximiser, so the result equals the scan of every base point bitwise.
-    Exact inputs (see `_is_exact`) with delta_0 = 0 stop after base point 0.
+    quadruple that can hold the first maximiser (`_pair_search`). The
+    other base points are settled from the orderings of those quadruples
+    alone, which read no more than a full scan of theirs and include the
+    first maximiser, so the result equals the scan of every base point
+    bitwise. Exact inputs (see `_is_exact`) with delta_0 = 0 stop after base
+    point 0. When the search can cut nothing, or keeps too many quadruples,
+    every base point is scanned in full instead.
 
-    When the search can cut nothing, or keeps too many quadruples, base
-    points are scanned in full instead. This is the package's one pooled
-    scan: each base point is a run of numpy (max, min) products over bounded
-    blocks, which release the GIL, so up to `threads` base points run at once,
-    and no more than the CPUs this process may run on: each running scan
-    holds about 24 n^2 bytes.
+    Everything runs on the calling thread, so `threads` is only checked, as
+    in `certify`.
     """
     check_threads(threads)
-    if space.n == 0:
+    n = space.n
+    if n == 0:
         return DeltaResult(0.0, None)
     # past half the float64 range a sum of two distances overflows: the halved space,
     # whose values are exactly half, is scanned instead and its delta doubled
     scale = 2.0 if space.diameter > np.finfo(float).max / 2 else 1.0
     d = space.dist * 0.5 if scale > 1.0 else space.dist
-    scan = partial(_per_base_max, d)
-    first = scan(0)
-    bases, hits, quadruples = _candidate_bases(d, first[0])
-    best = DeltaResult(0.0, None)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(threads, cpus)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rest = map(scan, bases[1:]) if workers == 1 else pool.map(scan, bases[1:])
-        for w, (value, x, y, z) in zip(bases, chain([first], rest)):
-            if value > best.delta:
-                best = DeltaResult(value, (x, y, z, w))
-    if len(hits):  # bases is [0]: every other base point follows it
-        value, witness = _settle(d, hits)
-        if value > best.delta:
-            best = DeltaResult(value, witness)
-    quadruples += len(bases) * space.n**3 + len(_ORDERINGS) * len(hits)
-    return replace(best, delta=scale * best.delta, bases_scanned=len(bases), quadruples=quadruples)
+    first = _per_base_max(d, 0)
+    hits, quadruples = _pair_search(d, first[0])
+    if hits is None:
+        found = [first, *(_per_base_max(d, w) for w in range(1, n))]
+        bases, quadruples = n, quadruples + n**4
+    else:
+        # chunks of at most _BLOCK / 10 orderings, each holding about as much as a
+        # block of `_per_base_max` (8 B an entry)
+        step = max(1, _BLOCK // (10 * len(_ORDERINGS)))
+        found = [first, *(_first_maximiser(d, hits[start : start + step]) for start in range(0, len(hits), step))]
+        bases, quadruples = 1, quadruples + n**3 + len(_ORDERINGS) * len(hits)
+    # the first maximiser in (w, x, y, z) order, as folding every base point's own
+    # first maximiser in index order would find it
+    value, (w, x, y, z) = min(found, key=lambda candidate: (-candidate[0], candidate[1]))
+    witness = (x, y, z, w) if value > 0.0 else None
+    return DeltaResult(scale * value, witness, bases_scanned=bases, quadruples=quadruples)
 
 
 def check_allowance(h: float) -> None:

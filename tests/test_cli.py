@@ -119,8 +119,9 @@ def test_edge_weight_that_is_not_positive_and_finite_exits_three(weight, tmp_pat
         assert "edge ('b', 'c') has weight" in captured.err
 
 
-# Runs in a fresh interpreter: no command imports scipy, matrix inputs do not
-# load the graph kernel, graph inputs do not load numpy.ma, and the general l_p solver reads scipy.optimize on first use.
+# Runs in a fresh interpreter: no command imports scipy or concurrent.futures, matrix
+# inputs do not load the graph kernel, graph inputs do not load numpy.ma, and the general
+# l_p solver reads scipy.optimize on first use.
 _COLD_START = textwrap.dedent(
     """
     import sys
@@ -129,22 +130,29 @@ _COLD_START = textwrap.dedent(
     def scipy_modules():
         return {m for m in sys.modules if m.split(".")[0] == "scipy"}
 
-    valid, invalid, edges, out = sys.argv[1:]
+    def run(argv):
+        code = main(argv)
+        assert "concurrent.futures" not in sys.modules, argv
+        return code
+
+    valid, invalid, edges, inexact_edges, out = sys.argv[1:]
     codes = [
-        main(["certify", valid]),
-        main(["defect", valid]),
-        main(["validate", valid]),
-        main(["validate", invalid]),
-        main(["sample", "sphere:kappa=1,n=12,seed=3", "--out", out]),
+        run(["certify", valid]),
+        run(["defect", valid]),
+        run(["validate", valid]),
+        run(["validate", invalid]),
+        run(["sample", "sphere:kappa=1,n=12,seed=3", "--out", out]),
         # p = 4 bisects for the axis crossing, p = 1.5 also for the apex
-        main(["counterexample", "--p", "4"]),
-        main(["counterexample", "--p", "1.5"]),
+        run(["counterexample", "--p", "4"]),
+        run(["counterexample", "--p", "1.5"]),
     ]
     assert codes == [1, 0, 0, 2, 0, 0, 0], codes
     assert "curvcomp.pathsums" not in sys.modules
     # shortest paths of an edge list and of a graph sampler
-    assert main(["hyperbolicity", edges, "--allowance", "1.0"]) == 0
-    assert main(["sample", "tree:n=8,seed=1", "--out", out]) == 0
+    assert run(["hyperbolicity", edges, "--allowance", "1.0"]) == 0
+    # 0.3 edges: the four-point delta cuts nothing and scans every base point
+    assert run(["--threads", "4", "hyperbolicity", inexact_edges, "--allowance", "0.3"]) == 0
+    assert run(["sample", "tree:n=8,seed=1", "--out", out]) == 0
     assert not scipy_modules(), sorted(scipy_modules())
     assert "numpy.ma" not in sys.modules  # loaded by np.unique, not by import numpy
 
@@ -162,11 +170,13 @@ def test_commands_import_only_the_scipy_modules_they_call(path4_file, tmp_path):
     invalid.write_text("3\n0,1,5\n1,0,1\n5,1,0\n")
     edges = tmp_path / "path.edges"
     edges.write_text("a b 1\nb c 1\nc d 1\n")
+    inexact_edges = tmp_path / "path03.edges"
+    inexact_edges.write_text("a b 0.3\nb c 0.3\nc d 0.3\n")
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START, path4_file, str(invalid), str(edges), str(tmp_path / "s.csv")],
+        [sys.executable, "-c", _COLD_START, path4_file, *map(str, (invalid, edges, inexact_edges, tmp_path / "s.csv"))],
         capture_output=True,
         text=True,
         env=env,
@@ -635,24 +645,19 @@ def test_console_script_entry_point(path4_file):
     assert "fails" in proc.stdout
 
 
-def test_parser_is_built_once_and_keeps_no_state(monkeypatch, path4_file, capsys):
-    assert build_parser() is build_parser()
-    seen = []
-
-    def recording(space, threads):
-        seen.append(threads)
-        return delta_four_point(space, threads=threads)
-
-    monkeypatch.setattr("curvcomp.cli.delta_four_point", recording)
-    assert main(["--threads", "2", "hyperbolicity", path4_file]) == EXIT_OK
-    assert main(["hyperbolicity", path4_file]) == EXIT_OK
-    assert seen == [2, 1]
+def test_parser_is_built_once_and_keeps_no_state(path4_file):
+    parser = build_parser()
+    assert parser is build_parser()
+    argv = ["hyperbolicity", path4_file]
+    assert [parser.parse_args(["--threads", "2", *argv]).threads, parser.parse_args(argv).threads] == [2, 1]
 
 
 def test_threads_is_given_once_before_the_subcommand(monkeypatch, path4_file, capsys):
-    # certify scans on the calling thread and is never handed a thread count
+    # every command runs on the calling thread: certify and the delta are never handed a thread count
     monkeypatch.setattr("curvcomp.cli.certify", lambda space, query: certify(space, query))
+    monkeypatch.setattr("curvcomp.cli.delta_four_point", lambda space: delta_four_point(space))
     assert main(["--threads", "2", "certify", path4_file, "--epsilon", "0.5"]) == EXIT_OK
+    assert main(["--threads", "2", "hyperbolicity", path4_file]) == EXIT_OK
     capsys.readouterr()
     assert main(["certify", path4_file, "--threads", "2"]) == EXIT_USAGE
     captured = capsys.readouterr()

@@ -1,6 +1,5 @@
 """Four-point hyperbolicity and the relaxed-defect comparison."""
 import math
-import os
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -62,15 +61,15 @@ def test_delta_matches_brute_force_bitwise(monkeypatch):
             assert res.witness == want_witness
 
 
-def _pooled_spaces():
-    # the two full-scan fallbacks, where base points run on the pool: a tree with
+def _fallback_spaces():
+    # the two full-scan fallbacks, where every base point is scanned: a tree with
     # inexact edges, where nothing can be cut, and K(12, 12), whose pair search keeps
     # too many quadruples
     return [SPACES["tree_0.3"](), _complete_bipartite(12)]
 
 
 def test_delta_thread_invariance():
-    for space in _pooled_spaces():
+    for space in _fallback_spaces():
         base = delta_four_point(space, threads=1)
         assert base.bases_scanned == space.n
         for t in (2, 4, 8):
@@ -82,49 +81,32 @@ def test_delta_thread_invariance():
             delta_four_point(space, threads=bad)
 
 
-@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize("threads", (1, 2, 8))
 def test_delta_scans_each_base_point_once(monkeypatch, threads):
+    # every base point is scanned in index order on the calling thread, whatever
+    # the thread count, and no thread is started while the scans run
     per_base_max = hyperbolicity_module._per_base_max
-    lock = threading.Lock()
-    for space in _pooled_spaces():
+    for space in _fallback_spaces():
         want = _every_base_point(space.dist)
-        bases = []
+        bases, running = [], threading.active_count()
 
         def recorded(d, w):
-            with lock:
-                bases.append(w)
+            bases.append((w, threading.get_ident(), threading.active_count()))
             return per_base_max(d, w)
 
         with monkeypatch.context() as patch:
             patch.setattr(hyperbolicity_module, "_per_base_max", recorded)
             res = delta_four_point(space, threads=threads)
-        assert sorted(bases) == list(range(space.n)) and res.bases_scanned == space.n  # no base point twice
+        assert bases == [(w, threading.get_ident(), running) for w in range(space.n)]
+        assert res.bases_scanned == space.n  # no base point twice
         assert (res.delta, res.witness) == want
-
-
-def test_delta_pool_holds_no_more_workers_than_cpus(monkeypatch):
-    # every candidate base point is submitted at once, so a pool of `threads` workers
-    # would run one scan per base point, each holding about 24 n^2 bytes
-    space = from_graph([(i, i + 1, 0.1) for i in range(11)])
-    sizes = []
-
-    class Recording(hyperbolicity_module.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-
-    monkeypatch.setattr(hyperbolicity_module, "ThreadPoolExecutor", Recording)
-    res = delta_four_point(space, threads=64)
-    assert res.bases_scanned == 12
-    assert sizes and max(sizes) <= len(os.sched_getaffinity(0))
-    assert res == delta_four_point(space)  # delta and witness
 
 
 def _every_base_point(d):
     """The fold of _per_base_max over every base point in index order."""
     best = (0.0, None)
     for w in range(len(d)):
-        value, x, y, z = hyperbolicity_module._per_base_max(d, w)
+        value, (_, x, y, z) = hyperbolicity_module._per_base_max(d, w)
         if value > best[0]:
             best = (value, (x, y, z, w))
     return best
@@ -225,7 +207,7 @@ def _integer_graph(seed, n=40, edge_prob=0.06):
 def _settled_bases(space):
     # base point 0 and every point of a quadruple the pair search keeps
     d = space.dist
-    _, hits, _ = hyperbolicity_module._candidate_bases(d, hyperbolicity_module._per_base_max(d, 0)[0])
+    hits, _ = hyperbolicity_module._pair_search(d, hyperbolicity_module._per_base_max(d, 0)[0])
     return {0} | set(hits.ravel().tolist())
 
 
@@ -260,7 +242,7 @@ def test_settled_delta_matches_every_base_point_bitwise(monkeypatch, name, scale
 @pytest.mark.parametrize("name", ["unit_cycle_33", "eared_cycle_40", "integer_graph_4", "random_metric"])
 def test_delta_scans_base_point_0_alone_outside_the_fallback(monkeypatch, name):
     space = {**SETTLED, "random_metric": SPACES["random_metric"]}[name]()
-    per_base_max, candidate_bases = hyperbolicity_module._per_base_max, hyperbolicity_module._candidate_bases
+    per_base_max, pair_search = hyperbolicity_module._per_base_max, hyperbolicity_module._pair_search
     scanned, searched = [], []
 
     def recorded_scan(d, w):
@@ -268,15 +250,15 @@ def test_delta_scans_base_point_0_alone_outside_the_fallback(monkeypatch, name):
         return per_base_max(d, w)
 
     def recorded_search(d, delta_0):
-        searched.append(candidate_bases(d, delta_0))
+        searched.append(pair_search(d, delta_0))
         return searched[-1]
 
     monkeypatch.setattr(hyperbolicity_module, "_per_base_max", recorded_scan)
-    monkeypatch.setattr(hyperbolicity_module, "_candidate_bases", recorded_search)
+    monkeypatch.setattr(hyperbolicity_module, "_pair_search", recorded_search)
     res = delta_four_point(space, threads=2)
-    [(bases, hits, pair_quadruples)] = searched
-    assert scanned == bases == [0] and res.bases_scanned == 1
-    assert len(hits) > 0
+    [(hits, pair_quadruples)] = searched
+    assert scanned == [0] and res.bases_scanned == 1
+    assert hits is not None and len(hits) > 0
     # one full scan, the pair search, and 24 orderings of each kept quadruple
     assert res.quadruples == space.n**3 + pair_quadruples + 24 * len(hits)
 
@@ -359,25 +341,34 @@ def _bipartite_and_star(a=6, b=10, leaves=64):
 
 def test_delta_memory_stays_below_cubic_just_under_the_kept_cap(monkeypatch):
     # K(6, 10) has 15 * 45 = 675 four-cycles, and the pair search keeps at most
-    # max(2^14, 80^2) / 24 = 682 quadruples at n = 80: the settle evaluates 16,200
+    # max(2^14, 80^2) / 24 = 682 quadruples at n = 80: the settling evaluates 16,200
     # orderings, in chunks that hold no more than one base point's full scan
     space = _bipartite_and_star()
     d = space.dist
     want = _every_base_point(d)
-    settle, kept = hyperbolicity_module._settle, []
+    pair_search, first_maximiser = hyperbolicity_module._pair_search, hyperbolicity_module._first_maximiser
+    kept, chunks = [], []
 
-    def recorded(d, hits):
+    def recorded_search(d, delta_0):
+        hits, quadruples = pair_search(d, delta_0)
         kept.append(hits)
-        return settle(d, hits)
+        return hits, quadruples
 
-    monkeypatch.setattr(hyperbolicity_module, "_settle", recorded)
+    def recorded_chunk(d, quads):
+        chunks.append(quads)
+        return first_maximiser(d, quads)
+
+    monkeypatch.setattr(hyperbolicity_module, "_pair_search", recorded_search)
+    monkeypatch.setattr(hyperbolicity_module, "_first_maximiser", recorded_chunk)
     tracemalloc.start()
     try:
         res = delta_four_point(space, threads=1)
         peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        settle(d, kept[0])
-        settle_peak = tracemalloc.get_traced_memory()[1]
+        settle_peak = 0
+        for quads in chunks:
+            tracemalloc.reset_peak()
+            first_maximiser(d, quads)
+            settle_peak = max(settle_peak, tracemalloc.get_traced_memory()[1])
         tracemalloc.reset_peak()
         hyperbolicity_module._per_base_max(d, 0)
         scan_peak = tracemalloc.get_traced_memory()[1]
@@ -385,6 +376,7 @@ def test_delta_memory_stays_below_cubic_just_under_the_kept_cap(monkeypatch):
         tracemalloc.stop()
     assert (res.delta, res.witness, res.bases_scanned) == (*want, 1)
     assert len(kept[0]) == 675 <= max(hyperbolicity_module._BLOCK, space.n**2) // 24
+    assert np.array_equal(np.concatenate(chunks), kept[0])
     assert settle_peak < scan_peak
     assert peak < 1_000_000
 
@@ -393,13 +385,14 @@ def test_delta_keeps_few_quadruples_on_a_long_cycle(monkeypatch):
     # every base point of C160 is a candidate; one full scan holds 24 n^2 B = 0.6 MB and
     # a pair-search block about 0.5 MB, and the kept quadruples add no more than 2 kB each
     space = _unit_cycle(160)
-    settle, kept = hyperbolicity_module._settle, []
+    pair_search, kept = hyperbolicity_module._pair_search, []
 
-    def recorded(d, hits):
+    def recorded(d, delta_0):
+        hits, quadruples = pair_search(d, delta_0)
         kept.append(len(hits))
-        return settle(d, hits)
+        return hits, quadruples
 
-    monkeypatch.setattr(hyperbolicity_module, "_settle", recorded)
+    monkeypatch.setattr(hyperbolicity_module, "_pair_search", recorded)
     tracemalloc.start()
     try:
         res = delta_four_point(space, threads=1)

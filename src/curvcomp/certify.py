@@ -5,18 +5,20 @@ compared against its model circumradius. Row i holds the triples with
 smallest index i. The scan builds one pair-major layout, the pairs (j, k),
 j < k, in lexicographic order with their d, P and C (below), so that row i is
 a suffix of it. Consecutive whole rows form a block while the block holds no
-more triples than its capacity, the larger of row 0's count, the largest row,
-and _TRIPLES = 8192. A block is one set of array operations and one
-model-kernel call, so numpy's fixed cost per call is paid once a block rather
-than once a row. From n = 130 on, row 0 holds more than _TRIPLES: row 0 is a
-block of its own, a block's arrays stay the size of one row's, and a scan
-takes about n / 2.3 blocks. Below, the budget takes the place of row 0: n = 75
-takes 10 blocks, not 33, and n = 40 two, not 17. Index arrays have the
-narrowest unsigned type that holds a flat index of the n x n and n x m tables.
-`_scan_rows` yields the blocks in lexicographic order, and each caller reduces
-only what it reports: `certify` the worst defect of its query's direction,
-`defect_profile` both directions and the beta curve, and `defect_histogram`
-the bins of every defect. No per-triple value outlives its block.
+more triples than its capacity, the larger of row 0's count and
+_TRIPLES = 8192. A block is one set of array operations and one model-kernel
+call, so numpy's fixed cost per call is paid once a block rather than once a
+row. From n = 130 on, row 0 holds more than _TRIPLES: row 0 is a block of its
+own, a block's arrays stay the size of one row's, and a scan takes about
+n / 2.3 blocks. Below, the budget takes the place of row 0: n = 75 takes 10
+blocks, not 33, and n = 40 two, not 17. Index arrays have the narrowest
+unsigned type that holds a flat index of the n x n and n x m tables.
+`_scan_rows` calls `_scan_block` once for each range of rows, a block or, in
+the pruned lower scan below, several, and yields the results in lexicographic
+order. Each caller reduces only what it reports: `certify` the worst defect of
+its query's direction, `defect_profile` both directions and the beta curve, and
+`defect_histogram` the bins of every defect. No per-triple value outlives its
+call.
 
 r_space = min_x max(d(x, i), d(x, j), d(x, k)) would cost O(m) per triple
 over m candidates. The scan first builds one pair table over the candidate
@@ -26,14 +28,14 @@ bounds in O(1): lb = max(P[i, j], P[i, k], P[j, k]) <= r_space, and ub, the
 least over its three pairs of max(P[a, b], d(C[a, b], c)) >= r_space. ub is the max at one
 candidate and max/min never round, so where ub == lb, r_space is ub bitwise.
 Only the other triples take the candidate min-max, row by row within a
-block, in chunks of _BLOCK entries (one triple at least). Each `_Worst`
+call, in chunks of _BLOCK entries (one triple at least). Each `_Worst`
 keeps a floor, the largest lower bound on its direction's defect over the
-blocks seen so far (and at least the running epsilon), updated once a
-block. The floor never exceeds epsilon*, so triples whose upper bound is
-below it cannot be the witness and are dropped; `Verdict.gathered` counts
-the triples whose min-max was evaluated. `certify` keeps one worst;
-`defect_profile` one per direction, and drops a triple only when it can reach
-neither floor; `defect_histogram` none.
+calls seen so far (and at least the running epsilon), raised once a call
+from the kernel's radii. The floor never exceeds epsilon*, so triples whose
+upper bound is below it cannot be the witness and are dropped before the
+min-max; `Verdict.gathered` counts the triples whose min-max was evaluated.
+`certify` keeps one worst; `defect_profile` one per direction, and drops a
+triple only when it can reach neither floor; `defect_histogram` none.
 
 The scan takes ascending betas: `certify` its query's one, `defect_profile` 0 and
 its grid, `defect_histogram` 0. A triple is admitted when its shortest
@@ -45,29 +47,34 @@ are nonincreasing in the level and one `take` of the floors by level replaces a
 mask per beta. At n = 200 a 1000-value grid costs 1.0-1.7 times no grid, where a
 worst per beta cost 24-63 times.
 
-Every block works in one order: the triples' bounds, then one mask of the
-admitted triples that pass the perimeter filter and, once a floor is
-positive, the model-radius bracket, then the model kernel on the kept triples.
-In M_kappa a triangle with longest side a has a / 2 <= r_model <= rho_kappa(a),
-the circumradius of the equilateral triangle with side a (Jung's theorem in the
-model planes), and `modelplane.model_radius_bracket` widens both ends so that the
-bracket holds the kernel's radius; its docstring states where it is left open. The
-defect bound, ub less the bracket's lower end (upper direction) or its upper end
-less lb (lower), is at least the kernel's, so the triples it puts below the floor
-are dropped before the kernel: outputs stay bitwise, `gathered` included, and
-`Verdict.modelled` counts the triangles the kernel saw.
+Every call works in one order: the triples' bounds, then one mask of the
+admitted triples that pass the perimeter filter and, for `certify`'s upper
+direction once its floor is positive, the model-radius bracket, then the model
+kernel on the kept triples. In M_kappa a triangle with longest side a has
+a / 2 <= r_model <= rho_kappa(a), the circumradius of the equilateral triangle
+with side a (Jung's theorem in the model planes), and
+`modelplane.model_radius_bracket` widens both ends so that the bracket holds the
+kernel's radius; its docstring states where it is left open. The defect bound,
+ub less the bracket's lower end, is at least the kernel's, so the triples it puts
+below the floor are dropped before the kernel: outputs stay bitwise, `gathered`
+included, and `Verdict.modelled` counts the triangles the kernel saw. No other
+scan brackets: the lower direction's bound needs rho_kappa(a) per triple, which
+cost about as much as the kernel call it skipped, so `defect_profile` and
+`certify`'s lower direction model every triple they build.
 
-`certify`'s lower direction also prunes pairs: g(a, b), the bracket's upper end at
-d(a, b) less P[a, b], bounds the lower defect of every triple whose longest
-side is (a, b), since r_space >= P[a, b]. Once the floor is positive and no
-perimeter reaches the cap, the scan builds only the triples that hold a pair
-whose g reaches the floor, one kernel call covers consecutive blocks, and each
-block still raises the floor and drops triples as it would alone. A holding
+`certify`'s lower direction prunes pairs instead: g(a, b), the bracket's upper
+end at d(a, b) less P[a, b], bounds the lower defect of every triple whose
+longest side is (a, b), since r_space >= P[a, b]. Once the floor is positive
+and no perimeter reaches the cap, the scan builds only the triples that hold a
+pair whose g reaches the floor, and one call takes the consecutive blocks that
+`_pruned_end` groups: one `_hot_triples`, one kernel call and one floor update.
+Its floor then rises over several blocks at once, so it gathers no more
+triples than a call per block would, and its outputs stay bitwise. A holding
 input keeps its floor at 0 and scans every triple.
 
 The scan runs on the calling thread. A random metric's upper direction gathers
 about 16% of its triples, and that min-max, not the kernel, takes most of its
-time; `defect_profile` gathers 11-19% and models about 22% of them, and
+time; `defect_profile` gathers 11-19% and models every admitted triple, and
 `defect_histogram` gathers 65-87% and models all (n = 40 to 300).
 """
 from __future__ import annotations
@@ -342,10 +349,10 @@ def _finish(cols, block):
     return int(gather.size), (I, J, K, rs - rm, rs, rm, level)
 
 
-def _scan_block(space, cols, table, pairs, starts, offset, kappa, grades, cap, front, hot, blocks):
-    """For each of `blocks`, consecutive ranges of whole rows, yield its skipped, gathered
-    and modelled counts and its triples as arrays (I, J, K, defect, r_space, r_model,
-    level) in lexicographic order.
+def _scan_block(space, cols, table, pairs, starts, offset, kappa, grades, cap, front, hot, rows):
+    """The skipped, gathered and modelled counts of `rows`, a range of consecutive whole
+    rows, and their triples as arrays (I, J, K, defect, r_space, r_model, level) in
+    lexicographic order.
 
     `pairs` is the pair-major layout: the pairs (j, k), j < k, in lexicographic
     order with their d, P and C, and `offset[a]` the position of the pair (a, a + 1).
@@ -362,14 +369,13 @@ def _scan_block(space, cols, table, pairs, starts, offset, kappa, grades, cap, f
     and the diagonal's is the top one. Level -1 is not admitted.
 
     The rows' triples get their radius bounds, then one mask keeps those that are
-    admitted and pass the perimeter filter and, once a floor of the `_Worst`s in
-    `front` is positive, whose bracketed defect bound reaches one of their floors,
-    and the model kernel runs on the kept triples. Then each block in turn keeps the
-    triples whose defect bound from the kernel reaches one of the floors, which it
-    raises first.
+    admitted and pass the perimeter filter and, when `front` is one upper worst with
+    a positive floor, whose bracketed defect bound reaches it, and the model kernel
+    runs on the kept triples. Each worst of `front` then raises its floor once from
+    the kernel's defect bounds, and the triples that reach none of the floors are
+    dropped before the gather.
     """
     d, n = space.dist, space.n
-    rows = range(blocks[0].start, blocks[-1].stop)
     if hot is not None:
         I, at = _hot_triples(hot, pairs, starts, offset, rows)
         J, K, d_jk, p_jk, c_jk = (v.take(at) for v in pairs)
@@ -397,9 +403,9 @@ def _scan_block(space, cols, table, pairs, starts, offset, kappa, grades, cap, f
         skipped = int(np.count_nonzero(keep & ~small))
         keep = keep & small
         del small
-    if any(w.floor[0] > 0 for w in front):
+    if len(front) == 1 and front[0].sign > 0 and front[0].floor[0] > 0:
         long = sides[2] if ordered else np.maximum(np.maximum(sides[0], sides[1]), sides[2])
-        keep = functools.reduce(np.logical_or, [w.bracket(lb, ub, long, level) for w in front]) & keep
+        keep = front[0].bracket(ub, long) & keep
         del long
     if not keep.all():
         keep = np.flatnonzero(keep)
@@ -416,25 +422,19 @@ def _scan_block(space, cols, table, pairs, starts, offset, kappa, grades, cap, f
     modelled = rm.size
     # one level: 0 for every kept triple, in the index type, so that its takes are the size of
     # J's and numpy's cache of small freed buffers gains no sizes of its own
-    group = [I, J, K, np.zeros(rm.shape, J.dtype) if level is None else level, rm, lb, ub]
+    block = [I, J, K, np.zeros(rm.shape, J.dtype) if level is None else level, rm, lb, ub]
     del I, J, K, level, rm, lb, ub
-    cuts = np.searchsorted(group[0], [block.stop for block in blocks]).tolist()
-    for t, (start, stop) in enumerate(zip([0, *cuts], cuts)):
-        part = [v[start:stop] for v in group]
-        if front:
-            keep = np.flatnonzero(functools.reduce(np.logical_or, [w.reach(part) for w in front]))
-            part = [v.take(keep) for v in part]
-            del keep
-        if t == len(cuts) - 1:
-            group.clear()  # the last gather needs only `part`, so the rows' arrays go with it
-        gathered, block = _finish(cols, part)
-        yield skipped, gathered, modelled, block
-        skipped = modelled = 0
+    if front:
+        keep = np.flatnonzero(functools.reduce(np.logical_or, [w.reach(block) for w in front]))
+        block = [v.take(keep) for v in block]
+        del keep
+    gathered, block = _finish(cols, block)
+    return skipped, gathered, modelled, block
 
 
 def _scan_rows(space, kappa, policy, betas, degenerate, max_perimeter, front=()):
-    """(skipped, gathered, modelled, block) for blocks of consecutive whole rows, in index
-    order, from `_scan_block`; row i holds the triples with smallest index i.
+    """(skipped, gathered, modelled, block) of one `_scan_block` call for each range of
+    consecutive whole rows, in index order; row i holds the triples with smallest index i.
 
     `betas` is ascending. A triple is admitted when its shortest distinct-pair side is
     at least betas[0], and its level is the largest g with betas[g] <= that side: it
@@ -442,9 +442,10 @@ def _scan_rows(space, kappa, policy, betas, degenerate, max_perimeter, front=())
     space, and each triple takes the least level of its pairs.
 
     Consecutive whole rows form a block while it holds no more triples than
-    `_capacity(counts)`: row 0's, or _TRIPLES when row 0 holds fewer. For one
-    lower-direction worst and no perimeter cap, once its pair prune applies, one
-    `_scan_block` call takes the blocks that `_pruned_end` gives.
+    `_capacity(counts)`: row 0's, or _TRIPLES when row 0 holds fewer. Each call takes
+    one block, except for one lower-direction worst and no perimeter cap: once its
+    pair prune applies, one call takes the rows of the blocks that `_pruned_end` gives,
+    and the worst's floor rises once over all of them.
 
     kappa and the perimeter cap are checked, and the candidate columns, their pair
     table and the pair-major layout built, when the first block is asked for.
@@ -473,7 +474,8 @@ def _scan_rows(space, kappa, policy, betas, degenerate, max_perimeter, front=())
     while b < len(blocks):
         hot = front[0].hot(pairs) if prune else None
         end = b + 1 if hot is None else _pruned_end(blocks, b, hot, offset, starts, counts)
-        yield from _scan_block(space, cols, table, pairs, starts, offset, k, grades, cap, front, hot, blocks[b:end])
+        rows = range(blocks[b].start, blocks[end - 1].stop)
+        yield _scan_block(space, cols, table, pairs, starts, offset, k, grades, cap, front, hot, rows)
         b = end
 
 
@@ -486,7 +488,8 @@ class _Worst:
 
     `floor` is the largest lower bound on this direction's defect seen so far, and
     at least `epsilon`; it never exceeds the final epsilon, so a triple whose
-    upper bound is below it cannot be the witness.
+    upper bound is below it cannot be the witness. `reach` raises it once per
+    `_scan_block` call, from the kernel's radii.
 
     Both are arrays with one entry per level of the scan's betas, or one entry that
     counts every admitted triple. Entry g counts the triples of level g and above, so
@@ -498,10 +501,6 @@ class _Worst:
         self.sign, self.pick = (1.0, np.argmax) if direction == "upper" else (-1.0, np.argmin)
         self.epsilon, self.record = np.zeros(levels), None  # record: (i, j, k, r_space, r_model)
         self.floor, self.k, self.gap = np.zeros(levels), k, None  # k: the curvature of the bracket and prune
-
-    def _floor_of(self, level):
-        """The floor that each triple of level `level` must reach."""
-        return self.floor[0] if self.floor.size == 1 else self.floor.take(level)
 
     def _top(self, values, level):
         """For each level g, the largest of `values` over the triples of level g and above,
@@ -525,16 +524,12 @@ class _Worst:
             self.gap -= pairs[3]  # and their P
         return self.gap >= self.floor[0]
 
-    def bracket(self, lb, ub, long, level) -> np.ndarray:
-        """Mask of the triples, with r_space in [lb, ub], longest side `long` and level
-        `level`, whose defect bound from `model_radius_bracket` reaches their floor. The
-        kernel's r_model lies inside the bracket, so the mask keeps every triple that
-        `reach` keeps."""
-        if self.sign > 0:
-            bound = ub - model_radius_bracket(long, self.k, "lower")
-        else:
-            bound = model_radius_bracket(long, self.k, "upper") - lb
-        return bound >= self._floor_of(level)
+    def bracket(self, ub, long) -> np.ndarray:
+        """Mask of the triples, with r_space <= ub and longest side `long`, whose upper
+        defect bound ub - r_lo reaches floor[0], r_lo being the lower end of
+        `model_radius_bracket`. The kernel's r_model is at least r_lo, so the mask keeps
+        every triple that `reach` keeps. Only an upper worst of one level brackets."""
+        return ub - model_radius_bracket(long, self.k, "lower") >= self.floor[0]
 
     def reach(self, block) -> np.ndarray:
         """Mask of the triples of `block`, arrays (I, J, K, level, r_model, lb, ub) with
@@ -542,7 +537,7 @@ class _Worst:
         level, rm, lb, ub = block[3:]
         low, high = (lb - rm, ub - rm) if self.sign > 0 else (rm - ub, rm - lb)
         self.floor = np.fmax(self.floor, self._top(low, level))  # a nan bound leaves the floor as it was
-        return high >= self._floor_of(level)
+        return high >= (self.floor[0] if self.floor.size == 1 else self.floor.take(level))
 
     def add(self, block) -> None:
         I, J, K, defect, rs, rm, level = block

@@ -115,13 +115,18 @@ def _is_float(text: str) -> bool:
 def _attach_float_values(argv: list[str]) -> list[str]:
     """argv with each float option and a value that starts with "-" and that `float`
     takes, "--kappa -1e-200", joined into "--kappa=-1e-200", which argparse reads
-    alike for every value."""
+    alike for every value; and `--beta-grid` likewise, when `float` takes every
+    non-empty entry of its comma-separated value, "--beta-grid -0.0,1"."""
     out, t = [], 0
     while t < len(argv):
         if argv[t] == "--":
             return out + argv[t:]
         value = argv[t + 1] if t + 1 < len(argv) else ""
-        if argv[t] in _FLOAT_OPTIONS and value.startswith("-") and _is_float(value):
+        if argv[t] == "--beta-grid":
+            floats = [x for x in value.split(",") if x.strip()]
+        else:
+            floats = [value] if argv[t] in _FLOAT_OPTIONS else []
+        if value.startswith("-") and floats and all(map(_is_float, floats)):
             out.append(f"{argv[t]}={value}")
             t += 2
         else:

@@ -186,11 +186,11 @@ def _sample(spec: GeneratorSpec, rng: np.random.Generator) -> FiniteMetricSpace:
         pts = rng.uniform(0.0, spec.box, size=(spec.n, 2))
         return validate_metric(lp_distances(pts, spec.p), embedding=Embedding(pts, spec.p))
     if kind == "tree":
-        _require(spec.n >= 2 and spec.edge_length > 0 and spec.subdivision >= 0, "tree needs n>=2, edge_length>0")
+        _require(spec.n >= 2 and spec.edge_length > 0 and spec.subdivision >= 0, "tree needs n>=2, edge_length>0, subdivision>=0")
         edges = _subdivide(_random_tree_edges(spec.n, rng, spec.edge_length), spec.subdivision)
         return from_graph(edges)
     if kind == "grid":
-        _require(spec.width >= 1 and spec.height >= 1 and spec.width * spec.height >= 2, "grid needs width, height >= 1")
+        _require(spec.width >= 1 and spec.height >= 1 and spec.width * spec.height >= 2, "grid needs width, height >= 1 and width*height >= 2")
         w, h = spec.width, spec.height
         edges = []
         for y in range(h):

@@ -352,17 +352,19 @@ BRACKET_SPACES = {
 
 def _unbracketed(patch):
     """certify as before the model-radius bracket and the pair prune: every triple is
-    modelled, and `reach` alone drops triples."""
+    modelled, and `reach` alone drops triples, once a block."""
     patch.setattr(certify_module._Worst, "hot", lambda self, pairs: None)
-    patch.setattr(certify_module._Worst, "bracket", lambda self, lb, *_: np.ones(lb.shape, dtype=bool))
+    patch.setattr(certify_module._Worst, "bracket", lambda self, ub, long: np.ones(ub.shape, dtype=bool))
 
 
 @pytest.mark.parametrize("case", sorted(BRACKET_SPACES))
 def test_bracket_and_prune_change_no_result(case, monkeypatch):
-    # every verdict, witness and skipped and gathered count is the unbracketed scan's,
-    # and at kappa = 0 brute force's; the bracket and the prune only skip model radii.
-    # Blocks of at most row 0's triples give these small spaces several blocks, so that
-    # the floors rise between them
+    # every verdict, witness and skipped count is the unbracketed scan's, and at kappa = 0
+    # brute force's; the bracket and the prune only skip model radii. Upper gathers the
+    # same triples. A pruned lower call raises its floor once over several blocks, and
+    # the triples it leaves out cannot raise it, so lower gathers no more than the
+    # unbracketed scan. Blocks of at most row 0's triples give these small spaces several
+    # blocks, so that the floors rise between them
     monkeypatch.setattr(certify_module, "_TRIPLES", 1)
     space = BRACKET_SPACES[case](np.random.default_rng(len(case)))
     fewer = 0
@@ -374,7 +376,11 @@ def test_bracket_and_prune_change_no_result(case, monkeypatch):
         with monkeypatch.context() as patch:
             _unbracketed(patch)
             full = certify(space, query)
-        assert dataclasses.replace(v, modelled=0) == dataclasses.replace(full, modelled=0)
+        if direction == "upper":
+            assert dataclasses.replace(v, modelled=0) == dataclasses.replace(full, modelled=0)
+        else:
+            assert dataclasses.replace(v, modelled=0, gathered=0) == dataclasses.replace(full, modelled=0, gathered=0)
+            assert v.gathered <= full.gathered
         assert v.modelled <= full.modelled
         fewer += v.modelled < full.modelled
         if kappa == 0.0:
@@ -528,29 +534,75 @@ def test_row_blocks_fill_up_to_the_capacity(degenerate, monkeypatch):
     assert certify_module._TRIPLES <= _row_triples(150, 0, False)
 
 
+def _logged(events, name, method):
+    """`method`, appending `name` to `events` at each call."""
+
+    def wrapped(*args):
+        events.append(name)
+        return method(*args)
+
+    return wrapped
+
+
 def test_certify_scans_every_row_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(certify_module, "_TRIPLES", 1)  # row 0's capacity: several blocks at n = 12
-    space = validate_metric(random_metric_matrix(np.random.default_rng(5), 12))
-    n = space.n
+    small = validate_metric(random_metric_matrix(np.random.default_rng(5), 12))
+    # lower fails here at kappa = -1, so that the pair prune runs and some calls span several blocks
+    failing = validate_metric(random_metric_matrix(np.random.default_rng(5), 40))
     scan_block = certify_module._scan_block
-    blocks = []
+    calls = []
 
     def recorded(*args):
-        blocks.extend((list(rows), threading.get_ident()) for rows in args[-1])
+        calls.append((list(args[-1]), threading.get_ident()))
         return scan_block(*args)
 
     monkeypatch.setattr(certify_module, "_scan_block", recorded)
-    for degenerate in (False, True):
-        blocks.clear()
-        certify(space, CurvatureQuery(kappa=-1.0, direction="upper", degenerate_pairs=degenerate), threads=4)
+    for (space, direction), degenerate in itertools.product(((small, "upper"), (failing, "lower")), (False, True)):
+        n = space.n
+        calls.clear()
+        v = certify(space, CurvatureQuery(kappa=-1.0, direction=direction, degenerate_pairs=degenerate), threads=4)
         # consecutive whole rows, covering 0 .. n - 1 once and in order, on the calling thread
-        assert all(rows for rows, _ in blocks)
-        assert [i for rows, _ in blocks for i in rows] == list(range(n))
-        assert {thread for _, thread in blocks} == {threading.get_ident()}
-        # no block holds more triples than row 0, and some hold several rows
-        row0 = _row_triples(n, 0, degenerate)
-        assert all(sum(_row_triples(n, i, degenerate) for i in rows) <= row0 for rows, _ in blocks)
-        assert len(blocks) < n
+        assert all(rows for rows, _ in calls)
+        assert [i for rows, _ in calls for i in rows] == list(range(n))
+        assert {thread for _, thread in calls} == {threading.get_ident()}
+        counts = [_row_triples(n, i, degenerate) for i in range(n)]
+        if direction == "upper":
+            # no call holds more triples than row 0, and some hold several rows
+            assert all(sum(counts[i] for i in rows) <= counts[0] for rows, _ in calls)
+            assert len(calls) < n
+        else:
+            assert not v.holds
+            assert len(calls) < len(list(certify_module._row_blocks(counts)))
+
+
+def test_pruned_lower_scan_raises_its_floor_once_per_kernel_call(monkeypatch):
+    # one pruned call builds the hot triples of several blocks, models them in one kernel
+    # call and raises the floor once from all of their bounds. The lower direction brackets
+    # no triple: the one model_radius_bracket call is the pair prune's gap
+    monkeypatch.setattr(certify_module, "_TRIPLES", 1)
+    space = validate_metric(random_metric_matrix(np.random.default_rng(5), 40))
+    batch, bracket, reach = certify_module.model_circumradius_batch, certify_module.model_radius_bracket, certify_module._Worst.reach
+    scan_block = certify_module._scan_block
+    events, calls = [], []
+
+    def recorded(*args):
+        calls.append(args[-1])
+        events.append("scan")
+        return scan_block(*args)
+
+    monkeypatch.setattr(certify_module, "model_circumradius_batch", _logged(events, "kernel", batch))
+    monkeypatch.setattr(certify_module, "model_radius_bracket", _logged(events, "bracket", bracket))
+    monkeypatch.setattr(certify_module._Worst, "reach", _logged(events, "reach", reach))
+    monkeypatch.setattr(certify_module, "_scan_block", recorded)
+    for kappa, degenerate in itertools.product((0.0, -1.0), (False, True)):
+        events.clear()
+        calls.clear()
+        v = certify(space, CurvatureQuery(kappa=kappa, direction="lower", degenerate_pairs=degenerate))
+        assert not v.holds
+        assert events.count("bracket") <= 1
+        assert [e for e in events if e != "bracket"] == ["scan", "kernel", "reach"] * len(calls)
+        starts = [rows.start for rows in certify_module._row_blocks([_row_triples(40, i, degenerate) for i in range(40)])]
+        assert any(sum(start in rows for start in starts) > 1 for rows in calls)
 
 
 def test_scan_calls_the_model_kernel_once_per_block(monkeypatch):
@@ -592,10 +644,10 @@ def test_scan_calls_the_model_kernel_once_per_block(monkeypatch):
 
 def test_defect_profile_drops_triples_below_its_floors(monkeypatch):
     # on a failing random metric both directions' floors and the curve's turn positive,
-    # and the profile models and gathers only the triples that can still reach one of
-    # them: about a fifth here. The histogram counts every defect, so its scan models
-    # every triple and gathers each min-max that ub != lb leaves. Blocks of at most row 0's
-    # triples let the floors rise between blocks at n = 40
+    # and the profile gathers only the triples that can still reach one of them. It
+    # brackets none, so it models every admitted triple, as the histogram does; the
+    # histogram counts every defect, so its scan also gathers each min-max that ub != lb
+    # leaves. Blocks of at most row 0's triples let the floors rise between blocks at n = 40
     monkeypatch.setattr(certify_module, "_TRIPLES", 1)
     n = 40
     space = validate_metric(random_metric_matrix(np.random.default_rng(5), n))
@@ -616,7 +668,7 @@ def test_defect_profile_drops_triples_below_its_floors(monkeypatch):
     defect_histogram(space, kappa=0.0)
     gathered, modelled = map(sum, zip(*counts))
     assert modelled == math.comb(n, 3)
-    assert profile_modelled < modelled / 2
+    assert profile_modelled == modelled
     assert profile_gathered < gathered / 2
 
 
@@ -756,41 +808,34 @@ def test_beta_curve_levels_are_exact(monkeypatch):
 
 
 def test_defect_profile_brackets_once_per_direction_whatever_the_grid(monkeypatch):
-    # one _Worst per direction: the upper one grades its floors by level, so each model-kernel
-    # call of the profile runs the model-radius bracket at most once per direction, not once
-    # per beta of the grid. Blocks of at most row 0's triples let the floors rise between blocks
+    # one _Worst per direction, whatever the grid: the upper one grades its floors by level.
+    # The profile's scan runs no model-radius bracket, and one model-kernel call per
+    # _scan_block call, for grids of 0, 3 and 100 values. Blocks of at most row 0's triples
+    # let the floors rise between blocks
     monkeypatch.setattr(certify_module, "_TRIPLES", 1)
     space = validate_metric(random_metric_matrix(np.random.default_rng(5), 40))
     batch, bracket, worst = certify_module.model_circumradius_batch, certify_module.model_radius_bracket, certify_module._Worst
-    calls, built, pending = [], [], Counter()
-
-    def kernel(*args):
-        # the bracket calls that this block made before its kernel call
-        calls.append(pending.copy())
-        pending.clear()
-        return batch(*args)
-
-    def counted(long, k, end):
-        pending[end] += 1
-        return bracket(long, k, end)
+    scan_block = certify_module._scan_block
+    events, built = [], []
 
     class Counted(worst):
         def __init__(self, *args):
             built.append(args)
             super().__init__(*args)
 
-    monkeypatch.setattr(certify_module, "model_circumradius_batch", kernel)
-    monkeypatch.setattr(certify_module, "model_radius_bracket", counted)
+    monkeypatch.setattr(certify_module, "model_circumradius_batch", _logged(events, "kernel", batch))
+    monkeypatch.setattr(certify_module, "model_radius_bracket", _logged(events, "bracket", bracket))
+    monkeypatch.setattr(certify_module, "_scan_block", _logged(events, "scan", scan_block))
     monkeypatch.setattr(certify_module, "_Worst", Counted)
     for size in (0, 3, 100):
-        calls.clear()
+        events.clear()
         built.clear()
         grid = np.linspace(0.0, space.diameter, size).tolist()
-        defect_profile(space, kappa=0.0, beta_grid=grid)
+        profile = defect_profile(space, kappa=0.0, beta_grid=grid)
+        assert profile.epsilon_star_upper > 0 and profile.epsilon_star_lower > 0
         assert len(built) == 2
-        # the bracket's lower end bounds the upper direction, its upper end the lower one
-        assert sum(c["lower"] for c in calls) > 0 and sum(c["upper"] for c in calls) > 0
-        assert all(c["lower"] <= 1 and c["upper"] <= 1 for c in calls)
+        assert "bracket" not in events
+        assert events.count("scan") > 1 and events == ["scan", "kernel"] * events.count("scan")
 
 
 def test_certify_counts_skipped_large_triangles():

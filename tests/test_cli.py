@@ -340,12 +340,15 @@ def test_tiny_curvature_gives_the_plane_verdict(kappa, tmp_path, capsys):
         (["hyperbolicity", "{eq}", "--allowance", "-1e-3"], EXIT_USAGE),
         (["counterexample", "--p", "-1e-3"], EXIT_USAGE),
         (["counterexample", "--p", "-inf"], EXIT_USAGE),
+        (["defect", "{eq}", "--beta-grid", "-0.0,1"], EXIT_OK),
+        (["defect", "{eq}", "--beta-grid", "-1,2"], EXIT_USAGE),
     ],
 )
 def test_float_options_take_values_that_start_with_a_minus(argv, code, tmp_path, capsys):
     # "--kappa -1e-200" exited 3 with "expected one argument": argparse took -1e-200 for an
-    # option. Both forms now give the same exit code, output and report, and a negative
-    # value that the library refuses exits 3 with the library's own message
+    # option, and "--beta-grid -0.0,1" likewise. Both forms now give the same exit code,
+    # output and report, and a negative value that the library refuses exits 3 with the
+    # library's own message
     eq = tmp_path / "eq.csv"
     eq.write_text("3\n0,1,1\n1,0,1\n1,1,0\n")
     argv = [str(eq) if a == "{eq}" else a for a in argv]
@@ -516,6 +519,24 @@ def test_sample_rejects_a_repeated_parameter(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["sample", "sphere:kappa=1,n=3,n=5", "--out", str(out)]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: generator parameter 'n' given twice\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec,rule",
+    [
+        # both sides are 1: the check that fails is the one on the vertex count
+        ("grid:width=1,height=1", "width*height >= 2"),
+        ("tree:n=3,subdivision=-1", "subdivision>=0"),
+    ],
+)
+def test_sample_names_the_rule_it_breaks(spec, rule, tmp_path, capsys):
+    # the messages read "grid needs width, height >= 1" and "tree needs n>=2, edge_length>0",
+    # neither of which these specs break
+    out = tmp_path / "x.csv"
+    assert main(["sample", spec, "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and rule in captured.err
     assert not out.exists()
 
 

@@ -11,7 +11,8 @@ crossing between two adjacent floats, as it does the apex coordinate for
 1 < p < 2, and the radius' error bound comes from the gap between the two
 distances at the better end, the evaluation rounding and the apex
 coordinate. `check_counterexample` is plain float arithmetic, its sides
-the expression that scipy's cdist evaluates, so it loads no scipy module.
+`_lp_side`, the scalar copy of `metricspace.lp_distances`, so it loads no
+scipy module.
 """
 from __future__ import annotations
 
@@ -23,8 +24,7 @@ import numpy as np
 
 from .circumradius import CircumResult, linf_circumcenter
 from .circumradius import lp_circumradius  # noqa: F401  (re-exported name that bench/spans.py wraps)
-from .generators import lp_distances
-from .metricspace import Embedding, FiniteMetricSpace, InvalidPError, SideLengths, check_p, validate_metric
+from .metricspace import Embedding, FiniteMetricSpace, InvalidPError, SideLengths, check_p, lp_distances, validate_metric
 from .modelplane import model_circumradius
 
 
@@ -140,8 +140,9 @@ def _axis_circumradius(p: float, verts) -> tuple[CircumResult, float]:
 
 
 def _lp_side(u, v, p: float) -> float:
-    """l_p distance of two plane points, as the expression scipy's cdist
-    evaluates for "minkowski" (and "chebyshev" at p = inf), so bitwise its value."""
+    """l_p distance of two plane points: the expression that `lp_distances`'
+    cdist evaluates for "minkowski" ("chebyshev" at p = inf), so bitwise its
+    value, without loading scipy."""
     dx, dy = abs(u[0] - v[0]), abs(u[1] - v[1])
     if math.isinf(p):
         return max(dx, dy)
@@ -186,5 +187,5 @@ def counterexample_space(p: float, fillers: int = 2, seed: int = 0) -> FiniteMet
     pts = np.vstack([verts, extra])
     labels = ["A'", "B", "C"] + [f"F{i + 1}" for i in range(fillers)]
     return validate_metric(
-        lp_distances(pts, p), labels=labels, embedding=Embedding(pts, p)
+        lp_distances(pts, pts, p), labels=labels, embedding=Embedding(pts, p)
     )

@@ -12,6 +12,7 @@ from .metricspace import (
     FiniteMetricSpace,
     InvalidParameterError,
     from_graph,
+    lp_distances,
     validate_metric,
 )
 
@@ -120,17 +121,6 @@ def hyperboloid_distances(points: np.ndarray, kappa: float) -> np.ndarray:
     return np.minimum(d, d.T)
 
 
-def lp_distances(points: np.ndarray, p: float) -> np.ndarray:
-    from scipy.spatial.distance import cdist
-
-    if math.isinf(p):
-        d = cdist(points, points, "chebyshev")
-    else:
-        d = cdist(points, points, "minkowski", p=p)
-    np.fill_diagonal(d, 0.0)
-    return np.minimum(d, d.T)
-
-
 def _random_tree_edges(n: int, rng: np.random.Generator, edge_length: float) -> list[tuple]:
     return [(int(rng.integers(0, i)), i, edge_length) for i in range(1, n)]
 
@@ -172,19 +162,19 @@ def _sample(spec: GeneratorSpec, rng: np.random.Generator) -> FiniteMetricSpace:
     if kind == "euclidean":
         _require(spec.n >= 1 and spec.dim >= 1 and spec.box > 0, "euclidean needs n>=1, dim>=1, box>0")
         pts = rng.uniform(0.0, spec.box, size=(spec.n, spec.dim))
-        return validate_metric(lp_distances(pts, 2.0), embedding=Embedding(pts, 2.0))
+        return validate_metric(lp_distances(pts, pts, 2.0), embedding=Embedding(pts, 2.0))
     if kind == "sphere":
         _require(spec.n >= 1, "sphere needs n >= 1")
         pts = sphere_points(spec.kappa, spec.n, rng)
         return validate_metric(sphere_distances(pts, spec.kappa))
     if kind == "hyperbolic":
-        _require(spec.n >= 1, "hyperbolic needs n >= 1")
+        _require(spec.n >= 1 and spec.chart_radius > 0, "hyperbolic needs n>=1, chart_radius>0")
         pts = hyperboloid_points(spec.kappa, spec.n, rng, spec.chart_radius)
         return validate_metric(hyperboloid_distances(pts, spec.kappa))
     if kind == "lp_plane":
-        _require(spec.n >= 1 and spec.p > 1, "lp_plane needs n>=1 and p>1")
+        _require(spec.n >= 1 and spec.p > 1 and spec.box > 0, "lp_plane needs n>=1, p>1, box>0")
         pts = rng.uniform(0.0, spec.box, size=(spec.n, 2))
-        return validate_metric(lp_distances(pts, spec.p), embedding=Embedding(pts, spec.p))
+        return validate_metric(lp_distances(pts, pts, spec.p), embedding=Embedding(pts, spec.p))
     if kind == "tree":
         _require(spec.n >= 2 and spec.edge_length > 0 and spec.subdivision >= 0, "tree needs n>=2, edge_length>0, subdivision>=0")
         edges = _subdivide(_random_tree_edges(spec.n, rng, spec.edge_length), spec.subdivision)

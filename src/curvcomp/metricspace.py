@@ -77,12 +77,28 @@ def check_p(p: float) -> None:
         raise InvalidPError(f"p must exceed 1 (or be inf), got {p}")
 
 
+def lp_distances(a, b, p: float) -> np.ndarray:
+    """l_p distances from each row of `a` to each row of `b`, shape (len(a), len(b)).
+
+    The one l_p evaluator: samples, `counterexample_space` and augmented
+    candidates all measure here, so a point is the same distance from another
+    whichever list holds it. One cdist call, "chebyshev" at p = inf; on
+    cdist(X, X) the diagonal is 0 and the matrix symmetric bit for bit.
+    `counterexamples._lp_side` is its scalar, scipy-free copy.
+    """
+    from scipy.spatial.distance import cdist  # loaded by l_p inputs only
+
+    if math.isinf(p):
+        return cdist(a, b, "chebyshev")
+    return cdist(a, b, "minkowski", p=p)
+
+
 @dataclass(frozen=True)
 class Embedding:
     """Ambient l_p coordinates for a space whose metric is an l_p norm metric.
 
     Used by augmented candidate policies: extra candidate points are given as
-    coordinates and their distances to the space's points are computed here.
+    coordinates and measured against the space's points by `lp_distances`.
     """
 
     coords: np.ndarray  # (n, d)
@@ -93,11 +109,7 @@ class Embedding:
 
     def distances_to_points(self, extra: np.ndarray) -> np.ndarray:
         """Distances from each row of `extra` to each embedded point, shape (m, n)."""
-        extra = np.atleast_2d(np.asarray(extra, dtype=float))
-        diff = np.abs(extra[:, None, :] - self.coords[None, :, :])
-        if math.isinf(self.p):
-            return diff.max(axis=2)
-        return (diff ** self.p).sum(axis=2) ** (1.0 / self.p)
+        return lp_distances(np.atleast_2d(np.asarray(extra, dtype=float)), self.coords, self.p)
 
 
 @dataclass(frozen=True)

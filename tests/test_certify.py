@@ -33,7 +33,7 @@ from curvcomp import (
 )
 from curvcomp.certify import _pair_table, defect_resolution
 from curvcomp.circumradius import candidate_rows
-from curvcomp.generators import lp_distances
+from curvcomp.metricspace import lp_distances
 from oracles import brute_certify, enumerate_triples, random_metric_matrix
 
 # the package re-exports the function `certify`, which shadows the module
@@ -271,8 +271,8 @@ def test_certify_witness_matches_defect_profile_across_policies():
     rng = np.random.default_rng(22)
     cells = rng.choice(16, size=10, replace=False)
     pts = np.stack([cells % 4, cells // 4], axis=1) / 4.0
-    plane = validate_metric(lp_distances(pts, 2.0), embedding=Embedding(pts, 2.0))
-    square = validate_metric(lp_distances(pts, math.inf), embedding=Embedding(pts, math.inf))
+    plane = validate_metric(lp_distances(pts, pts, 2.0), embedding=Embedding(pts, 2.0))
+    square = validate_metric(lp_distances(pts, pts, math.inf), embedding=Embedding(pts, math.inf))
     spaces = [_integer_tree(rng, 10).rescale(0.25), _integer_graph(rng, 10).rescale(0.25), plane, square]
     witnesses = 0
     for space in spaces:
@@ -305,6 +305,25 @@ def test_certify_witness_matches_defect_profile_across_policies():
     assert witnesses >= 100
 
 
+@pytest.mark.parametrize("p", (1.5, 3.7, 7.0))
+def test_a_space_s_own_points_as_extra_candidates_change_nothing(p):
+    # a candidate that repeats a point of the space is as far from each point as that point is,
+    # bit for bit, only if the embedding measures with the function that built the matrix
+    for seed in range(20):
+        space = sample_space(GeneratorSpec(kind="lp_plane", n=25, p=p, seed=seed))
+        coords = space.embedding.coords
+        assert np.array_equal(space.embedding.distances_to_points(coords), space.dist), seed
+        for direction in ("upper", "lower"):
+            verdicts = [
+                certify(space, CurvatureQuery(direction=direction, candidates=policy))
+                for policy in (CandidatePolicy(), CandidatePolicy.augmented(coords))
+            ]
+            plain, augmented = (
+                (v.epsilon_needed, v.witness and (v.witness.triple, v.witness.r_space)) for v in verdicts
+            )
+            assert augmented == plain, (seed, direction)
+
+
 def test_certify_counts_the_triples_it_gathers():
     # on a tree every triple's pair-table bounds meet, so no candidate min-max runs
     tree = sample_space(GeneratorSpec(kind="tree", n=40, seed=1))
@@ -323,7 +342,7 @@ def _near_right_plane(rng, n):
     angles = np.repeat(rng.uniform(0.0, math.pi, n // 2), 2) + np.tile([0.0, math.pi], n // 2)
     angles += rng.normal(scale=1e-12, size=angles.size)
     pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return validate_metric(lp_distances(pts, 2.0))
+    return validate_metric(lp_distances(pts, pts, 2.0))
 
 
 def _near_equilateral_plane(rng, n):
@@ -332,7 +351,7 @@ def _near_equilateral_plane(rng, n):
     few ulps of rho(1), and lower defects near rho(1) - 1/2."""
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
     pts = np.concatenate([tri + 2.0 * t + rng.normal(scale=1e-9, size=(3, 2)) for t in range(n // 3)])
-    d = lp_distances(pts, 2.0)
+    d = lp_distances(pts, pts, 2.0)
     m = len(pts)
     edges = [(a, b, float(d[a, b])) for a, b in itertools.combinations(range(m), 2)]
     edges += [(m + t, 3 * t + v, 0.5) for t in range(m // 3) for v in range(3)]
@@ -698,7 +717,7 @@ def test_block_scan_matches_the_per_triple_oracle(n):
     quarter = _quarter_metric(rng, n)
     cells = rng.choice(64, size=n, replace=False)
     pts = np.stack([cells % 8, cells // 8], axis=1) / 8.0
-    plane = validate_metric(lp_distances(pts, 2.0), embedding=Embedding(pts, 2.0))
+    plane = validate_metric(lp_distances(pts, pts, 2.0), embedding=Embedding(pts, 2.0))
     centres = CandidatePolicy.augmented([((x + 0.5) / 8.0, (y + 0.5) / 8.0) for x in (1, 3, 5) for y in (2, 6)])
     grid = [0.0, 0.75, 1.0]  # the quarter metric's side lengths
     cases = [
@@ -931,7 +950,7 @@ def test_pair_table_is_bitwise_the_first_pair_minimum():
     ties = np.triu(rng.integers(1, 3, size=(30, 30)).astype(float), 1)
     cells = rng.choice(64, size=24, replace=False)
     pts = np.stack([cells % 8, cells // 8], axis=1).astype(float)
-    grid = validate_metric(lp_distances(pts, math.inf), embedding=Embedding(pts, math.inf))
+    grid = validate_metric(lp_distances(pts, pts, math.inf), embedding=Embedding(pts, math.inf))
     centres = CandidatePolicy.augmented([(x + 0.5, y + 0.5) for x in range(0, 8, 2) for y in range(0, 8, 2)])
     augmented = candidate_rows(grid, centres)
     assert augmented.shape == (24, 40)

@@ -528,11 +528,17 @@ def test_sample_rejects_a_repeated_parameter(tmp_path, capsys):
         # both sides are 1: the check that fails is the one on the vertex count
         ("grid:width=1,height=1", "width*height >= 2"),
         ("tree:n=3,subdivision=-1", "subdivision>=0"),
+        # a negative box once reached numpy's "high - low < 0", a zero one gave zero distances
+        ("lp_plane:n=3,box=-1", "box>0"),
+        ("lp_plane:n=3,box=0", "box>0"),
+        # a negative chart radius once sampled the reflected disk, a zero one a single point
+        ("hyperbolic:n=3,kappa=-1,chart_radius=-1", "chart_radius>0"),
+        ("hyperbolic:n=3,kappa=-1,chart_radius=0", "chart_radius>0"),
     ],
 )
 def test_sample_names_the_rule_it_breaks(spec, rule, tmp_path, capsys):
-    # the messages read "grid needs width, height >= 1" and "tree needs n>=2, edge_length>0",
-    # neither of which these specs break
+    # the messages once read "grid needs width, height >= 1", "tree needs n>=2, edge_length>0",
+    # "lp_plane needs n>=1 and p>1" and "hyperbolic needs n >= 1", none of which these specs break
     out = tmp_path / "x.csv"
     assert main(["sample", spec, "--out", str(out)]) == EXIT_USAGE
     captured = capsys.readouterr()

@@ -17,8 +17,7 @@ from curvcomp import (
     model_circumradius,
 )
 from curvcomp import counterexamples
-from curvcomp.generators import lp_distances
-from curvcomp.metricspace import InvalidPError
+from curvcomp.metricspace import InvalidPError, lp_distances
 
 P_VALUES = (1.2, 1.5, 2.0, 3.0, 4.0, 7.0, math.inf)
 
@@ -168,7 +167,7 @@ def test_center_lies_on_the_axis_and_attains_the_radius(p):
     x, y = result.space_result.center
     assert x == y if p < 2.0 else x == 0.0
     pts = np.vstack([result.vertices, [result.space_result.center]])
-    reach = lp_distances(pts, p)[3, :3]
+    reach = lp_distances(pts, pts, p)[3, :3]
     assert abs(reach.max() - result.space_result.radius) <= result.margin_error
 
 
@@ -212,6 +211,23 @@ def test_sides_are_bitwise_cdist_and_comparison_radius_is_one():
         # miss 1 by an ulp; margin_error carries that miss
         assert abs(result.comparison_radius - 1.0) <= sys.float_info.epsilon, p
         assert result.margin_error >= abs(result.comparison_radius - 1.0), p
+
+
+def test_scalar_side_is_bitwise_the_evaluator():
+    # _lp_side keeps counterexample free of scipy; every other l_p distance comes from
+    # lp_distances, so the two must agree to the bit. p - 1 log-spaced on [1e-6, 1), p
+    # log-spaced on (2, 1023.9], and the two norms without a violation: 652 exponents
+    grid = (
+        [1.0 + float(x) for x in np.logspace(-6.0, 0.0, 300, endpoint=False)]
+        + [float(x) for x in np.logspace(math.log10(2.0), math.log10(1023.9), 351)[1:]]
+        + [2.0, math.inf]
+    )
+    assert len(set(grid)) == 652
+    for p in grid:
+        verts = counterexample_triangle(p)
+        d = lp_distances(verts, verts, p)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            assert counterexamples._lp_side(verts[i], verts[j], p) == d[i, j], (p, i, j)
 
 
 def test_comparison_radius_places_no_comparison_triangle(monkeypatch):

@@ -159,7 +159,7 @@ def test_generator_parameter_checks():
     with pytest.raises(InvalidParameterError):
         sample_space(GeneratorSpec(kind="hyperbolic", kappa=1.0, n=5))
     for p in (1.0, -math.inf, math.nan):  # p = inf is the sup norm, -inf no norm
-        with pytest.raises(InvalidParameterError, match="lp_plane needs n>=1 and p>1"):
+        with pytest.raises(InvalidParameterError, match="lp_plane needs n>=1, p>1, box>0"):
             sample_space(GeneratorSpec(kind="lp_plane", p=p, n=5))
     assert sample_space(GeneratorSpec(kind="lp_plane", p=math.inf, n=5)).embedding.p == math.inf
     with pytest.raises(InvalidParameterError):

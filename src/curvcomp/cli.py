@@ -12,6 +12,8 @@ import sys
 import time
 import traceback
 
+import numpy as np
+
 from .certify import CurvatureQuery, certify, check_threads, defect_histogram, defect_profile
 from .counterexamples import check_counterexample
 from .generators import parse_generator_spec, sample_space
@@ -135,6 +137,22 @@ def _attach_float_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _write_violations(groups) -> None:
+    """One `violation:` line per row of each (kind, indices) group, in order, to
+    stderr: at most _CHUNK_LINES lines per write, and no write spans two groups.
+    A chunk is one join of an object array of cells: the template's literals
+    around each row's index strings, which one table per group holds."""
+    for kind, idx in groups:
+        literals = f"violation: {violation_template(kind, idx.shape[1])}\n".split("%d")
+        table = np.array([str(v) for v in range(int(idx.max()) + 1)], dtype=object)
+        for start in range(0, len(idx), _CHUNK_LINES):
+            block = idx[start : start + _CHUNK_LINES]
+            cells = np.empty((len(block), 2 * block.shape[1] + 1), dtype=object)
+            cells[:, 0::2] = literals
+            cells[:, 1::2] = table[block]
+            sys.stderr.write("".join(cells.ravel().tolist()))
+
+
 def main(argv=None) -> int:
     argv = _attach_float_values(list(sys.argv[1:] if argv is None else argv))
     try:
@@ -148,11 +166,7 @@ def main(argv=None) -> int:
         check_threads(args.threads)
         return _dispatch(args, started)
     except MetricValidationError as exc:
-        for kind, idx in exc.groups:
-            line = f"violation: {violation_template(kind, idx.shape[1])}\n"
-            for start in range(0, len(idx), _CHUNK_LINES):
-                block = idx[start : start + _CHUNK_LINES]
-                sys.stderr.write(line * len(block) % tuple(block.ravel().tolist()))
+        _write_violations(exc.groups)
         return EXIT_INVALID_METRIC
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -161,8 +161,7 @@ def _sample(spec: GeneratorSpec, rng: np.random.Generator) -> FiniteMetricSpace:
     kind = spec.kind
     if kind == "euclidean":
         _require(spec.n >= 1 and spec.dim >= 1 and spec.box > 0, "euclidean needs n>=1, dim>=1, box>0")
-        pts = rng.uniform(0.0, spec.box, size=(spec.n, spec.dim))
-        return validate_metric(lp_distances(pts, pts, 2.0), embedding=Embedding(pts, 2.0))
+        return _lp_sample(rng.uniform(0.0, spec.box, size=(spec.n, spec.dim)), 2.0)
     if kind == "sphere":
         _require(spec.n >= 1, "sphere needs n >= 1")
         pts = sphere_points(spec.kappa, spec.n, rng)
@@ -173,8 +172,7 @@ def _sample(spec: GeneratorSpec, rng: np.random.Generator) -> FiniteMetricSpace:
         return validate_metric(hyperboloid_distances(pts, spec.kappa))
     if kind == "lp_plane":
         _require(spec.n >= 1 and spec.p > 1 and spec.box > 0, "lp_plane needs n>=1, p>1, box>0")
-        pts = rng.uniform(0.0, spec.box, size=(spec.n, 2))
-        return validate_metric(lp_distances(pts, pts, spec.p), embedding=Embedding(pts, spec.p))
+        return _lp_sample(rng.uniform(0.0, spec.box, size=(spec.n, 2)), spec.p)
     if kind == "tree":
         _require(spec.n >= 2 and spec.edge_length > 0 and spec.subdivision >= 0, "tree needs n>=2, edge_length>0, subdivision>=0")
         edges = _subdivide(_random_tree_edges(spec.n, rng, spec.edge_length), spec.subdivision)
@@ -204,6 +202,14 @@ def _sample(spec: GeneratorSpec, rng: np.random.Generator) -> FiniteMetricSpace:
                     edges.append((i, j, _w(rng, spec)))
         return from_graph(edges)
     raise InvalidParameterError(f"unknown generator kind {kind!r}")
+
+
+def _lp_sample(pts: np.ndarray, p: float) -> FiniteMetricSpace:
+    d = lp_distances(pts, pts, p)
+    if not np.all(np.isfinite(d)):
+        # cdist sums |x - y|^p in C, where np.errstate does not reach
+        raise FloatingPointError("overflow encountered in the l_p distances")
+    return validate_metric(d, embedding=Embedding(pts, p))
 
 
 def _w(rng: np.random.Generator, spec: GeneratorSpec) -> float:

@@ -6,8 +6,8 @@ strings "inf", "-inf" and "nan".
 """
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps(str) under its defaults
 
 from . import __version__
 from .certify import TriangleDefect, Verdict
@@ -36,17 +36,17 @@ def _emit(obj, out: list) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(_quote(obj))
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        out.append(format(obj, ".17g") if math.isfinite(obj) else json.dumps(str(obj)))
+        out.append(format(obj, ".17g") if math.isfinite(obj) else _quote(str(obj)))
     elif isinstance(obj, dict):
         out.append("{")
         for idx, key in enumerate(sorted(obj)):
             if idx:
                 out.append(", ")
-            out.append(json.dumps(str(key)))
+            out.append(_quote(str(key)))
             out.append(": ")
             _emit(obj[key], out)
         out.append("}")

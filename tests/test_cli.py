@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import curvcomp
+from curvcomp import cli
 from curvcomp.certify import certify
 from curvcomp.cli import (
-    _CHUNK_LINES,
     EXIT_FAILS,
     EXIT_INTERNAL,
     EXIT_INVALID_METRIC,
@@ -93,19 +93,29 @@ def test_validate_stderr_lists_every_violation_in_order(tmp_path, capsys):
     assert captured.err == "".join(f"violation: {line}\n" for line in expected)
 
 
-def test_validate_writes_large_rejections_in_bounded_chunks(tmp_path, monkeypatch):
+@pytest.mark.parametrize("chunk", [1, 7, "triangles", 4096])
+def test_validate_writes_large_rejections_in_bounded_chunks(chunk, tmp_path, monkeypatch):
+    # the nonzero diagonal (arity 1, 110 lines) and the triangles (about 97k lines)
+    # each span several chunks at 1 and 7; "triangles" is that group's exact length
     rng = np.random.default_rng(4)
     m = np.triu(rng.uniform(0.1, 3.0, size=(110, 110)), 1)
+    m = m + m.T + np.diag(rng.uniform(0.1, 1.0, size=110))
     f = tmp_path / "bad.csv"
-    f.write_text(format_distance_matrix(m + m.T))
+    f.write_text(format_distance_matrix(m))
     with pytest.raises(MetricValidationError) as exc:
-        validate_metric(m + m.T)
+        validate_metric(m)
+    sizes = {kind: len(idx) for kind, idx in exc.value.groups}
+    assert sizes["nonzero_diagonal"] == 110 and sizes["triangle"] > 90_000
+    lines = sizes["triangle"] if chunk == "triangles" else chunk
+    monkeypatch.setattr(cli, "_CHUNK_LINES", lines)
     writes = []
     monkeypatch.setattr(sys, "stderr", SimpleNamespace(write=writes.append))
     assert main(["validate", str(f)]) == EXIT_INVALID_METRIC
     assert "".join(writes) == "".join(f"violation: {v}\n" for v in exc.value.violations)
-    assert len(writes) > 1
-    assert max(chunk.count("\n") for chunk in writes) == _CHUNK_LINES
+    assert len(writes) == sum(math.ceil(size / lines) for size in sizes.values())
+    for text in writes:
+        assert text.count("\n") <= lines
+        assert len({line.partition("(")[0] for line in text.splitlines()}) == 1
 
 
 @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "0"])
@@ -559,6 +569,9 @@ def test_sample_names_the_rule_it_breaks(spec, rule, tmp_path, capsys):
         ("hyperbolic:n=3,kappa=-1e-320", "hyperbolic sample leaves the float64 range"),
         # sinh(1000) overflows
         ("hyperbolic:n=3,kappa=-1,chart_radius=1000", "hyperbolic sample leaves the float64 range"),
+        # |x - y|^p overflows inside scipy's cdist, past np.errstate's reach
+        ("euclidean:n=3,box=1e300", "euclidean sample leaves the float64 range"),
+        ("lp_plane:n=3,box=1e300,p=3", "lp_plane sample leaves the float64 range"),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -571,6 +584,15 @@ def test_sample_out_of_range_float_parameter_exits_three(spec, message, tmp_path
     [line] = captured.err.splitlines()
     assert line.startswith(f"error: {message}")
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_max_norm_sample_of_a_huge_box_stays_in_range(tmp_path, capsys):
+    # chebyshev distances take no power, so box 1e300 leaves them finite
+    out = tmp_path / "x.csv"
+    assert main(["sample", "lp_plane:n=3,box=1e300,p=inf", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert main(["validate", str(out)]) == EXIT_OK
 
 
 def test_sample_whose_distances_vanish_exits_two(tmp_path, capsys):
@@ -660,6 +682,42 @@ def test_report_non_finite_floats_are_strict_json(tmp_path):
 def test_report_keys_sorted():
     text = dumps_report({"zeta": 1, "alpha": 2})
     assert text.index("alpha") < text.index("zeta")
+
+
+def _json_dumps_rendering(obj) -> str:
+    """dumps_report's layout, each string, key, bool, int and null written by json.dumps."""
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {_json_dumps_rendering(obj[k])}" for k in sorted(obj)) + "}"
+    if isinstance(obj, list):
+        return "[" + ", ".join(map(_json_dumps_rendering, obj)) + "]"
+    if isinstance(obj, float):
+        return format(obj, ".17g")
+    return json.dumps(obj)
+
+
+# a quote, a backslash, a control character and a non-ASCII letter
+_ODD_LABELS = ['a"b', "\x01", "back\\slash", "é"]
+
+
+@pytest.mark.parametrize(
+    "argv,edges,witness",
+    [
+        # the path's triple (0, 1, 3) has r_space 2 against r_model 1.5
+        (["certify"], list(zip(_ODD_LABELS, _ODD_LABELS[1:])), [_ODD_LABELS[i] for i in (0, 1, 3)]),
+        # the unit 4-cycle's quadruple holds every vertex
+        (["hyperbolicity"], list(zip(_ODD_LABELS, _ODD_LABELS[1:] + _ODD_LABELS[:1])), _ODD_LABELS),
+    ],
+)
+def test_report_quotes_labels_as_json_dumps_does(argv, edges, witness, tmp_path):
+    f = tmp_path / "odd.edges"
+    f.write_text("".join(f"{u} {v} 1\n" for u, v in edges))
+    out = tmp_path / "r.json"
+    assert main([*argv, str(f), "--json", str(out)]) in (EXIT_OK, EXIT_FAILS)
+    text = out.read_text()
+    assert text.isascii()
+    report = json.loads(text)
+    assert text == _json_dumps_rendering(report) + "\n"
+    assert sorted(report["witnesses"][0]["labels"]) == sorted(witness)
 
 
 def test_console_script_entry_point(path4_file):

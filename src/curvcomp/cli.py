@@ -137,19 +137,40 @@ def _attach_float_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _write_violations(groups) -> None:
-    """One `violation:` line per row of each (kind, indices) group, in order, to
-    stderr: at most _CHUNK_LINES lines per write, and no write spans two groups.
-    A chunk is one join of an object array of cells: the template's literals
-    around each row's index strings, which one table per group holds."""
-    for kind, idx in groups:
-        literals = f"violation: {violation_template(kind, idx.shape[1])}\n".split("%d")
-        table = np.array([str(v) for v in range(int(idx.max()) + 1)], dtype=object)
-        for start in range(0, len(idx), _CHUNK_LINES):
-            block = idx[start : start + _CHUNK_LINES]
-            cells = np.empty((len(block), 2 * block.shape[1] + 1), dtype=object)
-            cells[:, 0::2] = literals
-            cells[:, 1::2] = table[block]
+def _chunks(blocks, size: int):
+    """The rows of consecutive (m, arity) index blocks, regrouped into arrays
+    of `size` rows and a shorter last one."""
+    pending, held = [], 0
+    for block in blocks:
+        pending.append(block)
+        held += len(block)
+        if held >= size:
+            rows = np.concatenate(pending)
+            full = held - held % size
+            yield from (rows[start : start + size] for start in range(0, full, size))
+            pending, held = [rows[full:]], held - full
+    if held:
+        yield np.concatenate(pending)
+
+
+def _write_violations(exc: MetricValidationError) -> None:
+    """One `violation:` line per violation of `exc`, in order, to stderr: at
+    most _CHUNK_LINES lines per write, and no write spans two kinds. The
+    triangles stream in one k at a time, so the text is never held whole.
+    A chunk is one join of one cell per index: column c's table holds, for
+    every index v, the template's literal before index c, then str(v), and
+    after the last index the template's tail."""
+    digits = [str(v) for v in range(exc.n)]
+    for kind, blocks in exc.by_kind():
+        tables = None
+        for rows in _chunks(blocks, _CHUNK_LINES):
+            if tables is None:
+                *heads, tail = f"violation: {violation_template(kind, rows.shape[1])}\n".split("%d")
+                tables = [np.array([head + v for v in digits], dtype=object) for head in heads]
+                tables[-1] += tail
+            cells = np.empty(rows.shape, dtype=object)
+            for c, table in enumerate(tables):
+                cells[:, c] = table[rows[:, c]]
             sys.stderr.write("".join(cells.ravel().tolist()))
 
 
@@ -166,7 +187,7 @@ def main(argv=None) -> int:
         check_threads(args.threads)
         return _dispatch(args, started)
     except MetricValidationError as exc:
-        _write_violations(exc.groups)
+        _write_violations(exc)
         return EXIT_INVALID_METRIC
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

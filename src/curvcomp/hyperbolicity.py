@@ -48,16 +48,23 @@ def _per_base_max(d: np.ndarray, w: int) -> tuple[float, tuple[int, int, int, in
     n = len(d)
     g = (d[:, [w]] + d[[w], :] - d) / 2.0
     # value(x, y) = max_z min((x|z)_w, (z|y)_w) - (x|y)_w, floored at 0, taken over
-    # blocks of x rows whose (x, z, y) products hold at most _BLOCK entries (one row at least);
-    # g is symmetric bit for bit, as d is and IEEE addition commutes, so g[z] holds (z|y)_w
-    vals = np.empty_like(g)
-    step = max(1, _BLOCK // (n * n))
-    for start in range(0, n, step):
-        xs = slice(start, start + step)
-        vals[xs] = np.minimum(g[xs, :, None], g[None, :, :]).max(axis=1) - g[xs]
-    x, y = divmod(int(np.argmax(vals)), n)
+    # blocks of x rows whose (x, y, z) products hold at most _BLOCK entries (one row at least).
+    # g is symmetric bit for bit, as d is and IEEE addition commutes, so g[y] holds (z|y)_w,
+    # which keeps z the contiguous axis, and value(x, y) = value(y, x): the first maximiser
+    # in row-major order has y >= x, and the block of rows from `start` takes only y >= start
+    best, at = -math.inf, (0, 0)
+    start = 0
+    while start < n:
+        stop = min(n, start + max(1, _BLOCK // (n * (n - start))))
+        vals = np.minimum(g[start:stop, None, :], g[None, start:, :]).max(axis=2) - g[start:stop, start:]
+        i = int(np.argmax(vals))
+        if vals.flat[i] > best:
+            x, y = divmod(i, n - start)
+            best, at = float(vals.flat[i]), (start + x, start + y)
+        start = stop
+    x, y = at
     z = int(np.argmax(np.minimum(g[x], g[:, y]) - g[x, y]))
-    return float(vals[x, y]), (w, x, y, z)
+    return best, (w, x, y, z)
 
 
 def _is_exact(d: np.ndarray) -> bool:

@@ -5,7 +5,8 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,16 +38,38 @@ class MetricValidationError(ValueError):
     """A rejected matrix's violations, grouped by kind as index arrays.
 
     `groups` holds (kind, indices) pairs in report order, `indices` an
-    (m, arity) int array; `count` is the total. `violations` builds the
-    Violation objects on first read.
+    (m, arity) int array; `count` is the total and `n` the matrix size.
+    Validation counts the triangle violations of `dist` without listing
+    them. The message lists the first eight violations; `groups` builds the
+    triangle array on first read, and `violations` the Violation objects.
+    `by_kind` lists the triangles one k at a time in O(n^2) memory, and the
+    CLI streams them from there to stderr in chunks of lines, so it never
+    holds the whole listing.
     """
 
-    def __init__(self, groups: Sequence[tuple[str, np.ndarray]]):
-        self.groups = list(groups)
-        self.count = sum(len(idx) for _, idx in self.groups)
-        head = [Violation(kind, tuple(row)) for kind, idx in self.groups for row in idx[:8].tolist()][:8]
+    def __init__(
+        self, groups: Sequence[tuple[str, np.ndarray]], dist: np.ndarray | None = None, tau: float = 0.0, triangles: int = 0
+    ):
+        self._listed = list(groups)
+        self._dist, self._tau, self._triangles = dist, tau, triangles
+        self.count = sum(len(idx) for _, idx in self._listed) + triangles
+        self.n = len(dist) if dist is not None else max((int(idx.max()) + 1 for _, idx in self._listed if len(idx)), default=0)
+        rows = ((kind, row) for kind, blocks in self.by_kind() for idx in blocks for row in idx[:8].tolist())
+        head = [Violation(kind, tuple(row)) for kind, row in islice(rows, 8)]
         more = "" if self.count <= 8 else f" (+{self.count - 8} more)"
         super().__init__(f"invalid metric: {', '.join(map(str, head))}{more}")
+
+    def by_kind(self) -> Iterator[tuple[str, Iterable[np.ndarray]]]:
+        """(kind, blocks of indices) in report order: one block per kind, but
+        the triangles, which are listed one k at a time as they are read."""
+        for kind, idx in self._listed:
+            yield kind, (idx,)
+        if self._triangles:
+            yield "triangle", _triangle_blocks(self._dist, self._tau)
+
+    @cached_property
+    def groups(self) -> list[tuple[str, np.ndarray]]:
+        return [(kind, np.concatenate(list(blocks)).astype(np.intp, copy=False)) for kind, blocks in self.by_kind()]
 
     @cached_property
     def violations(self) -> list[Violation]:
@@ -225,23 +248,49 @@ def _triangle_rows(d: np.ndarray):
         yield i, d[i, i + 1 :], sums
 
 
-def _triangle_violations(d: np.ndarray, tau: float) -> np.ndarray:
-    """Rows (i, j, k) with i < j, k apart from both and d(i, j) > d(i, k) +
-    d(k, j) + tau, ordered by k, then i, then j: one pass over the rows i,
-    whose hits a stable sort on k puts in that order."""
-    n = len(d)
-    small = np.min_scalar_type(n)
-    found = [np.empty((3, 0), dtype=small)]
+def _triangle_count(d: np.ndarray, tau: float) -> int:
+    """How many (i, j, k) have i < j, k apart from both and d(i, j) > d(i, k) +
+    d(k, j) + tau: one pass over the rows i, which does the same work on a
+    metric as the check alone."""
+    n, count = len(d), 0
     for i, tail, sums in _triangle_rows(d):
         sums += tau
         bad = tail[:, None] > sums
         bad[:, i] = False
         bad.ravel()[i + 1 :: n + 1] = False  # k = j
         if bad.any():
-            j, k = np.nonzero(bad)
-            found.append(np.array([np.full(j.size, i), j + (i + 1), k], dtype=small))
-    ijk = np.concatenate(found, axis=1)
-    return ijk[:, np.argsort(ijk[2], kind="stable")].T.astype(np.intp, order="C")
+            count += np.count_nonzero(bad)
+    return count
+
+
+def _triangle_blocks(d: np.ndarray, tau: float) -> Iterator[np.ndarray]:
+    """The (i, j, k) that `_triangle_count` counts, one k at a time in order, as
+    (m, 3) arrays of the narrowest unsigned dtype ordered by i, then j; a k
+    with none yields nothing. Each k compares d with fl(fl(d(i, k) + d(k, j))
+    + tau) in n x n buffers that the next k overwrites. These are the row
+    pass's floats, as IEEE addition commutes, so the counts agree. The hits'
+    flat positions, in row-major order, give i by repeating each row index
+    by its count and j as the rest, which takes less time than np.nonzero."""
+    n = len(d)
+    small = np.min_scalar_type(n)
+    rows, starts = np.arange(n, dtype=small), np.arange(0, n * n, n)
+    sums, bad = np.empty((n, n)), np.empty((n, n), dtype=bool)
+    above = np.triu(np.ones((n, n), dtype=bool), 1)
+    for k in range(n):
+        with np.errstate(over="ignore"):  # around the add only, as in _triangle_rows
+            np.add(d[:, k, None], d[k], out=sums)
+        sums += tau
+        np.greater(d, sums, out=bad)
+        bad &= above
+        bad[k] = bad[:, k] = False
+        at = np.flatnonzero(bad)
+        if at.size:
+            per_row = np.count_nonzero(bad, axis=1)
+            block = np.empty((at.size, 3), dtype=small)
+            block[:, 0] = np.repeat(rows, per_row)
+            block[:, 1] = at - np.repeat(starts, per_row)
+            block[:, 2] = k
+            yield block
 
 
 def validate_metric(
@@ -253,8 +302,9 @@ def validate_metric(
 
     Raises MetricValidationError carrying every violation; each names the
     offending index, pair or triple (i, j, k: d(i, j) > d(i, k) + d(k, j)),
-    ordered by kind and then by k, i, j. The triangles are found in one pass
-    over the rows, which compares each d(i, j > i) with every d(i, k) + d(k, j).
+    ordered by kind and then by k, i, j. The triangles are counted in one pass
+    over the rows, which compares each d(i, j > i) with every d(i, k) + d(k, j),
+    and listed by the error, one k at a time, only when read.
     """
     d = np.array(matrix, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -267,11 +317,12 @@ def validate_metric(
         ("asymmetry", np.argwhere(np.triu(d != d.T, 1))),
         ("negative_entry", np.argwhere(np.triu(d < 0.0, 1))),
         ("zero_off_diagonal", np.argwhere(np.triu(d == 0.0, 1))),
-        ("triangle", _triangle_violations(d, metric_tolerance(float(d.max()) if n else 0.0))),
     ]
     groups = [(kind, idx) for kind, idx in groups if len(idx)]
-    if groups:
-        raise MetricValidationError(groups)
+    tau = metric_tolerance(float(d.max()) if n else 0.0)
+    triangles = _triangle_count(d, tau)
+    if groups or triangles:
+        raise MetricValidationError(groups, d, tau, triangles)
 
     d.flags.writeable = False
     lab = tuple(labels) if labels is not None else None

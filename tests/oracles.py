@@ -361,6 +361,75 @@ def triangle_violations(d, tau):
     return np.concatenate(found)
 
 
+def triangle_violations_by_rows(d, tau):
+    """The rows of `triangle_violations` as validation once listed them: one
+    pass over the rows i, comparing d(i, j > i) with every fl(d(k, j) + d(i, k))
+    + tau, whose hits a stable sort on k puts in order (k, then i, then j)."""
+    n = len(d)
+    dt = np.ascontiguousarray(d.T)
+    found = [np.empty((3, 0), dtype=np.intp)]
+    for i in range(n - 1):
+        with np.errstate(over="ignore"):
+            sums = dt[i + 1 :] + d[i]
+        sums += tau
+        bad = d[i, i + 1 :, None] > sums
+        bad[:, i] = False
+        bad[np.arange(n - 1 - i), np.arange(i + 1, n)] = False  # k = j
+        j, k = np.nonzero(bad)
+        found.append(np.array([np.full(j.size, i), j + (i + 1), k]))
+    ijk = np.concatenate(found, axis=1)
+    return ijk[:, np.argsort(ijk[2], kind="stable")].T.astype(np.intp, order="C")
+
+
+def violation_listing(d, tau):
+    """Every (kind, indices) group of a square matrix's metric-axiom
+    violations, in report order, empty groups left out."""
+    upper = np.triu(np.ones(d.shape, dtype=bool), 1)
+    groups = [
+        ("nonzero_diagonal", np.flatnonzero(np.diag(d) != 0.0)[:, None]),
+        ("asymmetry", np.argwhere(upper & (d != d.T))),
+        ("negative_entry", np.argwhere(upper & (d < 0.0))),
+        ("zero_off_diagonal", np.argwhere(upper & (d == 0.0))),
+        ("triangle", triangle_violations_by_rows(d, tau)),
+    ]
+    return [(kind, idx) for kind, idx in groups if len(idx)]
+
+
+def per_base_max_full(d, w):
+    """The four-point value of every (x, y) at base point w, as a full n x n
+    matrix; returns its largest entry and first maximiser (w, x, y, z) in
+    row-major order, z the first maximiser of the inner max."""
+    n = len(d)
+    g = (d[:, [w]] + d[[w], :] - d) / 2.0
+    vals = np.empty_like(g)
+    step = max(1, (1 << 18) // max(1, n * n))
+    for start in range(0, n, step):
+        xs = slice(start, start + step)
+        vals[xs] = np.minimum(g[xs, :, None], g[None, :, :]).max(axis=1) - g[xs]
+    x, y = divmod(int(np.argmax(vals)), n)
+    z = int(np.argmax(np.minimum(g[x], g[:, y]) - g[x, y]))
+    return float(vals[x, y]), (w, x, y, z)
+
+
+def tree_plus_edges(rng, n, p=0.04):
+    """The benchmark's weighted graph: a random recursive tree plus extra edges."""
+    pairs = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+    iu, ju = np.triu_indices(n, 1)
+    extra = rng.uniform(size=iu.size) < p
+    pairs = sorted(pairs | set(zip(iu[extra].tolist(), ju[extra].tolist())))
+    return [(f"v{u}", f"v{v}", float(c)) for (u, v), c in zip(pairs, rng.uniform(0.5, 1.5, len(pairs)))]
+
+
+def subdivided_tree(rng, nodes, steps):
+    """The benchmark's tree: a random recursive tree, each edge cut into unit edges."""
+    edges, fresh = [], nodes
+    for v in range(1, nodes):
+        chain = [int(rng.integers(0, v)), *range(fresh, fresh + steps - 1), v]
+        fresh += steps - 1
+        edges += [(f"v{a}", f"v{b}", 1.0) for a, b in zip(chain, chain[1:])]
+    return edges
+
+
 def dijkstra_path_metric(edges):
     """(vertices, d): scipy's float Dijkstra from every vertex of an edge list,
     d[s, v] the left-to-right sum along a shortest path from s to v, inf where

@@ -1,15 +1,21 @@
 """Exit codes, report fields, and byte-level determinism of the CLI."""
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import curvcomp
 from curvcomp import cli
@@ -24,9 +30,9 @@ from curvcomp.cli import (
     main,
 )
 from curvcomp.hyperbolicity import delta_four_point
-from curvcomp.metricspace import MetricValidationError, format_distance_matrix, validate_metric
+from curvcomp.metricspace import MetricValidationError, format_distance_matrix, metric_tolerance, validate_metric
 from curvcomp.report import REPORT_FIELDS, dumps_report
-from oracles import random_metric_matrix
+from oracles import random_metric_matrix, violation_listing
 
 PATH4_TEXT = "4\n0,1,2,3\n1,0,1,2\n2,1,0,1\n3,2,1,0\n"
 
@@ -116,6 +122,91 @@ def test_validate_writes_large_rejections_in_bounded_chunks(chunk, tmp_path, mon
     for text in writes:
         assert text.count("\n") <= lines
         assert len({line.partition("(")[0] for line in text.splitlines()}) == 1
+
+
+# few distinct values, so that many sums tie with an entry, and any float in between;
+# entries of 0 and -1 alone keep tau = 1e-9 * max at 0, so ties survive the tolerance
+_ENTRIES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, -1.0]), st.floats(-2.0, 4.0))
+_TIES = st.sampled_from([0.0, 0.0, 0.0, -1.0])
+
+
+@st.composite
+def _square_matrices(draw):
+    n = draw(st.integers(1, 12))
+    entries = draw(st.sampled_from([_ENTRIES, _TIES]))
+    m = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        m = np.triu(m) + np.triu(m, 1).T
+    if draw(st.booleans()):
+        np.fill_diagonal(m, 0.0)
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@example(np.zeros((6, 6)))  # tau = 0 and every two-step sum ties with its entry
+@example(np.where(np.eye(6, k=1, dtype=bool), -1.0, 0.0))  # the same ties, and triangles to list
+@given(_square_matrices())
+def test_rejection_matches_the_row_pass_listing(m):
+    # symmetric and asymmetric, with zero, negative and nonzero-diagonal entries: the
+    # groups, count, message and stderr against the row pass that sorts every hit by k
+    want = violation_listing(m, metric_tolerance(float(m.max())))
+    lines = [f"{kind}({', '.join(map(str, row))}{',' * (len(row) == 1)})" for kind, idx in want for row in idx.tolist()]
+    try:
+        validate_metric(m)
+    except MetricValidationError as exc:
+        assert [kind for kind, _ in exc.groups] == [kind for kind, _ in want]
+        for (_, got), (_, idx) in zip(exc.groups, want):
+            assert got.dtype == idx.dtype and np.array_equal(got, idx)
+        assert exc.count == len(lines)
+        more = f" (+{len(lines) - 8} more)" if len(lines) > 8 else ""
+        assert str(exc) == f"invalid metric: {', '.join(lines[:8])}{more}"
+    else:
+        assert not want
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.csv")
+        with open(path, "w") as fh:
+            fh.write(format_distance_matrix(m))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["validate", path])
+    assert code == (EXIT_INVALID_METRIC if want else EXIT_OK)
+    assert err.getvalue() == "".join(f"violation: {line}\n" for line in lines)
+
+
+class _LineSink(io.TextIOBase):
+    """A text stream that keeps only the number of lines written to it."""
+
+    def __init__(self):
+        self.lines = 0
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        return len(text)
+
+
+def test_validate_lists_a_large_rejection_in_bounded_memory(tmp_path, monkeypatch):
+    # about 2.0M triangle violations at n = 300: their (i, j, k) rows alone would take
+    # 48 MB as int64, and the listing's text about 60 MB
+    rng = np.random.default_rng(7)
+    m = np.triu(rng.uniform(0.1, 3.0, size=(300, 300)), 1)
+    m = m + m.T
+    f = tmp_path / "big.csv"
+    f.write_text(format_distance_matrix(m))
+    with pytest.raises(MetricValidationError) as exc:
+        validate_metric(m)
+    sink = _LineSink()
+    monkeypatch.setattr(sys, "stderr", sink)
+    tracemalloc.start()
+    try:
+        assert main(["validate", str(f)]) == EXIT_INVALID_METRIC
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.lines == exc.value.count > 1_900_000
+    assert peak < 16_000_000
 
 
 @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "0"])

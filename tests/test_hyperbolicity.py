@@ -19,7 +19,7 @@ from curvcomp import (
     sample_space,
     validate_metric,
 )
-from oracles import brute_delta, random_metric_matrix
+from oracles import brute_delta, per_base_max_full, random_metric_matrix, subdivided_tree, tree_plus_edges
 
 PATH4 = from_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
 
@@ -237,6 +237,44 @@ def test_settled_delta_matches_every_base_point_bitwise(monkeypatch, name, scale
             res = delta_four_point(space)
         assert (res.delta, res.witness) == want
         assert res.bases_scanned == 1
+
+
+def _graph_delta_inputs():
+    # the graph_delta workload's two seed-0 edge lists, drawn from one generator in its order
+    rng = np.random.default_rng([0, 2])
+    return from_graph(tree_plus_edges(rng, 123)), from_graph(subdivided_tree(rng, 31, 4))
+
+
+HALF_SCAN = {
+    "tree_0.3_n60": lambda: sample_space(GeneratorSpec(kind="tree", n=60, seed=1, edge_length=0.3)),
+    **{f"unit_cycle_{n}": partial(_unit_cycle, n) for n in range(4, 30)},
+    **{f"random_metric_{n}": partial(lambda n: validate_metric(random_metric_matrix(np.random.default_rng(n), n)), n) for n in (2, 3, 5, 9, 17, 40)},
+    "graph_delta_graph_0": lambda: _graph_delta_inputs()[0],
+    "graph_delta_tree_0": lambda: _graph_delta_inputs()[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HALF_SCAN))
+def test_half_base_point_scan_matches_the_full_value_matrix(monkeypatch, name):
+    # _per_base_max evaluates only y >= x: the value matrix is symmetric bit for bit, so
+    # its first maximiser in row-major order lies there. Against the full matrix, per
+    # base point (n <= 60) and through the delta, at three block sizes
+    space = HALF_SCAN[name]()
+    d = space.dist
+    bases = range(space.n if space.n <= 60 else 0)
+    full = [per_base_max_full(d, w) for w in bases]
+    for block in (1, 300, hyperbolicity_module._BLOCK):
+        with monkeypatch.context() as patch:
+            patch.setattr(hyperbolicity_module, "_BLOCK", block)
+            got = delta_four_point(space)
+            for w, (value, witness) in zip(bases, full):
+                half_value, half_witness = hyperbolicity_module._per_base_max(d, w)
+                assert (half_value.hex(), half_witness) == (value.hex(), witness)
+            patch.setattr(hyperbolicity_module, "_per_base_max", per_base_max_full)
+            want = delta_four_point(space)
+        assert (got.delta.hex(), got.witness, got.bases_scanned) == (want.delta.hex(), want.witness, want.bases_scanned)
+        if name.startswith("tree_0.3"):
+            assert got.bases_scanned == space.n
 
 
 @pytest.mark.parametrize("name", ["unit_cycle_33", "eared_cycle_40", "integer_graph_4", "random_metric"])

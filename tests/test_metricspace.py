@@ -34,7 +34,7 @@ from curvcomp.metricspace import (
     parse_edge_list,
 )
 from curvcomp.generators import parse_generator_spec, sample_space
-from oracles import dijkstra_path_metric, random_metric_matrix, triangle_violations
+from oracles import dijkstra_path_metric, random_metric_matrix, subdivided_tree, tree_plus_edges, triangle_violations
 
 PATH4 = np.array(
     [
@@ -280,25 +280,6 @@ def _assert_dijkstra_bits(edges):
     assert np.array_equal(space.dist.view(np.int64), np.minimum(d, d.T).view(np.int64))
 
 
-def _tree_plus_edges(rng, n, p=0.04):
-    # the benchmark's weighted graph: a random recursive tree plus extra edges
-    pairs = {(int(rng.integers(0, v)), v) for v in range(1, n)}
-    iu, ju = np.triu_indices(n, 1)
-    extra = rng.uniform(size=iu.size) < p
-    pairs = sorted(pairs | set(zip(iu[extra].tolist(), ju[extra].tolist())))
-    return [(f"v{u}", f"v{v}", float(c)) for (u, v), c in zip(pairs, rng.uniform(0.5, 1.5, len(pairs)))]
-
-
-def _subdivided_tree(rng, nodes, steps):
-    # the benchmark's tree: a random recursive tree, each edge cut into unit edges
-    edges, fresh = [], nodes
-    for v in range(1, nodes):
-        chain = [int(rng.integers(0, v)), *range(fresh, fresh + steps - 1), v]
-        fresh += steps - 1
-        edges += [(f"v{a}", f"v{b}", 1.0) for a, b in zip(chain, chain[1:])]
-    return edges
-
-
 def _acceptance_random_graph(seed):
     # the random graphs of tests/test_acceptance.py's corpus, seeds 500-519
     rng = np.random.default_rng(seed)
@@ -326,8 +307,8 @@ def _tenths_graph(rng, n):
 
 
 _ORACLE_GRAPHS = {
-    **{f"bench-graph-{s}": lambda s=s: _tree_plus_edges(np.random.default_rng([s, 2]), 123) for s in range(6)},
-    **{f"bench-tree-{s}": lambda s=s: _subdivided_tree(np.random.default_rng([s, 2]), 31, 4) for s in range(6)},
+    **{f"bench-graph-{s}": lambda s=s: tree_plus_edges(np.random.default_rng([s, 2]), 123) for s in range(6)},
+    **{f"bench-tree-{s}": lambda s=s: subdivided_tree(np.random.default_rng([s, 2]), 31, 4) for s in range(6)},
     **{f"acceptance-{s}": lambda s=s: _acceptance_random_graph(s) for s in range(500, 520)},
     **{f"cycle-{n}": lambda n=n: [(i, (i + 1) % n, 1.0) for i in range(n)] for n in (4, 9, 16, 30)},
     "tenths-grid": lambda: _grid(8, 0.1 * np.random.default_rng(7).integers(1, 4, 112)),

@@ -205,7 +205,9 @@ def _pair_table(cols):
     and C[a, b] the first candidate attaining it, one (n - a, m) block per row.
 
     C has the narrowest unsigned type that holds every flat index of an n x n or
-    n x m matrix, the type of every index array of the triple scan.
+    n x m matrix, the type of every index array of the triple scan. The
+    four-point delta's `_per_base_max` is the other caller: its (max, min)
+    product over a base point's Gromov products g is -P of -g.
     """
     n, m = cols.shape
     P, C = np.empty((n, n)), np.empty((n, n), dtype=np.min_scalar_type(max(n, m) ** 2))

@@ -18,7 +18,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .certify import _BLOCK, CurvatureQuery, certify, check_threads
+from .certify import _BLOCK, CurvatureQuery, _pair_table, certify, check_threads
 from .metricspace import FiniteMetricSpace, _triangle_rows
 
 
@@ -45,26 +45,15 @@ _ORDERINGS = np.array(list(permutations(range(4))))
 
 def _per_base_max(d: np.ndarray, w: int) -> tuple[float, tuple[int, int, int, int]]:
     """Largest four-point value at base point w and its first maximiser (w, x, y, z)."""
-    n = len(d)
     g = (d[:, [w]] + d[[w], :] - d) / 2.0
-    # value(x, y) = max_z min((x|z)_w, (z|y)_w) - (x|y)_w, floored at 0, taken over
-    # blocks of x rows whose (x, y, z) products hold at most _BLOCK entries (one row at least).
-    # g is symmetric bit for bit, as d is and IEEE addition commutes, so g[y] holds (z|y)_w,
-    # which keeps z the contiguous axis, and value(x, y) = value(y, x): the first maximiser
-    # in row-major order has y >= x, and the block of rows from `start` takes only y >= start
-    best, at = -math.inf, (0, 0)
-    start = 0
-    while start < n:
-        stop = min(n, start + max(1, _BLOCK // (n * (n - start))))
-        vals = np.minimum(g[start:stop, None, :], g[None, start:, :]).max(axis=2) - g[start:stop, start:]
-        i = int(np.argmax(vals))
-        if vals.flat[i] > best:
-            x, y = divmod(i, n - start)
-            best, at = float(vals.flat[i]), (start + x, start + y)
-        start = stop
-    x, y = at
+    # value(x, y) = max_z min((x|z)_w, (z|y)_w) - (x|y)_w, floored at 0 by value(w, w) = 0.
+    # max_z min(g[x, z], g[z, y]) is minus the pair table's min_z max(-g[x, z], -g[y, z]),
+    # exactly, as negation never rounds. g is symmetric bit for bit, as d is and IEEE
+    # addition commutes, so vals is too, and its first maximiser in row-major order has y >= x
+    vals = -_pair_table(-g)[0] - g
+    x, y = divmod(int(np.argmax(vals)), len(d))
     z = int(np.argmax(np.minimum(g[x], g[:, y]) - g[x, y]))
-    return best, (w, x, y, z)
+    return float(vals[x, y]), (w, x, y, z)
 
 
 def _is_exact(d: np.ndarray) -> bool:
@@ -116,8 +105,9 @@ def _pair_search(d: np.ndarray, delta_0: float) -> tuple[np.ndarray | None, int]
     scan. Every base point is scanned in full instead (None) when delta_0 is
     within tol of slack / 2, so that nothing can be cut, or when more than
     max(_BLOCK, n^2) / 24 quadruples are kept: at 40 B each they stay below a
-    fifth of a block of `_per_base_max` (8 B an entry), and settling them
-    evaluates no more orderings than that block holds entries.
+    fifth of max(_BLOCK, n^2) float64 entries, the larger of _BLOCK and the n^2
+    of the pair table `_per_base_max` builds, and settling them evaluates no
+    more orderings than that many entries.
     """
     n = len(d)
     hits = np.empty((0, 4), dtype=np.intp)
@@ -228,8 +218,8 @@ def delta_four_point(space: FiniteMetricSpace, threads: int = 1) -> DeltaResult:
         found = [first, *(_per_base_max(d, w) for w in range(1, n))]
         bases, quadruples = n, quadruples + n**4
     else:
-        # chunks of at most _BLOCK / 10 orderings, each holding about as much as a
-        # block of `_per_base_max` (8 B an entry)
+        # chunks of at most _BLOCK / 10 orderings, each holding about as much as _BLOCK
+        # float64 entries: no more than the pair table of `_per_base_max` once n^2 >= _BLOCK
         step = max(1, _BLOCK // (10 * len(_ORDERINGS)))
         found = [first, *(_first_maximiser(d, hits[start : start + step]) for start in range(0, len(hits), step))]
         bases, quadruples = 1, quadruples + n**3 + len(_ORDERINGS) * len(hits)

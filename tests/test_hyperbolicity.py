@@ -15,6 +15,7 @@ from curvcomp import (
     GeneratorSpec,
     delta_four_point,
     from_graph,
+    parse_generator_spec,
     relaxed_npc_bound_check,
     sample_space,
     validate_metric,
@@ -354,15 +355,19 @@ def test_exactness_rule(entries, exact):
 
 
 def test_delta_memory_stays_below_cubic():
-    # one n^3 float64 (max, min) product per base point would take n^3 * 8 B = 4.1 MB here
-    space = validate_metric(random_metric_matrix(np.random.default_rng(9), 80))
-    tracemalloc.start()
-    try:
-        delta_four_point(space, threads=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+    # one n^3 float64 (max, min) product per base point would take n^3 * 8 B = 4.1 MB here;
+    # the random metric scans base point 0 alone, the edge-0.3 tree every base point
+    random = validate_metric(random_metric_matrix(np.random.default_rng(9), 80))
+    tree = sample_space(parse_generator_spec("tree:n=80,seed=1,edge_length=0.3"))
+    for space, bases in ((random, 1), (tree, 80)):
+        tracemalloc.start()
+        try:
+            res = delta_four_point(space, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.bases_scanned == bases
+        assert peak < 1_000_000
 
 
 def _bipartite_and_star(a=6, b=10, leaves=64):

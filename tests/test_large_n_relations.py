@@ -46,6 +46,9 @@ def test_unit_cycle_delta_is_a_quarter_of_its_length(n, delta):
     assert delta_four_point(cycle).delta == delta
 
 
+TREE_0_7 = "tree:n=120,seed=3,edge_length=0.7"
+
+
 def _random_metric():
     return validate_metric(random_metric_matrix(np.random.default_rng(0), 150))
 
@@ -60,8 +63,10 @@ def _sample(spec):
         (_random_metric, 0.0),
         (_sample("sphere:kappa=1,n=150,seed=0"), 1.0),
         (_sample("hyperbolic:kappa=-1,n=150,seed=0"), -1.0),
+        # the delta's pair search cuts nothing here and every base point is scanned in full
+        (_sample(TREE_0_7), 0.0),
     ],
-    ids=["random", "sphere", "hyperbolic"],
+    ids=["random", "sphere", "hyperbolic", "tree_0.7"],
 )
 def test_relabelling_changes_no_value(build, kappa):
     # the scans prune on other pairs and blocks once the points are relabelled (the upper scan
@@ -78,3 +83,24 @@ def test_relabelling_changes_no_value(build, kappa):
             back = Triple(*perm[list(moved.witness.triple.as_tuple())].tolist())
             assert triangle_defect(space, back, kappa) == dataclasses.replace(moved.witness, triple=back)
     assert delta_four_point(relabelled).delta == delta_four_point(space).delta
+
+
+def _four_point_value(d, x, y, z, w):
+    """min((x|z)_w, (z|y)_w) - (x|y)_w with the float operations of the delta's scans."""
+    xz = (d[x, w] + d[w, z] - d[x, z]) / 2.0
+    zy = (d[z, w] + d[w, y] - d[z, y]) / 2.0
+    return min(xz, zy) - (d[x, w] + d[w, y] - d[x, y]) / 2.0
+
+
+def test_delta_of_an_inexact_tree_scans_every_base_point():
+    # edge length 0.7 is inexact in binary, so the tree's delta is rounding alone and the
+    # pair search can cut nothing: all 120 base points are scanned in full, at a size that
+    # brute force cannot reach
+    space = _sample(TREE_0_7)()
+    res = delta_four_point(space)
+    assert (res.delta, res.witness, res.bases_scanned) == (1.7763568394002505e-15, (28, 90, 99, 8), 120)
+    perm = np.random.default_rng(7).permutation(space.n)
+    moved = delta_four_point(space.subspace(perm))
+    assert moved.bases_scanned == space.n
+    back = perm[list(moved.witness)]
+    assert _four_point_value(space.dist, *back) == moved.delta == res.delta

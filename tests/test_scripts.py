@@ -1,5 +1,6 @@
 """The experiment scripts run end to end on tiny inputs."""
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,24 @@ def test_lp_margin_sweep_reports_the_margin_error(tmp_path):
     header, *rows = out.read_text().splitlines()
     assert header == "p,r_space,r_model,margin,margin_error"
     assert len(rows) == 2 and all(len(row.split(",")) == 5 for row in rows)
+
+
+def test_compare_outputs_finds_no_difference_against_itself():
+    proc = _run(["compare_outputs.py", "--base", str(ROOT), "--seeds", "0", "--workloads", "graph_delta"])
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stdout.splitlines() == ["workload graph_delta, seed 0: 2 ops match", "extras, seed 0: 5 ops match"]
+
+
+def test_compare_outputs_reports_a_changed_float_format(tmp_path):
+    # reports print floats with .17g; at .16g most of them read differently
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    report = tmp_path / "src" / "curvcomp" / "report.py"
+    text = report.read_text()
+    assert 'format(obj, ".17g")' in text
+    report.write_text(text.replace('format(obj, ".17g")', 'format(obj, ".16g")'))
+    proc = _run(["compare_outputs.py", "--base", str(tmp_path), "--seeds", "0", "--workloads", "graph_delta"])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "difference: workload graph_delta, seed 0, op hyperbolicity_graph: the report"
 
 
 def _run(argv):

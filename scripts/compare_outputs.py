@@ -4,11 +4,17 @@
 Writes each benchmark workload's inputs for each seed with `bench/inputs.build`,
 then runs every op through `curvcomp.cli.main` of `DIR/src` and of this tree's
 `src/`, each tree in its own subprocess, one after the other on the same paths.
-Extra ops that no benchmark op reaches follow the workloads: the delta's full
-scan of every base point on two trees with inexact edges, and `defect --csv` on
-the first seed's `flat_scan` box. For each op it compares the exit code, stdout,
-stderr, the JSON report without `timing_ms`, and the files the op writes. The
-reports' numbers are compared as printed, so a change of float format counts.
+Extra ops that no benchmark op reaches follow the workloads: `defect --csv` on
+the first seed's `flat_scan` box, and a fixed list of `sample` specs, each
+written once and read by the commands listed with it. Those are `certify` in
+both directions at four curvatures, with and without degenerate pairs and once
+with a scale beta, and `defect` over a beta grid, on three small samples of the
+plane, sphere and hyperbolic plane; and `hyperbolicity` on a grid, an exact
+tree whose delta is 0, a random graph, and two trees with inexact edges, where
+every base point is scanned in full. For each op it compares the exit code,
+stdout, stderr, the JSON report without `timing_ms`, and the files the op
+writes. The reports' numbers are compared as printed, so a change of float
+format counts.
 
 Usage: python scripts/compare_outputs.py --base DIR [--seeds 0-23] [--workloads graph_delta,flat_scan]
 
@@ -29,18 +35,45 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+# the commands run on each curvature sample, after the sampled path
+CURVATURE_COMMANDS = [
+    ("certify", "--kappa", kappa, "--direction", direction, *degenerate)
+    for kappa in ("0", "1", "-1", "0.3")
+    for direction in ("upper", "lower")
+    for degenerate in ((), ("--degenerate",))
+] + [("certify", "--beta", "0.4"), ("defect", "--beta-grid", "0,0.2,0.4,0.8")]
+
+# (name, sample spec, commands that read the sample)
+SAMPLES = [
+    ("e16", "euclidean:n=16,seed=1", CURVATURE_COMMANDS),
+    ("s14", "sphere:kappa=1,n=14,seed=2", CURVATURE_COMMANDS),
+    ("h14", "hyperbolic:kappa=-1,n=14,seed=3", CURVATURE_COMMANDS),
+    ("grid8", "grid:width=8,height=8", [("hyperbolicity", "--allowance", "1")]),
+    ("tree50", "tree:n=50,seed=2,subdivision=2", [("hyperbolicity", "--allowance", "1")]),
+    ("graph60", "random_graph:n=60,seed=3", [("hyperbolicity", "--allowance", "1.5")]),
+    ("t60", "tree:n=60,seed=1,edge_length=0.3", [("hyperbolicity", "--allowance", "0.3")]),
+    ("t120", "tree:n=120,seed=3,edge_length=0.7", [("hyperbolicity", "--allowance", "0.7")]),
+]
+
+
+def _sampled_ops():
+    """Each sample's `sample` op, then the ops of its commands on the written file."""
+    for name, spec, commands in SAMPLES:
+        path = f"{{out}}/{name}.csv"
+        yield f"sample {name}", ("sample", spec, "--out", path), (f"{name}.csv",)
+        for command, *args in commands:
+            yield " ".join((command, name, *args)), (command, path, *args, "--json", "{json}"), ()
+
+
 # (key, argv, files the op writes), with {inputs} the benchmark's input directory,
 # {out} a directory of the tree's own and {json} the op's report path
 EXTRAS = [
-    ("sample_tree60", ("sample", "tree:n=60,seed=1,edge_length=0.3", "--out", "{out}/t60.csv"), ("t60.csv",)),
-    ("hyperbolicity_tree60", ("hyperbolicity", "{out}/t60.csv", "--allowance", "0.3", "--json", "{json}"), ()),
-    ("sample_tree120", ("sample", "tree:n=120,seed=3,edge_length=0.7", "--out", "{out}/t120.csv"), ("t120.csv",)),
-    ("hyperbolicity_tree120", ("hyperbolicity", "{out}/t120.csv", "--allowance", "0.7", "--json", "{json}"), ()),
     (
         "defect_csv_box",
         ("defect", "{inputs}/box.csv", "--kappa", "0", "--json", "{json}", "--csv", "{out}/box"),
         ("box_beta_curve.csv", "box_histogram.csv"),
     ),
+    *_sampled_ops(),
 ]
 
 

@@ -202,19 +202,21 @@ def triangle_defect(
 
 def _pair_table(cols):
     """(P, C) over the candidate columns `cols` (n, m): P[a, b] = min_x max(d(x, a), d(x, b))
-    and C[a, b] the first candidate attaining it, one (n - a, m) block per row.
+    and C[a, b] the first candidate attaining it, for a <= b, one (n - a, m) block per row.
 
-    C has the narrowest unsigned type that holds every flat index of an n x n or
-    n x m matrix, the type of every index array of the triple scan. The
-    four-point delta's `_per_base_max` is the other caller: its (max, min)
+    Every read has its smaller index first, so only the upper triangle and the
+    diagonal are written: P is +inf below the diagonal, and C is left unset
+    there. C has the narrowest unsigned type that holds every flat index of an
+    n x n or n x m matrix, the type of every index array of the triple scan.
+    The four-point delta's `_per_base_max` is the other caller: its (max, min)
     product over a base point's Gromov products g is -P of -g.
     """
     n, m = cols.shape
-    P, C = np.empty((n, n)), np.empty((n, n), dtype=np.min_scalar_type(max(n, m) ** 2))
+    P, C = np.full((n, n), np.inf), np.empty((n, n), dtype=np.min_scalar_type(max(n, m) ** 2))
     for a in range(n):
         pair = np.maximum(cols[a], cols[a:])
-        C[a, a:] = C[a:, a] = pair.argmin(axis=1)
-        P[a, a:] = P[a:, a] = pair[np.arange(n - a), C[a, a:]]
+        C[a, a:] = pair.argmin(axis=1)
+        P[a, a:] = pair[np.arange(n - a), C[a, a:]]
     return P, C
 
 

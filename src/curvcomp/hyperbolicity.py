@@ -48,8 +48,9 @@ def _per_base_max(d: np.ndarray, w: int) -> tuple[float, tuple[int, int, int, in
     g = (d[:, [w]] + d[[w], :] - d) / 2.0
     # value(x, y) = max_z min((x|z)_w, (z|y)_w) - (x|y)_w, floored at 0 by value(w, w) = 0.
     # max_z min(g[x, z], g[z, y]) is minus the pair table's min_z max(-g[x, z], -g[y, z]),
-    # exactly, as negation never rounds. g is symmetric bit for bit, as d is and IEEE
-    # addition commutes, so vals is too, and its first maximiser in row-major order has y >= x
+    # exactly, as negation never rounds. The table is +inf below the diagonal, so vals is -inf
+    # there; g and the full value matrix are symmetric bit for bit, as d is and IEEE addition
+    # commutes, so the full matrix's first row-major maximiser has y >= x, and is vals'
     vals = -_pair_table(-g)[0] - g
     x, y = divmod(int(np.argmax(vals)), len(d))
     z = int(np.argmax(np.minimum(g[x], g[:, y]) - g[x, y]))
@@ -100,30 +101,24 @@ def _pair_search(d: np.ndarray, delta_0: float) -> tuple[np.ndarray | None, int]
     best = delta_0, pairs are visited in decreasing distance, each with the
     later pairs, until d(x, y) < 2 (best - tol) - slack, and every quadruple
     within tol of the best value is kept (its four points, as a row of the
-    returned array). Base point 0 is then the one full scan, and the 24
-    orderings of the kept quadruples stand in for every other base point's
-    scan. Every base point is scanned in full instead (None) when delta_0 is
-    within tol of slack / 2, so that nothing can be cut, or when more than
-    max(_BLOCK, n^2) / 24 quadruples are kept: at 40 B each they stay below a
-    fifth of max(_BLOCK, n^2) float64 entries, the larger of _BLOCK and the n^2
-    of the pair table `_per_base_max` builds, and settling them evaluates no
-    more orderings than that many entries.
+    returned array); tol is 16 eps times the largest entry on every input.
+    Base point 0 is then the one full scan, and the 24 orderings of the kept
+    quadruples stand in for every other base point's scan. Every base point
+    is scanned in full instead (None) when delta_0 is within tol of slack / 2,
+    so that nothing can be cut, or when more than max(_BLOCK, n^2) / 24
+    quadruples are kept: at 40 B each they stay below a fifth of
+    max(_BLOCK, n^2) float64 entries, the larger of _BLOCK and the n^2 of the
+    pair table `_per_base_max` builds, and settling them evaluates no more
+    orderings than that many entries.
     """
     n = len(d)
-    hits = np.empty((0, 4), dtype=np.intp)
-    if _is_exact(d):
-        tol = 0.0
-        if delta_0 == 0.0:
-            return hits, 0
-    else:
-        # With u = 2**-53 and D the largest entry, the Gromov-product value of
-        # _per_base_max is within 5uD of the exact value (2uD per product, uD for
-        # the last subtraction) and the sum value here within 3uD, so the two
-        # differ by at most E = 8uD. The best value found is at most delta + E
-        # and the first maximiser's sum value at least delta - E, so any tol
-        # above 2E keeps it, and its two pairs above the cut; 32uD leaves room
-        # for the rounding of the cut and of the slack.
-        tol = 16.0 * np.finfo(float).eps * float(d.max())
+    # With u = 2**-53 and D the largest entry, the Gromov-product value of _per_base_max is
+    # within 5uD of the exact value (2uD per product, uD for the last subtraction) and the sum
+    # value here within 3uD, so the two differ by at most E = 8uD. The best value found is at
+    # most delta + E and the first maximiser's sum value at least delta - E, so any tol above
+    # 2E keeps it, and its two pairs above the cut; 32uD leaves room for the rounding of the
+    # cut and of the slack. On an exact input E = 0: tol only keeps quadruples below the best.
+    tol = 16.0 * np.finfo(float).eps * float(d.max())
     # in units of twice the value; halving is exact, so the comparisons are unchanged
     best, tol, slack, quadruples = 2.0 * delta_0, 2.0 * tol, _triangle_slack(d), 0
     if best - tol <= slack:
@@ -136,7 +131,7 @@ def _pair_search(d: np.ndarray, delta_0: float) -> tuple[np.ndarray | None, int]
     pd = d[px, py]
     far = -pd  # ascending, for searchsorted
     most = max(_BLOCK, n * n) // len(_ORDERINGS)  # quadruples kept at most
-    hit_values = np.empty(0)
+    hits, hit_values = np.empty((0, 4), dtype=np.intp), np.empty(0)
     start = 0
     while True:
         stop = int(np.searchsorted(far, tol + slack - best, side="right"))  # pairs above the cut
@@ -197,9 +192,11 @@ def delta_four_point(space: FiniteMetricSpace, threads: int = 1) -> DeltaResult:
     other base points are settled from the orderings of those quadruples
     alone, which read no more than a full scan of theirs and include the
     first maximiser, so the result equals the scan of every base point
-    bitwise. Exact inputs (see `_is_exact`) with delta_0 = 0 stop after base
-    point 0. When the search can cut nothing, or keeps too many quadruples,
-    every base point is scanned in full instead.
+    bitwise. An exact input (see `_is_exact`) with delta_0 = 0 stops after
+    base point 0, as its values carry no rounding and delta <= 2 delta_0;
+    no other step asks whether the input is exact. When the search can cut
+    nothing, or keeps too many quadruples, every base point is scanned in
+    full instead.
 
     Everything runs on the calling thread, so `threads` is only checked, as
     in `certify`.
@@ -213,6 +210,8 @@ def delta_four_point(space: FiniteMetricSpace, threads: int = 1) -> DeltaResult:
     scale = 2.0 if space.diameter > np.finfo(float).max / 2 else 1.0
     d = space.dist * 0.5 if scale > 1.0 else space.dist
     first = _per_base_max(d, 0)
+    if first[0] == 0.0 and _is_exact(d):
+        return DeltaResult(0.0, None, bases_scanned=1, quadruples=n**3)
     hits, quadruples = _pair_search(d, first[0])
     if hits is None:
         found = [first, *(_per_base_max(d, w) for w in range(1, n))]

@@ -943,9 +943,10 @@ def test_defect_profile_histogram_bins_are_powers_of_two():
 
 
 def test_pair_table_is_bitwise_the_first_pair_minimum():
-    # P[a, b] = min_x max(d(x, a), d(x, b)) and C[a, b] its first argmin, by a plain loop
-    # over the candidates. Entries of 1 and 2 tie often; the grid points' l_inf distances
-    # to the cell centres tie too, and add m - n = 16 columns past the points
+    # P[a, b] = min_x max(d(x, a), d(x, b)) and C[a, b] its first argmin for b >= a, by a
+    # plain loop over the candidates, and P = +inf below the diagonal, which no read reaches.
+    # Entries of 1 and 2 tie often; the grid points' l_inf distances to the cell centres
+    # tie too, and add m - n = 16 columns past the points
     rng = np.random.default_rng(15)
     ties = np.triu(rng.integers(1, 3, size=(30, 30)).astype(float), 1)
     cells = rng.choice(64, size=24, replace=False)
@@ -958,8 +959,9 @@ def test_pair_table_is_bitwise_the_first_pair_minimum():
         n, m = cols.shape
         P, C = _pair_table(cols)
         assert C.dtype == np.min_scalar_type(max(n, m) ** 2)
+        assert np.all(P[np.tril_indices(n, -1)] == math.inf)
         for a in range(n):
-            for b in range(n):
+            for b in range(a, n):
                 best, first = math.inf, -1
                 for x in range(m):
                     r = max(cols[a, x], cols[b, x])

@@ -173,6 +173,49 @@ def test_exact_tree_is_settled_by_one_base_point(scale):
     assert res.bases_scanned == 1 and res.quadruples == space.n**3
 
 
+def _wide_exact_graph(n, seed, chord):
+    # an n-cycle with weights 1-3, one chord and a pendant edge of 2**48: exact, and the
+    # allowance 16 eps D (about 1) spans two of the data's half-units of value
+    rng = np.random.default_rng(seed)
+    edges = [(i, (i + 1) % n, float(rng.integers(1, 4))) for i in range(n)]
+    edges += [(*chord, float(rng.integers(1, 4))), (0, "p", 2.0**48)]
+    return from_graph(edges)
+
+
+@pytest.mark.parametrize("n, seed, chord", [(9, 0, (0, 4)), (9, 1, (2, 6)), (11, 2, (1, 6)), (11, 3, (3, 8))])
+def test_allowance_wider_than_an_exact_inputs_resolution(monkeypatch, n, seed, chord):
+    # the search keeps quadruples whose values fall below delta, and the first maximiser
+    # stays the brute-force one, with base point 0 the only full scan
+    space = _wide_exact_graph(n, seed, chord)
+    d = space.dist
+    assert hyperbolicity_module._is_exact(d) and 16.0 * np.finfo(float).eps * d.max() >= 1.0
+    pair_search, kept = hyperbolicity_module._pair_search, []
+
+    def recorded(d, delta_0):
+        found = pair_search(d, delta_0)
+        kept.append(found[0])
+        return found
+
+    monkeypatch.setattr(hyperbolicity_module, "_pair_search", recorded)
+    res = delta_four_point(space)
+    assert (res.delta, res.witness) == brute_delta(d)
+    assert res.bases_scanned == 1
+    values = [hyperbolicity_module._first_maximiser(d, quad[None])[0] for quad in kept[0]]
+    assert max(values) == res.delta > min(values)
+
+
+@pytest.mark.parametrize("edge_length", (1.0, 0.25, 3.0))
+def test_exact_delta_zero_skips_the_pair_search(monkeypatch, edge_length):
+    space = sample_space(GeneratorSpec(kind="tree", n=30, seed=2, subdivision=2, edge_length=edge_length))
+
+    def refused(d, delta_0):
+        raise AssertionError("the pair search ran on an exact input with delta_0 = 0")
+
+    monkeypatch.setattr(hyperbolicity_module, "_pair_search", refused)
+    res = delta_four_point(space)
+    assert (res.delta, res.witness, res.bases_scanned, res.quadruples) == (0.0, None, 1, space.n**3)
+
+
 def test_tree_with_inexact_edges_keeps_the_noisy_witness():
     # 0.3 is not a multiple of a power of two: delta is rounding noise, nothing
     # can be cut, and every base point is scanned as in the exhaustive fold
@@ -257,9 +300,9 @@ HALF_SCAN = {
 
 @pytest.mark.parametrize("name", sorted(HALF_SCAN))
 def test_half_base_point_scan_matches_the_full_value_matrix(monkeypatch, name):
-    # _per_base_max evaluates only y >= x: the value matrix is symmetric bit for bit, so
-    # its first maximiser in row-major order lies there. Against the full matrix, per
-    # base point (n <= 60) and through the delta, at three block sizes
+    # the full value matrix's first maximiser in row-major order lies in y >= x, the
+    # triangle that the pair table writes: per base point (n <= 60) and through the delta.
+    # The _BLOCK patches reach only _pair_search's blocks and the settle chunks
     space = HALF_SCAN[name]()
     d = space.dist
     bases = range(space.n if space.n <= 60 else 0)
